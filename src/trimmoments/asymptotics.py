@@ -4,11 +4,14 @@ The covariance of the sample trimmed-moment vector has entries
 sigma2_ij = Gamma(i,j) * V(i,j) where V is a double integral of the
 kernel K(w,v) = min(w,v) - wv against the derivatives of the population
 moment functions H_i.  V reduces to a combination of single integrals
-and endpoint evaluations; that closed form is the production path here,
-while the raw double integral survives as a brute-force oracle for
-testing.  Delta-method covariances S_T = D Sigma_T D' follow from the
-branch-aware Jacobians of the estimator maps, and the asymptotic
-relative efficiency versus maximum likelihood is
+and endpoint evaluations, the closed form computed here (the raw double
+integral is a brute-force oracle in the tests).  Every family is a
+location-scale model (location mu, scale s) on transformed data, so
+Sigma_T and the Jacobian are written once in (mu, s) and its base
+quantile, and mapped to the family's reported parameters through
+`models.SPECS`.  Delta-method covariances S_T = D Sigma_T D' follow
+from the branch-aware Jacobians of the estimator maps, and the
+asymptotic relative efficiency versus maximum likelihood is
 (det S_MLE / det S_T)^(1/2).
 """
 
@@ -16,28 +19,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import ndtri
 
-from .models import Family, ParameterVector
+from .estimators import Branch
+from .models import SPECS, Family, ParameterVector
 from .moments import (
     MomentConstants,
     TrimmingScheme,
     eta_constants,
     population_moments,
-    zeta_constants,
 )
 from .quadrature import integrate
 
 __all__ = [
     "SingularityError",
     "AreResult",
-    "kernel",
-    "i_integrals",
-    "v_entry",
-    "v_entry_bruteforce",
     "lambda_entries",
     "psi_entries",
     "sigma_T",
@@ -52,8 +50,6 @@ __all__ = [
     "breakdown_points",
     "fit_covariance",
 ]
-
-EULER_GAMMA = 0.57721566490
 
 # Discriminant threshold below which the scale formula is treated as
 # singular instead of producing an exploding variance.
@@ -75,31 +71,12 @@ class AreResult:
     singular: bool = False
 
 
-def kernel(w, v):
-    """Covariance kernel of the uniform empirical process."""
-    return np.minimum(w, v) - np.asarray(w) * np.asarray(v)
-
-
 def _guarded(coef, H, u):
     """coef * H(u), skipping the evaluation when coef is exactly zero
     (H may diverge at u in {0, 1})."""
     if coef == 0.0:
         return 0.0
     return coef * float(H(u))
-
-
-def i_integrals(H, a, b):
-    """The pair (I, Ibar) over [a, b].
-
-    I = b H(b) - a H(a) - int_a^b H;  Ibar = (1-b) H(b) - (1-a) H(a)
-    + int_a^b H.  Zero-width intervals give (0, 0) without evaluating H.
-    """
-    if not (0.0 <= a <= b <= 1.0):
-        raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
-    if a == b:
-        return 0.0, 0.0
-    s = integrate(H, a, b)
-    return _i_lower(H, a, b, s), _i_upper(H, a, b, s)
 
 
 def _i_lower(H, a, b, s):
@@ -168,85 +145,11 @@ def _v_pair(HA, winA, HB, winB):
     return total
 
 
-def _delta(u):
-    return np.log(-np.log(u))
-
-
-def _h_population(family: Family, params: ParameterVector):
-    """(H1, H2): population moment functions h_j o F^{-1} on (0, 1)."""
-    if family is Family.FRECHET:
-        beta, ls = params.beta, math.log(params.sigma)
-        return (
-            lambda u: ls - beta * _delta(u),
-            lambda u: (ls - beta * _delta(u)) ** 2,
-        )
-    theta, sigma = params.theta, params.sigma
-    return (
-        lambda u: theta + sigma * ndtri(u),
-        lambda u: (theta + sigma * ndtri(u)) ** 2,
-    )
-
-
-def _h_derivatives(family: Family, params: ParameterVector):
-    """(H1', H2') for the brute-force double integral."""
-    if family is Family.FRECHET:
-        beta, ls = params.beta, math.log(params.sigma)
-
-        def d1(u):
-            return -beta / (u * np.log(u))
-
-        def d2(u):
-            return (2.0 * beta / (u * np.log(u))) * (beta * _delta(u) - ls)
-
-        return d1, d2
-    theta, sigma = params.theta, params.sigma
-
-    def qprime(u):
-        q = ndtri(u)
-        return np.sqrt(2.0 * np.pi) * np.exp(0.5 * q * q)
-
-    return (
-        lambda u: sigma * qprime(u),
-        lambda u: 2.0 * sigma * (theta + sigma * ndtri(u)) * qprime(u),
-    )
-
-
-def v_entry(family: Family, params: ParameterVector, i: int, j: int,
-            scheme: TrimmingScheme) -> float:
-    """Closed-form V(i, j) for the given model and scheme."""
-    params.validate(family)
-    h1, h2 = _h_population(family, params)
-    hs = {1: h1, 2: h2}
-    return _v_pair(hs[i], scheme.window(i), hs[j], scheme.window(j))
-
-
-def v_entry_bruteforce(family: Family, params: ParameterVector, i: int, j: int,
-                       scheme: TrimmingScheme, grid_n: int = 400) -> float:
-    """Midpoint-rule evaluation of the double integral defining V(i, j).
-
-    Test oracle only; the production path is the closed form above.
-    """
-    if grid_n < 200:
-        raise ValueError("grid_n must be >= 200")
-    params.validate(family)
-    d1, d2 = _h_derivatives(family, params)
-    ds = {1: d1, 2: d2}
-    ai, bbari = scheme.window(i)
-    aj, bbarj = scheme.window(j)
-    w = ai + (bbari - ai) * (np.arange(grid_n) + 0.5) / grid_n
-    v = aj + (bbarj - aj) * (np.arange(grid_n) + 0.5) / grid_n
-    kmat = np.minimum(v[:, None], w[None, :]) - np.outer(v, w)
-    integrand = kmat * ds[j](v)[:, None] * ds[i](w)[None, :]
-    dv = (bbarj - aj) / grid_n
-    dw = (bbari - ai) / grid_n
-    return float(np.sum(integrand) * dv * dw)
-
-
 def _entries_from_base(scheme: TrimmingScheme, base, half_sq):
     """The six parameter-free covariance building blocks for one model,
     evaluated through the closed-form V routine.
 
-    base is the standardized quantile kernel (Phi^{-1} or Delta) and
+    base is the family's base quantile (Phi^{-1} or the Gumbel G) and
     half_sq its squared half, whose derivative weight is base itself.
     """
     w1 = scheme.window(1)
@@ -264,63 +167,48 @@ def _entries_from_base(scheme: TrimmingScheme, base, half_sq):
 
 
 @lru_cache(maxsize=None)
-def _lambda_cached(key):
+def _entries_cached(base, key):
     scheme = TrimmingScheme(*key)
-    return _entries_from_base(scheme, ndtri, lambda u: 0.5 * ndtri(u) ** 2)
+    return _entries_from_base(scheme, base, lambda u: 0.5 * base(u) ** 2)
 
 
-@lru_cache(maxsize=None)
-def _psi_cached(key):
-    scheme = TrimmingScheme(*key)
-    return _entries_from_base(scheme, _delta, lambda u: 0.5 * _delta(u) ** 2)
-
-
-def _key(scheme: TrimmingScheme):
-    return (scheme.a1, scheme.b1, scheme.a2, scheme.b2, scheme.tag)
+def _entries(base, scheme: TrimmingScheme) -> dict:
+    key = (scheme.a1, scheme.b1, scheme.a2, scheme.b2, scheme.tag)
+    return _entries_cached(base, key)
 
 
 def lambda_entries(scheme: TrimmingScheme) -> dict:
     """Location-scale covariance constants Lambda_ijk (parameter-free)."""
-    return dict(_lambda_cached(_key(scheme)))
+    return dict(_entries(SPECS[Family.NORMAL].base_quantile, scheme))
 
 
 def psi_entries(scheme: TrimmingScheme) -> dict:
-    """Frechet covariance constants Psi_ijk (parameter-free)."""
-    return dict(_psi_cached(_key(scheme)))
-
-
-def sigma_T_location_scale(params: ParameterVector,
-                           scheme: TrimmingScheme) -> np.ndarray:
-    """Asymptotic covariance of (T1_hat, T2_hat), location-scale case."""
-    theta, sigma = params.theta, params.sigma
-    lam = _lambda_cached(_key(scheme))
-    s11 = sigma ** 2 * lam["111"]
-    s12 = 2.0 * theta * sigma ** 2 * lam["121"] + 2.0 * sigma ** 3 * lam["122"]
-    s22 = (4.0 * theta ** 2 * sigma ** 2 * lam["221"]
-           + 8.0 * theta * sigma ** 3 * lam["222"]
-           + 4.0 * sigma ** 4 * lam["223"])
-    return np.array([[s11, s12], [s12, s22]])
-
-
-def sigma_T_frechet(params: ParameterVector,
-                    scheme: TrimmingScheme) -> np.ndarray:
-    """Asymptotic covariance of the log-data trimmed moments, Frechet."""
-    beta, ls = params.beta, math.log(params.sigma)
-    psi = _psi_cached(_key(scheme))
-    s11 = beta ** 2 * psi["111"]
-    s12 = 2.0 * beta ** 2 * ls * psi["121"] - 2.0 * beta ** 3 * psi["122"]
-    s22 = (4.0 * beta ** 2 * ls ** 2 * psi["221"]
-           - 8.0 * beta ** 3 * ls * psi["222"]
-           + 4.0 * beta ** 4 * psi["223"])
-    return np.array([[s11, s12], [s12, s22]])
+    """Frechet covariance constants Psi_ijk (parameter-free), on the
+    paper's Delta = -G base: the entries pairing one base factor with
+    one half-square (k = 2) change sign."""
+    return {k: -v if k[2] == "2" else v
+            for k, v in _entries(SPECS[Family.FRECHET].base_quantile,
+                                 scheme).items()}
 
 
 def sigma_T(family: Family, params: ParameterVector,
             scheme: TrimmingScheme) -> np.ndarray:
+    """Asymptotic covariance of (T1_hat, T2_hat), the trimmed moments of
+    the transformed data, in the location-scale form of the family."""
     params.validate(family)
-    if family is Family.FRECHET:
-        return sigma_T_frechet(params, scheme)
-    return sigma_T_location_scale(params, scheme)
+    spec = SPECS[family]
+    loc, scale = spec.location_scale(params)
+    lam = _entries(spec.base_quantile, scheme)
+    s11 = scale ** 2 * lam["111"]
+    s12 = 2.0 * loc * scale ** 2 * lam["121"] + 2.0 * scale ** 3 * lam["122"]
+    s22 = (4.0 * loc ** 2 * scale ** 2 * lam["221"]
+           + 8.0 * loc * scale ** 3 * lam["222"]
+           + 4.0 * scale ** 4 * lam["223"])
+    return np.array([[s11, s12], [s12, s22]])
+
+
+sigma_T_location_scale = partial(sigma_T, Family.NORMAL)
+sigma_T_frechet = partial(sigma_T, Family.FRECHET)
 
 
 def _check_discriminant(t1, t2, eta_r):
@@ -336,52 +224,45 @@ def jacobian_at_moments(family: Family, t1, t2, constants: MomentConstants,
                         branch: str = "plus", sigma=None) -> np.ndarray:
     """Jacobian of the estimator map (g1, g2) at moment values (t1, t2).
 
-    Rows are ordered (location, scale) for the location-scale families
-    and (tail index, scale) for Frechet.  branch selects the sign of
-    the square-root candidate ("plus" or "minus").  The Frechet rows
-    need the scale value; pass the true (or fitted) sigma, otherwise it
-    is reconstructed from the plus-branch tail index.
+    Rows follow the family's reported parameters: (location, scale) for
+    the location-scale families, (tail index, scale) for Frechet, whose
+    sigma = exp(location) row is the location row times sigma.  branch
+    selects the sign of the square-root candidate ("plus" or "minus").
+    Pass the true (or fitted) sigma for the Frechet rows, otherwise it
+    is reconstructed from the plus-branch estimate.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     sign = 1.0 if branch == "plus" else -1.0
-    disc = _check_discriminant(t1, t2, constants.eta_r)
-    e = constants.eta_12
+    c = constants.c_form()
+    disc = _check_discriminant(t1, t2, c.eta_r)
+    e = c.eta_12
     root = math.sqrt(e) * math.sqrt(disc)
-    if family is Family.FRECHET:
-        d11 = sign * (-constants.eta_r * t1 / root) \
-            + (constants.m1_22 - constants.m1_11) / e
-        d12 = sign / (2.0 * root)
-        if sigma is None:
-            beta_plus = math.sqrt(disc) / math.sqrt(e) \
-                + t1 * (constants.m1_22 - constants.m1_11) / e
-            sigma = math.exp(t1 + beta_plus * constants.m1_11)
-        d21 = sigma * (1.0 + d11 * constants.m1_11)
-        d22 = sigma * d12 * constants.m1_11
-        return np.array([[d11, d12], [d21, d22]])
-    d21 = sign * (-constants.eta_r * t1 / root) \
-        + (constants.m1_11 - constants.m1_22) / e
-    d22 = sign / (2.0 * root)
-    d11 = 1.0 - constants.m1_11 * d21
-    d12 = -constants.m1_11 * d22
-    return np.array([[d11, d12], [d21, d22]])
+    spec = SPECS[family]
+    ds1 = sign * (-c.eta_r * t1 / root) + (c.m1_11 - c.m1_22) / e
+    ds2 = sign / (2.0 * root)
+    if sigma is None:
+        plus = math.sqrt(disc) / math.sqrt(e) + t1 * (c.m1_11 - c.m1_22) / e
+        sigma = spec.params(t1 - c.m1_11 * plus, plus).sigma
+    # The factor goes first so that the Frechet row keeps the rounding
+    # of its published form sigma * ds2 * kappa_1.
+    f = spec.location_factor(sigma)
+    location = (f * (1.0 - c.m1_11 * ds1), f * ds2 * -c.m1_11)
+    scale = (ds1, ds2)
+    return np.array((scale, location) if spec.scale_first
+                    else (location, scale))
 
 
 def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,
                             branch: str = "plus",
                             family: Family = Family.NORMAL) -> np.ndarray:
-    """Population-level location-scale Jacobian for the given branch."""
+    """Population-level Jacobian for the given branch."""
     t1, t2 = population_moments(family, params, scheme)
-    return jacobian_at_moments(family, t1, t2,
-                               eta_constants(family, scheme), branch)
+    return jacobian_at_moments(family, t1, t2, eta_constants(family, scheme),
+                               branch, params.sigma)
 
 
-def jacobian_frechet(params: ParameterVector, scheme: TrimmingScheme,
-                     branch: str = "plus") -> np.ndarray:
-    """Population-level Frechet Jacobian for the given branch."""
-    t1, t2 = population_moments(Family.FRECHET, params, scheme)
-    return jacobian_at_moments(Family.FRECHET, t1, t2,
-                               zeta_constants(scheme), branch, params.sigma)
+jacobian_frechet = partial(jacobian_location_scale, family=Family.FRECHET)
 
 
 def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -391,23 +272,10 @@ def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 
 def s_mle(family: Family, params: ParameterVector) -> np.ndarray:
-    """Asymptotic covariance of the MLE.
-
-    The Frechet form (with the Euler-Mascheroni constant) has
-    det = 6 beta^4 sigma^2 / pi^2.  The normal form is the standard
-    Fisher-information result diag(sigma^2, sigma^2/2).
-    """
+    """Asymptotic covariance of the MLE, the inverse Fisher information
+    (`FamilySpec.s_mle`)."""
     params.validate(family)
-    if family is Family.FRECHET:
-        beta, sigma = params.beta, params.sigma
-        g = EULER_GAMMA
-        off = (1.0 - g) * sigma * beta ** 2
-        return (6.0 / math.pi ** 2) * np.array([
-            [beta ** 2, off],
-            [off, (sigma * beta) ** 2 * ((g - 1.0) ** 2 + math.pi ** 2 / 6.0)],
-        ])
-    return np.array([[params.sigma ** 2, 0.0],
-                     [0.0, params.sigma ** 2 / 2.0]])
+    return SPECS[family].s_mle(params)
 
 
 def are(family: Family, params: ParameterVector,
@@ -417,10 +285,8 @@ def are(family: Family, params: ParameterVector,
     Uses the plus-branch Jacobian; by the determinant identity
     det(D-) = -det(D+) the branch choice cannot affect the result.
     """
-    params.validate(family)
     det_mle = float(np.linalg.det(s_mle(family, params)))
-    constants = (zeta_constants(scheme) if family is Family.FRECHET
-                 else eta_constants(family, scheme))
+    constants = eta_constants(family, scheme)
     t1, t2 = population_moments(family, params, scheme)
     try:
         jac = jacobian_at_moments(family, t1, t2, constants, "plus",
@@ -442,8 +308,6 @@ def fit_covariance(fit) -> np.ndarray:
     """Delta-method covariance S_T at the fitted values, using the sign
     branch the estimator actually selected.  Stored on the fit and
     returned; divide by n for standard errors."""
-    from .estimators import Branch  # local import to avoid a cycle
-
     branch = "minus" if fit.branch is Branch.MINUS else "plus"
     jac = jacobian_at_moments(fit.family, fit.t1, fit.t2, fit.constants,
                               branch, fit.params.sigma)

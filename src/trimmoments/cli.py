@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import asymptotics, gof, simulation
-from .estimators import EstimationError, fit_frechet, fit_location_scale
-from .models import Family, ParameterVector
+from .estimators import EstimationError, fit
+from .models import SPECS, Family, ParameterVector
 from .moments import SchemeError, validate_scheme
 
 __all__ = ["main"]
@@ -51,6 +51,8 @@ def _parse_grid(spec: str):
         start, stop, step = (_parse_number(p) for p in spec.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
+        if stop < start:
+            raise ValueError(f"grid range {spec!r} is descending")
         count = int(round((stop - start) / step)) + 1
         return [start + i * step for i in range(count)]
     return [_parse_number(p) for p in spec.split(",")]
@@ -77,38 +79,35 @@ def _cmd_fit(args) -> int:
     scheme = validate_scheme(_parse_number(args.a1), _parse_number(args.b1),
                              _parse_number(args.a2), _parse_number(args.b2))
     family = Family.parse(args.model)
-    if family is Family.FRECHET:
-        fit = fit_frechet(data, scheme)
-        names = ("beta", "sigma")
-    else:
-        fit = fit_location_scale(data, scheme, family=family)
-        names = ("theta", "sigma")
+    names = SPECS[family].names
+    result = fit(data, scheme, family)
     try:
-        cov = asymptotics.fit_covariance(fit)
-        se = [math.sqrt(cov[i, i] / fit.n) for i in range(2)]
+        cov = asymptotics.fit_covariance(result)
+        se = [math.sqrt(cov[i, i] / result.n) for i in range(2)]
     except asymptotics.SingularityError:
         cov, se = None, None
     lbp, ubp = asymptotics.breakdown_points(scheme)
-    est = dict(zip(names, fit.estimates))
-    if family is Family.FRECHET and scale != 1.0:
-        est["sigma_scaled"] = fit.params.sigma / scale
-    result = {
+    est = dict(zip(names, result.estimates))
+    if scale != 1.0:
+        for name in SPECS[family].scaled:
+            est[f"{name}_scaled"] = est[name] / scale
+    doc = {
         "model": family.value,
         "scheme": {"a1": scheme.a1, "b1": scheme.b1,
                    "a2": scheme.a2, "b2": scheme.b2,
                    "ordering": scheme.tag.value},
-        "n": fit.n,
+        "n": result.n,
         "estimates": est,
-        "branch": fit.branch.value,
-        "trimmed_moments": {"t1": fit.t1, "t2": fit.t2},
+        "branch": result.branch.value,
+        "trimmed_moments": {"t1": result.t1, "t2": result.t2},
         "standard_errors": None if se is None else dict(zip(names, se)),
         "covariance": None if cov is None else cov.tolist(),
         "breakdown_points": {"lower": lbp, "upper": ubp},
-        "discriminant_negative": bool(fit.discriminant_negative),
+        "discriminant_negative": bool(result.discriminant_negative),
     }
     out, close = _out_stream(args.output)
     try:
-        json.dump(result, out, indent=2)
+        json.dump(doc, out, indent=2)
         out.write("\n")
     finally:
         if close:
@@ -121,14 +120,15 @@ def _cmd_are(args) -> int:
     schemes = [_parse_scheme(s) for s in args.scheme]
     if not schemes:
         raise SchemeError("at least one --scheme is required")
-    if family is Family.FRECHET:
-        grid = _parse_grid(args.beta)
-        mk = lambda v: ParameterVector(sigma=args.sigma, beta=v)
-        pname = "beta"
-    else:
-        grid = _parse_grid(args.theta)
-        mk = lambda v: ParameterVector(theta=v, sigma=args.sigma)
-        pname = "theta"
+    # The grid runs over the model's parameter besides sigma, --theta or
+    # --beta; the other flag is rejected instead of ignored.
+    pname = SPECS[family].names[0]
+    for flag in ("theta", "beta"):
+        if (getattr(args, flag) is None) == (flag == pname):
+            raise ValueError(f"--model {family.value} takes a --{pname} grid"
+                             + ("" if flag == pname else f", not --{flag}"))
+    grid = _parse_grid(getattr(args, pname))
+    mk = lambda v: ParameterVector(**{pname: v, "sigma": args.sigma})
     out, close = _out_stream(args.output)
     try:
         w = csv.writer(out)
@@ -148,15 +148,12 @@ def _cmd_are(args) -> int:
 def _cmd_simulate(args) -> int:
     family = Family.parse(args.model)
     schemes = [_parse_scheme(s) for s in args.scheme]
-    if family is Family.FRECHET:
-        params = ParameterVector(sigma=args.sigma, beta=args.beta)
-    else:
-        params = ParameterVector(theta=args.theta, sigma=args.sigma)
+    p1 = SPECS[family].names[0]
+    params = ParameterVector(**{p1: getattr(args, p1), "sigma": args.sigma})
     sizes = [int(v) for v in _parse_grid(args.n)]
     out, close = _out_stream(args.output)
     try:
         w = csv.writer(out)
-        p1 = "beta" if family is Family.FRECHET else "theta"
         w.writerow(["estimator", "n", f"mean_{p1}_ratio", "mean_sigma_ratio",
                     "re", f"sd_{p1}_ratio", "sd_sigma_ratio", "sd_re",
                     "failures"])

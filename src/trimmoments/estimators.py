@@ -1,12 +1,14 @@
-"""Trimmed-moment estimators with sign disambiguation, plus reference
-maximum likelihood estimators.
+"""Trimmed-moment estimators with sign disambiguation.
 
-The scale (or tail index) solves a quadratic in the trimmed moments, so
-two candidates exist: minus = -FT + ST and plus = FT + ST, where FT is
+Every family is fitted by one location-scale estimator on transformed
+data (`models.SPECS`): the Frechet tail index is the scale of log-data.
+The scale solves a quadratic in the trimmed moments, so two candidates
+exist: minus = -FT + ST and plus = FT + ST, where FT is
 the square-root term and ST the linear term.  Equal per-moment trimming
 forces ST = 0 and the plus candidate is taken directly; otherwise the
 sign is resolved by positivity and, when both candidates are positive,
-by proximity to the full-sample MLE.
+by proximity to the full-sample MLE.  The reference maximum likelihood
+estimators live with the families in `models` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -17,16 +19,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .models import Family, ParameterVector
+from .models import (  # noqa: F401  (mle_* and _xi are re-exported)
+    SPECS,
+    EstimationError,
+    Family,
+    ParameterVector,
+    _xi,
+    mle_frechet,
+    mle_normal,
+)
 from .moments import (
     MomentConstants,
     SchemeTag,
     TrimmingScheme,
     eta_constants,
     sample_trimmed_moment,
-    zeta_constants,
 )
 
 __all__ = [
@@ -38,13 +46,10 @@ __all__ = [
     "mle_frechet",
     "candidate_scales",
     "solve_scale",
+    "fit",
     "fit_location_scale",
     "fit_frechet",
 ]
-
-
-class EstimationError(Exception):
-    """No admissible scale candidate; update the trimming proportions."""
 
 
 class Branch(enum.Enum):
@@ -81,76 +86,13 @@ class FitResult:
     t2: float
     n: int
     constants: MomentConstants
-    mle: Optional[tuple] = None
+    mle: Optional[ParameterVector] = None
     discriminant_negative: bool = False
     cov: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def estimates(self) -> tuple:
-        if self.family is Family.FRECHET:
-            return (self.params.beta, self.params.sigma)
-        return (self.params.theta, self.params.sigma)
-
-
-def mle_normal(data):
-    """Sample mean and the 1/n-variance standard deviation."""
-    x = np.asarray(data, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two observations")
-    theta = float(np.mean(x))
-    sigma = float(math.sqrt(np.mean((x - theta) ** 2)))
-    return theta, sigma
-
-
-def _xi(beta, logx):
-    """The Frechet likelihood score in beta, strictly increasing."""
-    z = -logx / beta
-    m = np.max(z)
-    w = np.exp(z - m)
-    return beta + float(np.dot(w, logx) / np.sum(w)) - float(np.mean(logx))
-
-
-def mle_frechet(data):
-    """Frechet MLE: beta solves xi(beta) = 0, sigma follows in closed
-    form.  The root search starts from the sample coefficient of
-    variation and expands a bracket before solving."""
-    x = np.asarray(data, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two observations")
-    if np.any(x <= 0.0):
-        raise ValueError("Frechet data must be positive")
-    logx = np.log(x)
-    if np.ptp(logx) == 0.0:
-        # xi(beta) = beta > 0 for constant data: no root exists.
-        raise EstimationError("degenerate data: all observations equal")
-    mean = float(np.mean(x))
-    sd = float(np.std(x))
-    beta0 = sd / mean if sd > 0 and mean > 0 else 1.0
-    beta0 = min(max(beta0, 1e-3), 1e3)
-    lo = hi = beta0
-    flo = _xi(lo, logx)
-    fhi = flo
-    for _ in range(200):
-        if flo > 0.0:
-            lo *= 0.5
-            flo = _xi(lo, logx)
-        elif fhi < 0.0:
-            hi *= 2.0
-            fhi = _xi(hi, logx)
-        else:
-            break
-    else:
-        raise EstimationError("could not bracket the Frechet likelihood root")
-    if flo > 0.0 or fhi < 0.0:
-        raise EstimationError("could not bracket the Frechet likelihood root")
-    beta = brentq(_xi, lo, hi, args=(logx,), xtol=1e-14, rtol=8.9e-16)
-    if abs(_xi(beta, logx)) > 1e-10:
-        raise EstimationError("Frechet likelihood root did not converge")
-    z = -logx / beta
-    m = np.max(z)
-    log_mean_pow = m + math.log(float(np.mean(np.exp(z - m))))
-    sigma = math.exp(-beta * log_mean_pow)
-    return float(beta), float(sigma)
+        return SPECS[self.family].estimates(self.params)
 
 
 def candidate_scales(t1, t2, constants: MomentConstants) -> CandidatePair:
@@ -160,12 +102,10 @@ def candidate_scales(t1, t2, constants: MomentConstants) -> CandidatePair:
     discriminant t2 - eta_r*t1^2 dips negative; the flag records that
     the fallback was engaged.
     """
-    disc = t2 - constants.eta_r * t1 * t1
-    ft = math.sqrt(abs(disc)) / math.sqrt(constants.eta_12)
-    if constants.kind == "kappa":
-        st = t1 * (constants.m1_22 - constants.m1_11) / constants.eta_12
-    else:
-        st = t1 * (constants.m1_11 - constants.m1_22) / constants.eta_12
+    c = constants.c_form()
+    disc = t2 - c.eta_r * t1 * t1
+    ft = math.sqrt(abs(disc)) / math.sqrt(c.eta_12)
+    st = t1 * (c.m1_11 - c.m1_22) / c.eta_12
     return CandidatePair(ft, st, disc, disc < 0.0)
 
 
@@ -196,78 +136,52 @@ def solve_scale(t1, t2, constants, tag: SchemeTag,
     return plus, Branch.PLUS, pair
 
 
-def _trimmed_pair(x, scheme: TrimmingScheme):
-    t1 = sample_trimmed_moment(x, scheme.a1, scheme.b1, lambda v: v)
-    t2 = sample_trimmed_moment(x, scheme.a2, scheme.b2, lambda v: v * v)
-    return t1, t2
+def fit(data, scheme: TrimmingScheme, family: Family = Family.NORMAL,
+        constants: Optional[MomentConstants] = None,
+        mle: Optional[ParameterVector] = None) -> FitResult:
+    """Fit the family's parameters by the location-scale trimmed-moment
+    estimator on transformed data (see `models.SPECS`).
 
-
-def fit_location_scale(data, scheme: TrimmingScheme,
-                       family: Family = Family.NORMAL,
-                       constants: Optional[MomentConstants] = None,
-                       mle: Optional[tuple] = None) -> FitResult:
-    """Fit (theta, sigma) for the normal or lognormal model.
-
-    Lognormal data are log-transformed first and the estimates are
-    reported on the log scale.  `constants` and `mle` may be supplied
-    to avoid recomputation in tight loops.
+    Normal data are fitted as they are; lognormal data are
+    log-transformed and (theta, sigma) reported on the log scale;
+    Frechet data are log-transformed and the location log sigma and
+    scale beta reported as (beta, sigma).  `constants` and `mle` (the
+    family's reference MLE of `data`) may be supplied to avoid
+    recomputation in tight loops.
     """
+    spec = SPECS[family]
     x = np.asarray(data, dtype=float)
-    if family is Family.LOGNORMAL:
-        if np.any(x <= 0.0):
-            raise ValueError("lognormal data must be positive")
-        x = np.log(x)
-    elif family is not Family.NORMAL:
-        raise ValueError("use fit_frechet for the Frechet family")
-    if x.size < 2:
+    y = spec.transform(x)
+    if y.size < 2:
         raise ValueError("need at least two observations")
     if constants is None:
         constants = eta_constants(family, scheme)
-    t1, t2 = _trimmed_pair(x, scheme)
+    c = constants.c_form()
+    t1 = sample_trimmed_moment(y, scheme.a1, scheme.b1, lambda v: v)
+    t2 = sample_trimmed_moment(y, scheme.a2, scheme.b2, lambda v: v * v)
     state = {"mle": mle}
 
     def ref_scale():
         if state["mle"] is None:
-            state["mle"] = mle_normal(x)
-        return state["mle"][1]
+            state["mle"] = spec.mle(x)
+        return spec.location_scale(state["mle"])[1]
 
-    sigma, branch, pair = solve_scale(t1, t2, constants, scheme.tag, ref_scale)
-    if sigma <= 0.0:
+    scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, ref_scale)
+    if scale <= 0.0:
         raise EstimationError(
             "selected scale candidate is nonpositive; update trimming proportions"
         )
-    theta = t1 - constants.m1_11 * sigma
-    params = ParameterVector(theta=theta, sigma=sigma)
-    return FitResult(family, scheme, params, branch, t1, t2, x.size,
-                     constants, state["mle"], pair.discriminant_negative)
+    params = spec.params(t1 - c.m1_11 * scale, scale)
+    return FitResult(family, scheme, params, branch, t1, t2, y.size,
+                     c, state["mle"], pair.discriminant_negative)
+
+
+# The location-scale families' name for `fit`.
+fit_location_scale = fit
 
 
 def fit_frechet(data, scheme: TrimmingScheme,
                 constants: Optional[MomentConstants] = None,
-                mle: Optional[tuple] = None) -> FitResult:
+                mle: Optional[ParameterVector] = None) -> FitResult:
     """Fit (beta, sigma) for the Frechet model via log-data moments."""
-    x = np.asarray(data, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("Frechet data must be positive")
-    if x.size < 2:
-        raise ValueError("need at least two observations")
-    if constants is None:
-        constants = zeta_constants(scheme)
-    y = np.log(x)
-    t1, t2 = _trimmed_pair(y, scheme)
-    state = {"mle": mle}
-
-    def ref_beta():
-        if state["mle"] is None:
-            state["mle"] = mle_frechet(x)
-        return state["mle"][0]
-
-    beta, branch, pair = solve_scale(t1, t2, constants, scheme.tag, ref_beta)
-    if beta <= 0.0:
-        raise EstimationError(
-            "selected tail-index candidate is nonpositive; update trimming proportions"
-        )
-    sigma = math.exp(t1 + beta * constants.m1_11)
-    params = ParameterVector(sigma=sigma, beta=beta)
-    return FitResult(Family.FRECHET, scheme, params, branch, t1, t2, x.size,
-                     constants, state["mle"], pair.discriminant_negative)
+    return fit(data, scheme, Family.FRECHET, constants, mle)

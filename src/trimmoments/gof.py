@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import fit_frechet, fit_location_scale, mle_frechet, mle_normal
-from .models import Family, ParameterVector, quantile
+from .estimators import fit
+from .models import SPECS, Family, ParameterVector, quantile
 from .moments import TrimmingScheme
 
 __all__ = [
@@ -132,23 +132,11 @@ def gof_report(family: Family, data, scheme: Optional[TrimmingScheme] = None,
                tag: str = "original") -> GofReport:
     """Fit the model (MLE when scheme is None, otherwise the trimmed
     estimator) and report FIT/AIC/BIC.  data is in dollars."""
-    x = np.asarray(data, dtype=float)
-    if family is Family.FRECHET:
-        if scheme is None:
-            beta, sigma = mle_frechet(x)
-            params = ParameterVector(sigma=sigma, beta=beta)
-            label = "MLE"
-        else:
-            params = fit_frechet(x, scheme).params
-            label = scheme.label()
-        return _report(Family.FRECHET, label, params, x, tag)
-    if family is not Family.LOGNORMAL:
+    if family is Family.NORMAL:
         raise ValueError("the case study fits lognormal or Frechet models")
+    x = np.asarray(data, dtype=float)
     if scheme is None:
-        theta, sigma = mle_normal(np.log(x))
-        params = ParameterVector(theta=theta, sigma=sigma)
-        label = "MLE"
+        params, label = SPECS[family].mle(x), "MLE"
     else:
-        params = fit_location_scale(x, scheme, family=Family.LOGNORMAL).params
-        label = scheme.label()
-    return _report(Family.LOGNORMAL, label, params, x, tag)
+        params, label = fit(x, scheme, family).params, scheme.label()
+    return _report(family, label, params, x, tag)

@@ -1,10 +1,20 @@
 """Parametric families: normal, lognormal and Frechet (location zero).
 
-Each family exposes quantile/cdf/pdf/sampling plus the moment transform
-functions h1, h2 used by the trimmed-moment machinery.  The lognormal
-model is a thin adapter over the normal one: it is fitted by applying
-the location-scale machinery to log-data, with (theta, sigma) reported
-on the log scale.
+Each family exposes quantile/cdf/pdf/sampling, its reference maximum
+likelihood estimator and one `FamilySpec` record in `SPECS`.  The
+trimmed-moment machinery only ever fits a location-scale model
+y = location + scale * Z to transformed data y, and the spec says how a
+family maps onto it:
+
+- normal: y = x, Z ~ Phi^{-1}(U), (theta, sigma) = (location, scale);
+- lognormal: y = log x, the normal model on log-data, with (theta,
+  sigma) reported on the log scale;
+- Frechet: y = log x = log sigma + beta * G with G = -log(-log U) the
+  standard Gumbel quantile, so location = log sigma and scale = beta.
+
+The paper writes the Frechet constants with Delta(u) = log(-log u) =
+-G(u): its kappa_k are the window averages of Delta^k, so the
+location-scale constants are c_1 = -kappa_1 and c_2 = kappa_2.
 
 Parameters
 ----------
@@ -18,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -26,13 +36,20 @@ from scipy.special import ndtr, ndtri
 __all__ = [
     "Family",
     "ParameterVector",
-    "standard_quantile",
+    "FamilySpec",
+    "SPECS",
+    "EstimationError",
     "quantile",
     "cdf",
     "pdf",
     "sample",
-    "h_functions",
+    "mle_normal",
+    "mle_frechet",
 ]
+
+
+class EstimationError(Exception):
+    """No admissible scale candidate; update the trimming proportions."""
 
 
 class Family(enum.Enum):
@@ -74,18 +91,6 @@ def _check_u(u):
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("u must lie strictly inside (0, 1)")
     return u
-
-
-def standard_quantile(family: Family, u):
-    """Quantile of the standardized family.
-
-    Normal and lognormal both use Phi^{-1}; Frechet uses the unit
-    (sigma = beta = 1) quantile (-log u)^{-1}.
-    """
-    u = _check_u(u)
-    if family in (Family.NORMAL, Family.LOGNORMAL):
-        return ndtri(u)
-    return 1.0 / (-np.log(u))
 
 
 def quantile(family: Family, params: ParameterVector, u):
@@ -143,12 +148,158 @@ def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:
     return quantile(family, params, u)
 
 
-def h_functions(family: Family):
-    """The per-family moment transforms (h1, h2).
+def mle_normal(data):
+    """Sample mean and the 1/n-variance standard deviation."""
+    x = np.asarray(data, dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least two observations")
+    theta = float(np.mean(x))
+    sigma = float(math.sqrt(np.mean((x - theta) ** 2)))
+    return theta, sigma
 
-    Location-scale families use x and x^2 (applied to log-data for the
-    lognormal model); the Frechet family uses log x and (log x)^2.
+
+def _xi(beta, logx):
+    """The Frechet likelihood score in beta, strictly increasing."""
+    z = -logx / beta
+    m = np.max(z)
+    w = np.exp(z - m)
+    return beta + float(np.dot(w, logx) / np.sum(w)) - float(np.mean(logx))
+
+
+def mle_frechet(data):
+    """Frechet MLE: beta solves xi(beta) = 0, sigma follows in closed
+    form.  The root search starts from the sample coefficient of
+    variation and expands a bracket before solving."""
+    # Imported here so that importing the models does not load
+    # scipy.optimize (about 0.1-0.3 s) for callers that never need it.
+    from scipy.optimize import brentq
+
+    x = np.asarray(data, dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least two observations")
+    if np.any(x <= 0.0):
+        raise ValueError("Frechet data must be positive")
+    logx = np.log(x)
+    if np.ptp(logx) == 0.0:
+        # xi(beta) = beta > 0 for constant data: no root exists.
+        raise EstimationError("degenerate data: all observations equal")
+    mean = float(np.mean(x))
+    sd = float(np.std(x))
+    beta0 = sd / mean if sd > 0 and mean > 0 else 1.0
+    beta0 = min(max(beta0, 1e-3), 1e3)
+    lo = hi = beta0
+    flo = _xi(lo, logx)
+    fhi = flo
+    for _ in range(200):
+        if flo > 0.0:
+            lo *= 0.5
+            flo = _xi(lo, logx)
+        elif fhi < 0.0:
+            hi *= 2.0
+            fhi = _xi(hi, logx)
+        else:
+            break
+    else:
+        raise EstimationError("could not bracket the Frechet likelihood root")
+    if flo > 0.0 or fhi < 0.0:
+        raise EstimationError("could not bracket the Frechet likelihood root")
+    beta = brentq(_xi, lo, hi, args=(logx,), xtol=1e-14, rtol=8.9e-16)
+    if abs(_xi(beta, logx)) > 1e-10:
+        raise EstimationError("Frechet likelihood root did not converge")
+    z = -logx / beta
+    m = np.max(z)
+    log_mean_pow = m + math.log(float(np.mean(np.exp(z - m))))
+    sigma = math.exp(-beta * log_mean_pow)
+    return float(beta), float(sigma)
+
+
+def _gumbel_quantile(u):
+    """Standard Gumbel quantile G(u) = -log(-log u): log X for the unit
+    Frechet model."""
+    return -np.log(-np.log(u))
+
+
+def _log_of_positive(label):
+    def transform(x):
+        if np.any(x <= 0.0):
+            raise ValueError(f"{label} data must be positive")
+        return np.log(x)
+    return transform
+
+
+def _s_mle_frechet(p):
+    """Inverse Frechet Fisher information in (beta, sigma); its
+    determinant is 6 beta^4 sigma^2 / pi^2."""
+    beta, sigma, g = p.beta, p.sigma, np.euler_gamma
+    off = (1.0 - g) * sigma * beta ** 2
+    return (6.0 / math.pi ** 2) * np.array([
+        [beta ** 2, off],
+        [off, (sigma * beta) ** 2 * ((g - 1.0) ** 2 + math.pi ** 2 / 6.0)],
+    ])
+
+
+def _frechet(beta, sigma):
+    return ParameterVector(sigma=sigma, beta=beta)
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """How one family maps onto the location-scale engine.
+
+    Reported parameters come in `names` order, also the row order of
+    estimator Jacobians: Frechet reports (scale, exp(location)), so
+    `scale_first` is set and the location row carries d sigma / d
+    location = sigma (`location_factor`).  `mle` fits the raw data and
+    `scaled` names the parameters in data units.  The `mle` lambdas look
+    the estimators up at call time, so rebinding the module-level names
+    (as bench/spans.py does) reaches them.
     """
-    if family is Family.FRECHET:
-        return (lambda x: np.log(x), lambda x: np.log(x) ** 2)
-    return (lambda x: x, lambda x: x * x)
+
+    names: Tuple[str, str]
+    transform: Callable[[np.ndarray], np.ndarray]
+    base_quantile: Callable
+    location_scale: Callable[[ParameterVector], Tuple[float, float]]
+    params: Callable[[float, float], ParameterVector]
+    location_factor: Callable[[float], float]
+    scale_first: bool
+    mle: Callable[[np.ndarray], ParameterVector]
+    s_mle: Callable[[ParameterVector], np.ndarray]
+    scaled: Tuple[str, ...] = ()
+
+    def estimates(self, p: ParameterVector) -> tuple:
+        """The reported parameters of p, in `names` order."""
+        return (getattr(p, self.names[0]), getattr(p, self.names[1]))
+
+
+_NORMAL_MAPS = dict(
+    names=("theta", "sigma"),
+    base_quantile=ndtri,
+    location_scale=lambda p: (p.theta, p.sigma),
+    params=lambda loc, scale: ParameterVector(theta=loc, sigma=scale),
+    location_factor=lambda sigma: 1.0,
+    scale_first=False,
+    s_mle=lambda p: np.array([[p.sigma ** 2, 0.0],
+                              [0.0, p.sigma ** 2 / 2.0]]),
+)
+
+SPECS = {
+    Family.NORMAL: FamilySpec(
+        transform=lambda x: x,
+        mle=lambda x: ParameterVector(*mle_normal(x)),
+        **_NORMAL_MAPS),
+    Family.LOGNORMAL: FamilySpec(
+        transform=_log_of_positive("lognormal"),
+        mle=lambda x: ParameterVector(*mle_normal(np.log(x))),
+        **_NORMAL_MAPS),
+    Family.FRECHET: FamilySpec(
+        names=("beta", "sigma"),
+        transform=_log_of_positive("Frechet"),
+        base_quantile=_gumbel_quantile,
+        location_scale=lambda p: (math.log(p.sigma), p.beta),
+        params=lambda loc, scale: _frechet(scale, math.exp(loc)),
+        location_factor=lambda sigma: sigma,
+        scale_first=True,
+        mle=lambda x: _frechet(*mle_frechet(x)),
+        s_mle=_s_mle_frechet,
+        scaled=("sigma",)),
+}

@@ -4,22 +4,29 @@ The j-th sample trimmed moment discards the lowest floor(n*a_j) and
 highest floor(n*b_j) order statistics of the data and averages h_j over
 the kept block.  Its population counterpart is the integral of
 H_j = h_j o F^{-1} over the probability window [a_j, 1-b_j], normalized
-by the window length.  The constants c_k (normal quantile powers) and
-kappa_k (powers of Delta(u) = log(-log u)) make those population
-moments explicit for the families supported here.
+by the window length.
+
+Every family is fitted as a location-scale model on transformed data
+(see `models.SPECS`), with h_1(y) = y and h_2(y) = y^2, so the population
+moments are T1 = mu + s c_1 and T2 = mu^2 + 2 mu s c_1 + s^2 c_2 in the
+window averages c_k of powers of the base quantile: Phi^{-1} for the
+normal and lognormal models, the Gumbel G(u) = -log(-log u) for Frechet
+(mu = log sigma, s = beta).  The paper's Frechet constants kappa_k
+average powers of Delta = log(-log u) = -G instead, so kappa_1 = -c_1
+and kappa_2 = c_2; `zeta_constants` returns them in that kappa form and
+`MomentConstants.c_form` is the one place they are turned back.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
-from .models import Family, ParameterVector
+from .models import SPECS, Family, ParameterVector
 from .quadrature import integrate
 
 __all__ = [
@@ -127,8 +134,10 @@ def sample_trimmed_moment(data, a, b, h):
     n = x.size
     if n == 0:
         raise ValueError("data must be nonempty")
-    lo = math.floor(n * a)
-    hi = math.floor(n * b)
+    # Counts are read through the rounding of n*a: an integral n*a may
+    # land an ulp below (0.29 * 100 = 28.999999999999996) and trims 29.
+    lo = math.floor(n * a * (1.0 + 1e-12))
+    hi = math.floor(n * b * (1.0 + 1e-12))
     if n - lo - hi < 1:
         raise SchemeError(
             f"trimming ({a}, {b}) keeps no observations out of n={n}"
@@ -138,12 +147,8 @@ def sample_trimmed_moment(data, a, b, h):
 
 
 @lru_cache(maxsize=None)
-def _c_cached(family_value: str, a: float, bbar: float, k: int) -> float:
-    if family_value == "frechet":
-        f = lambda u: np.log(-np.log(u)) ** k
-    else:
-        f = lambda u: ndtri(u) ** k
-    return integrate(f, a, bbar) / (bbar - a)
+def _c_cached(base, a: float, bbar: float, k: int) -> float:
+    return integrate(lambda u: base(u) ** k, a, bbar) / (bbar - a)
 
 
 def _check_window(a, bbar, k):
@@ -157,14 +162,19 @@ def c_k(family: Family, a: float, bbar: float, k: int) -> float:
     """Window-averaged k-th power of the standard normal quantile."""
     if family is Family.FRECHET:
         raise ValueError("c_k is defined for the location-scale families; use kappa_k")
-    _check_window(a, bbar, k)
-    return _c_cached("normal", a, bbar, k)
+    return _window_mean(SPECS[family].base_quantile, a, bbar, k)
 
 
 def kappa_k(a: float, bbar: float, k: int) -> float:
-    """Window-averaged k-th power of Delta(u) = log(-log u)."""
+    """Window-averaged k-th power of Delta(u) = log(-log u) = -G(u)."""
+    base = SPECS[Family.FRECHET].base_quantile
+    return (-1) ** k * _window_mean(base, a, bbar, k)
+
+
+def _window_mean(base, a: float, bbar: float, k: int) -> float:
+    """Window-averaged k-th power of a base quantile function."""
     _check_window(a, bbar, k)
-    return _c_cached("frechet", a, bbar, k)
+    return _c_cached(base, a, bbar, k)
 
 
 @dataclass(frozen=True)
@@ -174,10 +184,11 @@ class MomentConstants:
     m1_11 is the first-order constant on window 1, m1_22 and m2_22 the
     first and second-order constants on window 2; eta_12 and eta_22 are
     the quadratic forms eta(a1, bbar2) and eta(a2, bbar2) (zeta for the
-    Frechet family) and eta_r their ratio.
+    Frechet family) and eta_r their ratio.  The eta forms are even in
+    the first-order constants, so they agree between the two kinds.
     """
 
-    kind: str  # "c" (location-scale) or "kappa" (Frechet)
+    kind: str  # "c" (base-quantile powers) or "kappa" (Delta powers)
     m1_11: float
     m1_22: float
     m2_22: float
@@ -185,8 +196,16 @@ class MomentConstants:
     eta_22: float
     eta_r: float
 
+    def c_form(self) -> "MomentConstants":
+        """These constants with c_1 = -kappa_1 (c_2 = kappa_2) for the
+        Frechet kappa kind; every estimator formula uses this form."""
+        if self.kind == "kappa":
+            return replace(self, kind="c", m1_11=-self.m1_11,
+                           m1_22=-self.m1_22)
+        return self
 
-def _constants(scheme: TrimmingScheme, const) -> MomentConstants:
+
+def _constants(scheme: TrimmingScheme, const, kind) -> MomentConstants:
     a1, bbar1 = scheme.window(1)
     a2, bbar2 = scheme.window(2)
     m1_11 = const(a1, bbar1, 1)
@@ -194,45 +213,34 @@ def _constants(scheme: TrimmingScheme, const) -> MomentConstants:
     m2_22 = const(a2, bbar2, 2)
     eta_12 = m1_11 * m1_11 - 2.0 * m1_11 * m1_22 + m2_22
     eta_22 = m2_22 - m1_22 * m1_22
-    kind = "kappa" if const is kappa_k else "c"
     return MomentConstants(kind, m1_11, m1_22, m2_22, eta_12, eta_22,
                            eta_22 / eta_12)
 
 
 def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
-    """Location-scale constants c and the eta quadratic forms."""
-    return _constants(scheme, lambda a, b, k: c_k(family, a, b, k))
+    """Location-scale constants c and the eta quadratic forms (for
+    Frechet, c of the Gumbel base: equal to zeta_constants' c_form)."""
+    base = SPECS[family].base_quantile
+    return _constants(scheme, lambda a, b, k: _window_mean(base, a, b, k), "c")
 
 
 def zeta_constants(scheme: TrimmingScheme) -> MomentConstants:
     """Frechet constants kappa and the zeta quadratic forms."""
-    return _constants(scheme, kappa_k)
+    return _constants(scheme, kappa_k, "kappa")
 
 
 def population_moments(family: Family, params: ParameterVector,
                        scheme: TrimmingScheme):
-    """Population trimmed moments (T1, T2).
-
-    For the location-scale families these are moments of X itself (of
-    log X for lognormal data, since the fit runs on logs); for Frechet
-    they are moments of log X.
-    """
+    """Population trimmed moments (T1, T2) of the transformed data: X
+    itself for normal data, log X for lognormal and Frechet data."""
     params.validate(family)
+    spec = SPECS[family]
+    loc, scale = spec.location_scale(params)
     a1, bbar1 = scheme.window(1)
     a2, bbar2 = scheme.window(2)
-    if family is Family.FRECHET:
-        beta, sigma = params.beta, params.sigma
-        k1_11 = kappa_k(a1, bbar1, 1)
-        k1_22 = kappa_k(a2, bbar2, 1)
-        k2_22 = kappa_k(a2, bbar2, 2)
-        ls = math.log(sigma)
-        t1 = ls - beta * k1_11
-        t2 = ls * ls - 2.0 * beta * ls * k1_22 + beta * beta * k2_22
-        return t1, t2
-    theta, sigma = params.theta, params.sigma
-    c1_11 = c_k(family, a1, bbar1, 1)
-    c1_22 = c_k(family, a2, bbar2, 1)
-    c2_22 = c_k(family, a2, bbar2, 2)
-    t1 = theta + sigma * c1_11
-    t2 = theta * theta + 2.0 * theta * sigma * c1_22 + sigma * sigma * c2_22
+    c1_11 = _window_mean(spec.base_quantile, a1, bbar1, 1)
+    c1_22 = _window_mean(spec.base_quantile, a2, bbar2, 1)
+    c2_22 = _window_mean(spec.base_quantile, a2, bbar2, 2)
+    t1 = loc + scale * c1_11
+    t2 = loc * loc + 2.0 * loc * scale * c1_22 + scale * scale * c2_22
     return t1, t2

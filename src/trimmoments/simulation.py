@@ -19,15 +19,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .asymptotics import s_mle
-from .estimators import (
-    EstimationError,
-    fit_frechet,
-    fit_location_scale,
-    mle_frechet,
-    mle_normal,
-)
-from .models import Family, ParameterVector, sample
-from .moments import TrimmingScheme, eta_constants, zeta_constants
+from .estimators import EstimationError, fit
+from .models import SPECS, Family, ParameterVector, sample
+from .moments import TrimmingScheme, eta_constants
 
 __all__ = ["StudyConfig", "SchemeSummary", "StudyResult", "finite_re",
            "run_study", "MLE_LABEL"]
@@ -94,11 +88,7 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
     est = np.asarray(estimates, dtype=float)
     if est.ndim != 2 or est.shape[0] < 2 or est.shape[1] != 2:
         raise ValueError("estimates must be an (m, 2) array with m >= 2")
-    if family is Family.FRECHET:
-        truth = np.array([params.beta, params.sigma])
-    else:
-        truth = np.array([params.theta, params.sigma])
-    diff = est - truth
+    diff = est - np.array(SPECS[family].estimates(params))
     m = diff.T @ diff / diff.shape[0]
     det = float(np.linalg.det(m))
     if det <= 0.0:
@@ -107,27 +97,14 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
     return math.sqrt(det_mle) / (n * math.sqrt(det))
 
 
-def _fit_one(family, x, scheme, constants, mle):
-    if family is Family.FRECHET:
-        fit = fit_frechet(x, scheme, constants=constants, mle=mle)
-        return (fit.params.beta, fit.params.sigma)
-    fit = fit_location_scale(x, scheme, family=Family.NORMAL,
-                             constants=constants, mle=mle)
-    return (fit.params.theta, fit.params.sigma)
-
-
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full Monte Carlo study described by config."""
     config.validate()
     family = config.family
     params = config.params
-    frechet = family is Family.FRECHET
-    if frechet:
-        truth = np.array([params.beta, params.sigma])
-        constants = [zeta_constants(s) for s in config.schemes]
-    else:
-        truth = np.array([params.theta, params.sigma])
-        constants = [eta_constants(Family.NORMAL, s) for s in config.schemes]
+    spec = SPECS[family]
+    truth = np.array(spec.estimates(params))
+    constants = [eta_constants(family, s) for s in config.schemes]
 
     labels = ([MLE_LABEL] if config.include_mle else []) \
         + [s.label() for s in config.schemes]
@@ -142,18 +119,18 @@ def run_study(config: StudyConfig) -> StudyResult:
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, rep, k)))
             x = sample(family, params, config.n, rng)
-            mle = mle_frechet(x) if frechet else mle_normal(x)
+            mle = spec.mle(x)
             offset = 0
             if config.include_mle:
-                batches[0].append(mle)
+                batches[0].append(spec.estimates(mle))
                 offset = 1
             for idx, (scheme, con) in enumerate(zip(config.schemes, constants)):
                 try:
-                    est = _fit_one(family, x, scheme, con, mle)
+                    est = fit(x, scheme, family, con, mle).params
                 except EstimationError:
                     failures[offset + idx] += 1
                     continue
-                batches[offset + idx].append(est)
+                batches[offset + idx].append(spec.estimates(est))
         for idx, batch in enumerate(batches):
             arr = np.asarray(batch, dtype=float)
             if arr.shape[0] < 2:

@@ -1,0 +1,104 @@
+"""Test oracles for the asymptotic covariance: the empirical-process
+kernel, the (I, Ibar) endpoint integrals, V(i, j) through the closed
+form for a parametrized model, and the brute-force double integral
+that checks it."""
+
+import math
+
+import numpy as np
+from scipy.special import ndtri
+
+from trimmoments.asymptotics import _i_lower, _i_upper, _v_pair
+from trimmoments.models import Family, ParameterVector
+from trimmoments.moments import TrimmingScheme
+from trimmoments.quadrature import integrate
+
+
+def kernel(w, v):
+    """Covariance kernel of the uniform empirical process."""
+    return np.minimum(w, v) - np.asarray(w) * np.asarray(v)
+
+
+def i_integrals(H, a, b):
+    """The pair (I, Ibar) over [a, b].
+
+    I = b H(b) - a H(a) - int_a^b H;  Ibar = (1-b) H(b) - (1-a) H(a)
+    + int_a^b H.  Zero-width intervals give (0, 0) without evaluating H.
+    """
+    if not (0.0 <= a <= b <= 1.0):
+        raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
+    if a == b:
+        return 0.0, 0.0
+    s = integrate(H, a, b)
+    return _i_lower(H, a, b, s), _i_upper(H, a, b, s)
+
+
+def _delta(u):
+    return np.log(-np.log(u))
+
+
+def _h_population(family: Family, params: ParameterVector):
+    """(H1, H2): population moment functions h_j o F^{-1} on (0, 1)."""
+    if family is Family.FRECHET:
+        beta, ls = params.beta, math.log(params.sigma)
+        return (
+            lambda u: ls - beta * _delta(u),
+            lambda u: (ls - beta * _delta(u)) ** 2,
+        )
+    theta, sigma = params.theta, params.sigma
+    return (
+        lambda u: theta + sigma * ndtri(u),
+        lambda u: (theta + sigma * ndtri(u)) ** 2,
+    )
+
+
+def _h_derivatives(family: Family, params: ParameterVector):
+    """(H1', H2') for the brute-force double integral."""
+    if family is Family.FRECHET:
+        beta, ls = params.beta, math.log(params.sigma)
+
+        def d1(u):
+            return -beta / (u * np.log(u))
+
+        def d2(u):
+            return (2.0 * beta / (u * np.log(u))) * (beta * _delta(u) - ls)
+
+        return d1, d2
+    theta, sigma = params.theta, params.sigma
+
+    def qprime(u):
+        q = ndtri(u)
+        return np.sqrt(2.0 * np.pi) * np.exp(0.5 * q * q)
+
+    return (
+        lambda u: sigma * qprime(u),
+        lambda u: 2.0 * sigma * (theta + sigma * ndtri(u)) * qprime(u),
+    )
+
+
+def v_entry(family: Family, params: ParameterVector, i: int, j: int,
+            scheme: TrimmingScheme) -> float:
+    """Closed-form V(i, j) for the given model and scheme."""
+    params.validate(family)
+    h1, h2 = _h_population(family, params)
+    hs = {1: h1, 2: h2}
+    return _v_pair(hs[i], scheme.window(i), hs[j], scheme.window(j))
+
+
+def v_entry_bruteforce(family: Family, params: ParameterVector, i: int, j: int,
+                       scheme: TrimmingScheme, grid_n: int = 400) -> float:
+    """Midpoint-rule evaluation of the double integral defining V(i, j)."""
+    if grid_n < 200:
+        raise ValueError("grid_n must be >= 200")
+    params.validate(family)
+    d1, d2 = _h_derivatives(family, params)
+    ds = {1: d1, 2: d2}
+    ai, bbari = scheme.window(i)
+    aj, bbarj = scheme.window(j)
+    w = ai + (bbari - ai) * (np.arange(grid_n) + 0.5) / grid_n
+    v = aj + (bbarj - aj) * (np.arange(grid_n) + 0.5) / grid_n
+    kmat = np.minimum(v[:, None], w[None, :]) - np.outer(v, w)
+    integrand = kmat * ds[j](v)[:, None] * ds[i](w)[None, :]
+    dv = (bbarj - aj) / grid_n
+    dw = (bbari - ai) / grid_n
+    return float(np.sum(integrand) * dv * dw)

@@ -22,8 +22,6 @@ from trimmoments.asymptotics import (
     s_mle,
     sigma_T_frechet,
     sigma_T_location_scale,
-    v_entry,
-    v_entry_bruteforce,
 )
 from trimmoments.estimators import candidate_scales, solve_scale
 from trimmoments.gof import DATA_SCALE, gof_report, load_dataset, modify_dataset
@@ -39,6 +37,7 @@ from trimmoments.moments import (
 )
 from trimmoments.simulation import StudyConfig, run_study
 from conftest import random_params, random_scheme
+from oracles import v_entry, v_entry_bruteforce
 
 THETAS = (-25.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 25.0)
 BETAS = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0)

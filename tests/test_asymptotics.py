@@ -9,19 +9,15 @@ from trimmoments.asymptotics import (
     breakdown_points,
     delta_covariance,
     fit_covariance,
-    i_integrals,
     jacobian_at_moments,
     jacobian_frechet,
     jacobian_location_scale,
-    kernel,
     lambda_entries,
     psi_entries,
     s_mle,
     sigma_T,
     sigma_T_frechet,
     sigma_T_location_scale,
-    v_entry,
-    v_entry_bruteforce,
 )
 from trimmoments.estimators import fit_frechet, fit_location_scale
 from trimmoments.models import Family, ParameterVector, sample
@@ -33,6 +29,7 @@ from trimmoments.moments import (
     zeta_constants,
 )
 from conftest import random_params, random_scheme
+from oracles import i_integrals, kernel, v_entry, v_entry_bruteforce
 
 
 class TestKernel:
@@ -329,6 +326,27 @@ class TestDeltaAndSMle:
             m = s_mle(Family.FRECHET, params)
             target = 6.0 * params.beta ** 4 * params.sigma ** 2 / math.pi ** 2
             assert abs(np.linalg.det(m) - target) <= 1e-12 * target
+
+    def test_frechet_s_mle_is_inverse_fisher_information(self, rng):
+        # Fisher information of the Frechet model in (beta, sigma): the
+        # Gumbel location-scale information for (log sigma, beta),
+        # (1/beta^2) [[1, g-1], [g-1, (1-g)^2 + pi^2/6]], carried over by
+        # d log sigma / d sigma = 1/sigma.
+        g = 0.57721566490153286061
+        for _ in range(10):
+            params = random_params(rng, Family.FRECHET)
+            beta, sigma = params.beta, params.sigma
+            info = np.array([
+                [((1.0 - g) ** 2 + math.pi ** 2 / 6.0) / beta ** 2,
+                 (g - 1.0) / (sigma * beta ** 2)],
+                [(g - 1.0) / (sigma * beta ** 2), 1.0 / (sigma * beta) ** 2],
+            ])
+            expected = np.linalg.inv(info)
+            got = s_mle(Family.FRECHET, params)
+            for i in range(2):
+                for j in range(2):
+                    assert got[i, j] == pytest.approx(expected[i, j],
+                                                      rel=1e-13)
 
     def test_frechet_s_mle_unit(self):
         m = s_mle(Family.FRECHET, ParameterVector(sigma=1.0, beta=1.0))

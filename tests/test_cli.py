@@ -94,6 +94,35 @@ class TestAre:
                            "--theta", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("model,flag", [("normal", "--theta"),
+                                            ("lognormal", "--theta"),
+                                            ("frechet", "--beta")])
+    def test_missing_grid_flag_exit_2(self, capsys, model, flag):
+        code, out, err = run(capsys, "are", "--model", model, "--sigma", "2",
+                             "--scheme", "0.05,0.05,0,0.10")
+        assert code == 2
+        assert err.startswith("validation error:") and flag in err
+        assert out == ""
+
+    def test_descending_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "are", "--model", "frechet",
+                             "--sigma", "2", "--beta", "1:0.5:0.1",
+                             "--scheme", "0.05,0.05,0,0.10")
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("model,flag,grid", [("normal", "--beta", "1,2"),
+                                                 ("frechet", "--theta", "0")])
+    def test_wrong_grid_flag_exit_2(self, capsys, model, flag, grid):
+        right = "--beta" if model == "frechet" else "--theta"
+        code, out, err = run(capsys, "are", "--model", model, "--sigma", "2",
+                             right, "1", flag, grid,
+                             "--scheme", "0.05,0.05,0,0.10")
+        assert code == 2
+        assert err.startswith("validation error:") and flag in err
+        assert out == ""
+
 
 class TestSimulate:
     def test_zero_replicates_exit_2(self, capsys):

@@ -1,0 +1,64 @@
+"""Golden outputs of the README reference invocations.
+
+Each case runs ``cli.main`` in-process and compares stdout byte for byte
+with a file under ``tests/golden/``.  The files hold the output of the
+package before the families were merged into one location-scale engine;
+regenerate them only for a deliberate change of printed output, with
+``python tests/test_golden.py --write``.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from trimmoments.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+TABLE_SCHEMES = ("0.02,0.02,0.02,0.02", "0.05,0.05,0.05,0.05",
+                 "0.10,0.10,0.10,0.10", "0.15,0.15,0.15,0.15",
+                 "0.02,0.02,0,0.04", "0.05,0.05,0,0.10",
+                 "0.10,0.10,0,0.20", "0.15,0.15,0,0.30")
+GOF_SCHEMES = ("0,1/30,0,1/30", "1/30,0,1/30,0", "1/30,1/30,1/30,1/30",
+               "2/30,2/30,2/30,2/30", "3/30,3/30,3/30,3/30")
+
+
+def _schemes(values):
+    return [arg for s in values for arg in ("--scheme", s)]
+
+
+CASES = {
+    "fit_lognormal.json": ["fit", "--model", "lognormal", "--data", "hurricane",
+                           "--a1", "0", "--b1", "0", "--a2", "0", "--b2", "0"],
+    "fit_frechet.json": ["fit", "--model", "frechet", "--data", "hurricane",
+                         "--a1", "1/30", "--b1", "1/30",
+                         "--a2", "1/30", "--b2", "1/30"],
+    "are_normal.csv": ["are", "--model", "normal", "--sigma", "3",
+                       "--theta=-25,-15,-10,-5,0,5,10,15,25"]
+    + _schemes(TABLE_SCHEMES),
+    "are_frechet.csv": ["are", "--model", "frechet", "--sigma", "2",
+                        "--beta", "0.1,0.2,0.5,1,2,5,10,15,25"]
+    + _schemes(TABLE_SCHEMES),
+    "gof_modified.csv": ["gof", "--modified"] + _schemes(GOF_SCHEMES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reference_invocation_stdout_is_unchanged(name, capsys):
+    assert main(CASES[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        (GOLDEN / name).write_bytes(buf.getvalue().encode())

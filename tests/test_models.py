@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from trimmoments.models import (
+    SPECS,
     Family,
     ParameterVector,
     cdf,
-    h_functions,
     pdf,
     quantile,
     sample,
-    standard_quantile,
 )
 
 PARAMS = {
@@ -37,15 +36,16 @@ def _phi_inv_bisect(p, tol=1e-13):
 
 
 def test_standard_quantile_normal_anchor_values():
-    assert standard_quantile(Family.NORMAL, 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert standard_quantile(Family.NORMAL, 0.975) == pytest.approx(
+    standard_quantile = SPECS[Family.NORMAL].base_quantile
+    assert standard_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert standard_quantile(0.975) == pytest.approx(
         1.959964, abs=1e-6)
 
 
 @given(p=st.floats(min_value=0.001, max_value=0.999))
 @settings(max_examples=40, deadline=None)
 def test_standard_quantile_matches_bisection_oracle(p):
-    assert standard_quantile(Family.NORMAL, p) == pytest.approx(
+    assert SPECS[Family.NORMAL].base_quantile(p) == pytest.approx(
         _phi_inv_bisect(p), abs=1e-10)
 
 
@@ -156,9 +156,10 @@ def test_quantile_monotone(family, u1, u2):
 
 def test_h_functions():
     x = np.array([1.0, math.e, math.e ** 2])
-    h1, h2 = h_functions(Family.FRECHET)
-    assert np.allclose(h1(x), [0.0, 1.0, 2.0])
-    assert np.allclose(h2(x), [0.0, 1.0, 4.0])
-    h1, h2 = h_functions(Family.NORMAL)
-    assert np.allclose(h1(x), x)
-    assert np.allclose(h2(x), x * x)
+    # The moment transforms are h1 = transform, h2 = transform ** 2.
+    h = SPECS[Family.FRECHET].transform
+    assert np.allclose(h(x), [0.0, 1.0, 2.0])
+    assert np.allclose(h(x) ** 2, [0.0, 1.0, 4.0])
+    h = SPECS[Family.NORMAL].transform
+    assert np.allclose(h(x), x)
+    assert np.allclose(h(x) ** 2, x * x)

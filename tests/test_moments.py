@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trimmoments.models import Family, ParameterVector, h_functions, sample
+from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeError,
     SchemeTag,
@@ -107,6 +107,25 @@ class TestSampleTrimmedMoment:
         assert sample_trimmed_moment(data, a, b, lambda x: x) == \
             sample_trimmed_moment(shuffled, a, b, lambda x: x)
 
+    @given(n=st.integers(min_value=1, max_value=2000), data=st.data())
+    @example(n=100, data=None)
+    @settings(max_examples=200, deadline=None)
+    def test_integral_trim_counts_are_exact(self, n, data):
+        # For integral k = n*a the trim discards exactly k observations,
+        # also where n * (k / n) rounds to just below k (0.29 * 100).
+        if data is None:
+            k_lo, k_hi = 29, 57
+        else:
+            k_lo = data.draw(st.integers(min_value=0, max_value=n - 1))
+            k_hi = data.draw(st.integers(min_value=0, max_value=n - 1 - k_lo))
+        x = np.arange(n, dtype=float)
+        kept = sample_trimmed_moment(x, k_lo / n, k_hi / n,
+                                     lambda v: np.full(1, v.size))
+        assert kept == n - k_lo - k_hi
+        low = sample_trimmed_moment(x, k_lo / n, k_hi / n,
+                                    lambda v: np.full(1, v[0]))
+        assert low == k_lo
+
     def test_breakdown_exactness(self):
         # With at least one upper observation trimmed for both moments,
         # inflating the maximum cannot change either trimmed moment.
@@ -205,7 +224,8 @@ class TestPopulationMoments:
         params = (ParameterVector(sigma=2.0, beta=0.7)
                   if family is Family.FRECHET
                   else ParameterVector(theta=0.1, sigma=1.0))
-        h1, h2 = h_functions(family)
+        h1 = SPECS[family].transform
+        h2 = lambda v: h1(v) ** 2
         x = sample(family, params, 100_000, 99)
         for s in (validate_scheme(0.05, 0.05, 0.0, 0.10),
                   validate_scheme(0.10, 0.10, 0.20, 0.0),

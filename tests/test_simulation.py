@@ -92,6 +92,24 @@ class TestRunStudy:
             r8 = res.row(validate_scheme(*s8).label())
             assert r12.mean_ratio_2 >= r8.mean_ratio_2
 
+    def test_lognormal_study_is_normal_study_on_logs(self):
+        # The lognormal draws are exp of the normal draws, and the
+        # lognormal model is fitted on logs: both studies must agree.
+        schemes = [validate_scheme(0.05, 0.05, 0.00, 0.10),
+                   validate_scheme(0.10, 0.10, 0.10, 0.10)]
+        params = ParameterVector(theta=1.0, sigma=0.5)
+        rows = {}
+        for family in (Family.NORMAL, Family.LOGNORMAL):
+            cfg = StudyConfig(family, params, 200, schemes,
+                              replicates=200, repetitions=2, seed=5)
+            rows[family] = run_study(cfg).rows
+        for a, b in zip(rows[Family.NORMAL], rows[Family.LOGNORMAL]):
+            assert a.label == b.label and a.failures == b.failures
+            for name in ("mean_ratio_1", "mean_ratio_2", "re", "sd_ratio_1",
+                         "sd_ratio_2", "sd_re"):
+                assert getattr(b, name) == pytest.approx(
+                    getattr(a, name), rel=1e-9, abs=1e-9), (a.label, name)
+
     def test_re_trends_toward_are(self):
         from trimmoments.asymptotics import are
         scheme = validate_scheme(0.05, 0.05, 0.00, 0.10)
