@@ -115,18 +115,23 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _model_flag(args, family: Family) -> str:
+    """The model's parameter besides sigma, --theta or --beta, which
+    must be given; the other flag is rejected instead of ignored."""
+    pname = SPECS[family].names[0]
+    for flag in ("theta", "beta"):
+        if (getattr(args, flag) is None) == (flag == pname):
+            raise ValueError(f"--model {family.value} takes --{pname}"
+                             + ("" if flag == pname else f", not --{flag}"))
+    return pname
+
+
 def _cmd_are(args) -> int:
     family = Family.parse(args.model)
     schemes = [_parse_scheme(s) for s in args.scheme]
     if not schemes:
         raise SchemeError("at least one --scheme is required")
-    # The grid runs over the model's parameter besides sigma, --theta or
-    # --beta; the other flag is rejected instead of ignored.
-    pname = SPECS[family].names[0]
-    for flag in ("theta", "beta"):
-        if (getattr(args, flag) is None) == (flag == pname):
-            raise ValueError(f"--model {family.value} takes a --{pname} grid"
-                             + ("" if flag == pname else f", not --{flag}"))
+    pname = _model_flag(args, family)
     grid = _parse_grid(getattr(args, pname))
     mk = lambda v: ParameterVector(**{pname: v, "sigma": args.sigma})
     out, close = _out_stream(args.output)
@@ -148,23 +153,23 @@ def _cmd_are(args) -> int:
 def _cmd_simulate(args) -> int:
     family = Family.parse(args.model)
     schemes = [_parse_scheme(s) for s in args.scheme]
-    p1 = SPECS[family].names[0]
+    p1 = _model_flag(args, family)
     params = ParameterVector(**{p1: getattr(args, p1), "sigma": args.sigma})
-    sizes = [int(v) for v in _parse_grid(args.n)]
+    configs = [simulation.StudyConfig(
+        family, params, int(n), schemes, replicates=args.replicates,
+        repetitions=args.repetitions, seed=args.seed)
+        for n in _parse_grid(args.n)]
+    for cfg in configs:
+        cfg.validate()
     out, close = _out_stream(args.output)
     try:
         w = csv.writer(out)
         w.writerow(["estimator", "n", f"mean_{p1}_ratio", "mean_sigma_ratio",
                     "re", f"sd_{p1}_ratio", "sd_sigma_ratio", "sd_re",
                     "failures"])
-        for n in sizes:
-            cfg = simulation.StudyConfig(
-                family, params, n, schemes,
-                replicates=args.replicates, repetitions=args.repetitions,
-                seed=args.seed)
-            res = simulation.run_study(cfg)
-            for r in res.rows:
-                w.writerow([r.label, n,
+        for cfg in configs:
+            for r in simulation.run_study(cfg).rows:
+                w.writerow([r.label, cfg.n,
                             f"{r.mean_ratio_1:.4f}", f"{r.mean_ratio_2:.4f}",
                             f"{r.re:.4f}", f"{r.sd_ratio_1:.4f}",
                             f"{r.sd_ratio_2:.4f}", f"{r.sd_re:.4f}",
@@ -246,8 +251,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True,
                    choices=["normal", "lognormal", "frechet"])
     s.add_argument("--sigma", type=float, required=True)
-    s.add_argument("--theta", type=float, default=0.0)
-    s.add_argument("--beta", type=float, default=None)
+    s.add_argument("--theta", type=float, default=None,
+                   help="true location (location-scale models)")
+    s.add_argument("--beta", type=float, default=None,
+                   help="true tail index (Frechet)")
     s.add_argument("--n", required=True, help="sample sizes, comma list")
     s.add_argument("--replicates", type=int, default=2000)
     s.add_argument("--repetitions", type=int, default=3)

@@ -20,12 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import (  # noqa: F401  (mle_* and _xi are re-exported)
+from .models import (  # noqa: F401  (mle_* are re-exported)
     SPECS,
     EstimationError,
     Family,
     ParameterVector,
-    _xi,
     mle_frechet,
     mle_normal,
 )
@@ -34,7 +33,7 @@ from .moments import (
     SchemeTag,
     TrimmingScheme,
     eta_constants,
-    sample_trimmed_moment,
+    trim_counts,
 )
 
 __all__ = [
@@ -46,6 +45,7 @@ __all__ = [
     "mle_frechet",
     "candidate_scales",
     "solve_scale",
+    "fit_rows",
     "fit",
     "fit_location_scale",
     "fit_frechet",
@@ -96,7 +96,8 @@ class FitResult:
 
 
 def candidate_scales(t1, t2, constants: MomentConstants) -> CandidatePair:
-    """Build the FT/ST terms of the two scale (tail index) candidates.
+    """Build the FT/ST terms of the two scale (tail index) candidates,
+    for one sample or elementwise over arrays of moments.
 
     FT carries an absolute value so it stays real when the sample
     discriminant t2 - eta_r*t1^2 dips negative; the flag records that
@@ -104,50 +105,85 @@ def candidate_scales(t1, t2, constants: MomentConstants) -> CandidatePair:
     """
     c = constants.c_form()
     disc = t2 - c.eta_r * t1 * t1
-    ft = math.sqrt(abs(disc)) / math.sqrt(c.eta_12)
+    ft = np.sqrt(np.abs(disc)) / math.sqrt(c.eta_12)
     st = t1 * (c.m1_11 - c.m1_22) / c.eta_12
     return CandidatePair(ft, st, disc, disc < 0.0)
 
 
+def _branch(tag: SchemeTag, minus) -> Branch:
+    if tag is SchemeTag.EQUAL:
+        return Branch.EQUAL_TRIM
+    return Branch.MINUS if minus else Branch.PLUS
+
+
 def solve_scale(t1, t2, constants, tag: SchemeTag,
                 mle_scale: Callable[[], float]):
-    """Select the scale estimate per the sign-disambiguation algorithm.
+    """Select the scale estimate per the sign-disambiguation algorithm,
+    for one sample or elementwise over arrays of moments.
 
     mle_scale is a zero-argument callable so the reference MLE is only
-    computed when the proximity rule actually needs it.
-
-    Returns (scale, branch, pair).
+    computed when the proximity rule actually needs it; for arrays it
+    gives every sample's reference, NaN where the MLE failed.  Returns
+    (scale, branch, pair).  For arrays, scale is NaN where no candidate
+    is admissible (none positive, or two and no reference) and branch is
+    True where minus was taken; one sample gets a Branch, and an
+    EstimationError instead of NaN.
     """
     pair = candidate_scales(t1, t2, constants)
-    if tag is SchemeTag.EQUAL:
-        return pair.ft, Branch.EQUAL_TRIM, pair
     minus, plus = pair.minus, pair.plus
-    if max(minus, plus) <= 0.0:
+    take = np.zeros(np.shape(minus), dtype=bool)
+    if tag is SchemeTag.EQUAL:
+        scale = pair.ft
+    else:
+        take = (minus > 0.0) & ~(plus > 0.0)
+        scale = np.where(take, minus, np.where(plus > 0.0, plus, np.nan))
+        both = (minus > 0.0) & (plus > 0.0)
+        if np.any(both):
+            ref = mle_scale()
+            take = take | both & (np.abs(minus - ref) < np.abs(plus - ref))
+            scale = np.where(both & np.isnan(ref), np.nan,
+                             np.where(take, minus, scale))
+    if np.ndim(t1) > 0:
+        return scale, take, pair
+    if np.isnan(scale):
         raise EstimationError(
-            "both scale candidates are nonpositive; update trimming proportions"
-        )
-    if minus <= 0.0 < plus:
-        return plus, Branch.PLUS, pair
-    if plus <= 0.0 < minus:
-        return minus, Branch.MINUS, pair
-    ref = mle_scale()
-    if abs(minus - ref) < abs(plus - ref):
-        return minus, Branch.MINUS, pair
-    return plus, Branch.PLUS, pair
+            "no admissible scale candidate; update trimming proportions")
+    return float(scale), _branch(tag, take), pair
+
+
+def fit_rows(ys, scheme: TrimmingScheme, constants: MomentConstants,
+             mle_scale: Callable[[], np.ndarray]):
+    """The trimmed-moment fit of each row of ys, sorted samples of
+    transformed data (R, n).
+
+    Each moment is the plain mean over its kept column slice, so values
+    beyond the trimmed order statistics cannot reach it.  Returns
+    (location, scale, branch, pair, t1, t2), arrays over the rows as
+    `solve_scale` gives them; a row fails where scale is not positive.
+    """
+    n = ys.shape[1]
+    lo1, hi1 = trim_counts(n, scheme.a1, scheme.b1)
+    lo2, hi2 = trim_counts(n, scheme.a2, scheme.b2)
+    kept2 = ys[:, lo2:n - hi2]
+    t1 = ys[:, lo1:n - hi1].mean(axis=1)
+    t2 = (kept2 * kept2).mean(axis=1)
+    c = constants.c_form()
+    scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
+    return t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
 
 
 def fit(data, scheme: TrimmingScheme, family: Family = Family.NORMAL,
         constants: Optional[MomentConstants] = None,
         mle: Optional[ParameterVector] = None) -> FitResult:
     """Fit the family's parameters by the location-scale trimmed-moment
-    estimator on transformed data (see `models.SPECS`).
+    estimator on transformed data (see `models.SPECS`), as the one-row
+    case of `fit_rows`.
 
     Normal data are fitted as they are; lognormal data are
     log-transformed and (theta, sigma) reported on the log scale;
     Frechet data are log-transformed and the location log sigma and
     scale beta reported as (beta, sigma).  `constants` and `mle` (the
-    family's reference MLE of `data`) may be supplied to avoid
-    recomputation in tight loops.
+    family's reference MLE of `data`) may be supplied.
     """
     spec = SPECS[family]
     x = np.asarray(data, dtype=float)
@@ -156,9 +192,6 @@ def fit(data, scheme: TrimmingScheme, family: Family = Family.NORMAL,
         raise ValueError("need at least two observations")
     if constants is None:
         constants = eta_constants(family, scheme)
-    c = constants.c_form()
-    t1 = sample_trimmed_moment(y, scheme.a1, scheme.b1, lambda v: v)
-    t2 = sample_trimmed_moment(y, scheme.a2, scheme.b2, lambda v: v * v)
     state = {"mle": mle}
 
     def ref_scale():
@@ -166,14 +199,15 @@ def fit(data, scheme: TrimmingScheme, family: Family = Family.NORMAL,
             state["mle"] = spec.mle(x)
         return spec.location_scale(state["mle"])[1]
 
-    scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, ref_scale)
-    if scale <= 0.0:
+    loc, scale, minus, pair, t1, t2 = fit_rows(
+        np.sort(y).reshape(1, -1), scheme, constants, ref_scale)
+    if not scale[0] > 0.0:
         raise EstimationError(
-            "selected scale candidate is nonpositive; update trimming proportions"
-        )
-    params = spec.params(t1 - c.m1_11 * scale, scale)
-    return FitResult(family, scheme, params, branch, t1, t2, y.size,
-                     c, state["mle"], pair.discriminant_negative)
+            "no admissible scale candidate; update trimming proportions")
+    params = spec.params(float(loc[0]), float(scale[0]))
+    return FitResult(family, scheme, params, _branch(scheme.tag, minus[0]),
+                     float(t1[0]), float(t2[0]), y.size, constants.c_form(),
+                     state["mle"], bool(pair.discriminant_negative[0]))
 
 
 # The location-scale families' name for `fit`.

@@ -43,6 +43,7 @@ __all__ = [
     "cdf",
     "pdf",
     "sample",
+    "from_uniform",
     "mle_normal",
     "mle_frechet",
 ]
@@ -140,12 +141,22 @@ def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    params.validate(family)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = rng.random(n)
+    return from_uniform(family, params, rng.random(n))
+
+
+def from_uniform(family: Family, params: ParameterVector, u) -> np.ndarray:
+    """Draws by inverse transform of the uniform draws u (an array of any
+    shape, which is clipped in place)."""
     # Keep u strictly inside (0, 1); random() can return exactly 0.
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return quantile(family, params, u)
+    return quantile(family, params, np.clip(u, 1e-300, 1.0 - 1e-16, out=u))
+
+
+def _normal_rows(y):
+    """Normal MLE of each row of y (R, n): the mean and the
+    1/n-variance standard deviation."""
+    mu = y.mean(axis=1)
+    return mu, np.sqrt(((y - mu[:, None]) ** 2).mean(axis=1))
 
 
 def mle_normal(data):
@@ -153,64 +164,74 @@ def mle_normal(data):
     x = np.asarray(data, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two observations")
-    theta = float(np.mean(x))
-    sigma = float(math.sqrt(np.mean((x - theta) ** 2)))
-    return theta, sigma
+    theta, sigma = _normal_rows(x.reshape(1, -1))
+    return float(theta[0]), float(sigma[0])
 
 
-def _xi(beta, logx):
-    """The Frechet likelihood score in beta, strictly increasing."""
-    z = -logx / beta
-    m = np.max(z)
-    w = np.exp(z - m)
-    return beta + float(np.dot(w, logx) / np.sum(w)) - float(np.mean(logx))
+# Once a Newton step is below _MLE_RTOL of beta, the next iterate is within
+# rounding of the root (convergence is quadratic) and is the row's last.
+_MLE_RTOL, _MLE_MAX_ITER, _MLE_RESIDUAL = 1e-9, 100, 1e-10
+
+
+def _frechet_rows(logx):
+    """Frechet MLE of each row of log-data (R, n) as (log sigma, beta),
+    NaN on rows without a likelihood root; see `mle_frechet`."""
+    n = logx.shape[1]
+    lmin = logx.min(axis=1)
+    # xi is shift invariant; d >= 0 keeps the weights exp(-d / b) <= 1.
+    d = logx - lmin[:, None]
+    dbar = d.mean(axis=1)
+    loc, beta = np.full(len(d), np.nan), np.full(len(d), np.nan)
+    rows = np.flatnonzero(np.isfinite(dbar) & (dbar > 0.0))
+    d, lo, hi = d[rows], np.zeros(rows.size), dbar[rows]
+    sd = np.sqrt(((d - hi[:, None]) ** 2).mean(axis=1))
+    b = np.minimum(math.sqrt(6.0) / math.pi * sd, hi)
+    last = np.zeros(rows.size, dtype=bool)
+    for _ in range(_MLE_MAX_ITER):
+        if rows.size == 0:
+            break
+        w = np.exp(d / -b[:, None])
+        s0 = w.sum(axis=1)
+        wd = w * d
+        m1 = wd.sum(axis=1) / s0
+        xi = b + m1 - dbar[rows]
+        good = last & (np.abs(xi) <= _MLE_RESIDUAL)
+        beta[rows[good]] = b[good]
+        loc[rows[good]] = lmin[rows[good]] - b[good] * np.log(s0[good] / n)
+        step = xi / (1.0 + ((wd * d).sum(axis=1) / s0 - m1 * m1) / (b * b))
+        below = xi < 0.0
+        lo, hi = np.where(below, b, lo), np.where(below, hi, b)
+        keep, last = ~last, np.abs(step) <= _MLE_RTOL * b
+        b = b - step
+        b = np.where((lo < b) & (b <= hi), b, 0.5 * (lo + hi))
+        rows, d, b, lo, hi, last = (v[keep] for v in (rows, d, b, lo, hi, last))
+    return loc, beta
 
 
 def mle_frechet(data):
-    """Frechet MLE: beta solves xi(beta) = 0, sigma follows in closed
-    form.  The root search starts from the sample coefficient of
-    variation and expands a bracket before solving."""
-    # Imported here so that importing the models does not load
-    # scipy.optimize (about 0.1-0.3 s) for callers that never need it.
-    from scipy.optimize import brentq
+    """Frechet MLE (beta, sigma) of one sample, the one-row case of
+    `_frechet_rows`.
 
+    beta solves the score xi(b) = b + E_w[l] - mean(l) = 0, E_w the mean
+    of l = log x under weights exp(-l / b).  xi has slope
+    1 + Var_w(l) / b^2 >= 1 and rises from min(l) - mean(l) < 0 at 0+ to
+    >= 0 at mean(l) - min(l), which brackets the root.  Newton steps
+    start from the log-moment estimate sqrt(6) / pi * sd(l) and fall back
+    to bisection when they leave the bracket; only unconverged rows are
+    iterated.  Constant data (no root), no convergence within
+    _MLE_MAX_ITER steps and a residual |xi| > 1e-10 raise EstimationError
+    (NaN in the rows).  sigma follows in closed form.
+    """
     x = np.asarray(data, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two observations")
     if np.any(x <= 0.0):
         raise ValueError("Frechet data must be positive")
-    logx = np.log(x)
-    if np.ptp(logx) == 0.0:
-        # xi(beta) = beta > 0 for constant data: no root exists.
-        raise EstimationError("degenerate data: all observations equal")
-    mean = float(np.mean(x))
-    sd = float(np.std(x))
-    beta0 = sd / mean if sd > 0 and mean > 0 else 1.0
-    beta0 = min(max(beta0, 1e-3), 1e3)
-    lo = hi = beta0
-    flo = _xi(lo, logx)
-    fhi = flo
-    for _ in range(200):
-        if flo > 0.0:
-            lo *= 0.5
-            flo = _xi(lo, logx)
-        elif fhi < 0.0:
-            hi *= 2.0
-            fhi = _xi(hi, logx)
-        else:
-            break
-    else:
-        raise EstimationError("could not bracket the Frechet likelihood root")
-    if flo > 0.0 or fhi < 0.0:
-        raise EstimationError("could not bracket the Frechet likelihood root")
-    beta = brentq(_xi, lo, hi, args=(logx,), xtol=1e-14, rtol=8.9e-16)
-    if abs(_xi(beta, logx)) > 1e-10:
-        raise EstimationError("Frechet likelihood root did not converge")
-    z = -logx / beta
-    m = np.max(z)
-    log_mean_pow = m + math.log(float(np.mean(np.exp(z - m))))
-    sigma = math.exp(-beta * log_mean_pow)
-    return float(beta), float(sigma)
+    loc, beta = _frechet_rows(np.log(x).reshape(1, -1))
+    if np.isnan(beta[0]):
+        raise EstimationError("no Frechet likelihood root: constant data "
+                              "or no convergence")
+    return float(beta[0]), math.exp(loc[0])
 
 
 def _gumbel_quantile(u):
@@ -242,6 +263,11 @@ def _frechet(beta, sigma):
     return ParameterVector(sigma=sigma, beta=beta)
 
 
+# math.exp, also elementwise over arrays: np.exp may round differently, and
+# each row of a batch fit must equal the fit of that sample alone.
+_exp = np.frompyfunc(math.exp, 1, 1)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """How one family maps onto the location-scale engine.
@@ -249,8 +275,11 @@ class FamilySpec:
     Reported parameters come in `names` order, also the row order of
     estimator Jacobians: Frechet reports (scale, exp(location)), so
     `scale_first` is set and the location row carries d sigma / d
-    location = sigma (`location_factor`).  `mle` fits the raw data and
-    `scaled` names the parameters in data units.  The `mle` lambdas look
+    location = sigma (`location_factor`).  `params` takes floats or
+    arrays.  `mle` fits the raw data, `mle_rows` each row of transformed
+    data (R, n), as (location, scale) arrays that are NaN where no
+    estimate exists, and `scaled` names the parameters in data units.
+    The `mle` lambdas look
     the estimators up at call time, so rebinding the module-level names
     (as bench/spans.py does) reaches them.
     """
@@ -263,6 +292,7 @@ class FamilySpec:
     location_factor: Callable[[float], float]
     scale_first: bool
     mle: Callable[[np.ndarray], ParameterVector]
+    mle_rows: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     s_mle: Callable[[ParameterVector], np.ndarray]
     scaled: Tuple[str, ...] = ()
 
@@ -278,6 +308,7 @@ _NORMAL_MAPS = dict(
     params=lambda loc, scale: ParameterVector(theta=loc, sigma=scale),
     location_factor=lambda sigma: 1.0,
     scale_first=False,
+    mle_rows=_normal_rows,
     s_mle=lambda p: np.array([[p.sigma ** 2, 0.0],
                               [0.0, p.sigma ** 2 / 2.0]]),
 )
@@ -296,10 +327,11 @@ SPECS = {
         transform=_log_of_positive("Frechet"),
         base_quantile=_gumbel_quantile,
         location_scale=lambda p: (math.log(p.sigma), p.beta),
-        params=lambda loc, scale: _frechet(scale, math.exp(loc)),
+        params=lambda loc, scale: _frechet(scale, _exp(loc)),
         location_factor=lambda sigma: sigma,
         scale_first=True,
         mle=lambda x: _frechet(*mle_frechet(x)),
+        mle_rows=_frechet_rows,
         s_mle=_s_mle_frechet,
         scaled=("sigma",)),
 }

@@ -35,6 +35,7 @@ __all__ = [
     "TrimmingScheme",
     "MomentConstants",
     "validate_scheme",
+    "trim_counts",
     "sample_trimmed_moment",
     "c_k",
     "kappa_k",
@@ -124,6 +125,20 @@ def validate_scheme(a1, b1, a2, b2) -> TrimmingScheme:
     return TrimmingScheme(a1, b1, a2, b2, tag)
 
 
+def trim_counts(n: int, a: float, b: float):
+    """(lo, hi): how many of n order statistics the (a, b) trim discards
+    at the bottom and at the top, floor(n*a) and floor(n*b)."""
+    # Counts are read through the rounding of n*a: an integral n*a may
+    # land an ulp below (0.29 * 100 = 28.999999999999996) and trims 29.
+    lo = math.floor(n * a * (1.0 + 1e-12))
+    hi = math.floor(n * b * (1.0 + 1e-12))
+    if n - lo - hi < 1:
+        raise SchemeError(
+            f"trimming ({a}, {b}) keeps no observations out of n={n}"
+        )
+    return lo, hi
+
+
 def sample_trimmed_moment(data, a, b, h):
     """Mean of h over the order statistics kept by the (a, b) trim.
 
@@ -134,16 +149,8 @@ def sample_trimmed_moment(data, a, b, h):
     n = x.size
     if n == 0:
         raise ValueError("data must be nonempty")
-    # Counts are read through the rounding of n*a: an integral n*a may
-    # land an ulp below (0.29 * 100 = 28.999999999999996) and trims 29.
-    lo = math.floor(n * a * (1.0 + 1e-12))
-    hi = math.floor(n * b * (1.0 + 1e-12))
-    if n - lo - hi < 1:
-        raise SchemeError(
-            f"trimming ({a}, {b}) keeps no observations out of n={n}"
-        )
-    kept = x[lo: n - hi]
-    return float(np.mean(h(kept)))
+    lo, hi = trim_counts(n, a, b)
+    return float(np.mean(h(x[lo: n - hi])))
 
 
 @lru_cache(maxsize=None)

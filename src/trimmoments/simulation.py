@@ -2,31 +2,42 @@
 efficiency of the trimmed estimators versus maximum likelihood.
 
 Each outer repetition draws a batch of samples; every estimator in the
-study is fitted to the same samples.  Mean estimate/truth ratios and
-the finite-sample RE are computed per repetition and then averaged,
-with standard deviations across repetitions reported alongside.
-Per-replicate RNG streams are derived from (seed, repetition,
-replicate), so results are reproducible and independent of any
-parallel execution order.
+study is fitted to the same samples.  Replicate k of repetition r draws
+its uniforms from its own stream SeedSequence((seed, r, k)), so results
+are reproducible and do not depend on how replicates are grouped.
+Replicates are processed in blocks of at most BLOCK_ELEMENTS values: a
+block goes through the family quantile and transform at once, gets its
+reference MLE (`FamilySpec.mle_rows`) on the rows as drawn, is sorted
+once, and each estimator fits all its rows in one `estimators.fit_rows`
+call.  A replicate whose fit fails, or whose MLE fails where the MLE
+row or a proximity rule needs it, counts in that estimator's failures
+and is left out of its ratios and RE; a singular RE leaves that
+repetition's RE NaN.  Mean ratios and REs are computed per repetition
+and averaged, with standard deviations across repetitions alongside.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .asymptotics import s_mle
-from .estimators import EstimationError, fit
-from .models import SPECS, Family, ParameterVector, sample
+from .estimators import EstimationError, fit_rows
+from .models import SPECS, Family, ParameterVector, from_uniform
 from .moments import TrimmingScheme, eta_constants
 
 __all__ = ["StudyConfig", "SchemeSummary", "StudyResult", "finite_re",
            "run_study", "MLE_LABEL"]
 
 MLE_LABEL = "MLE"
+
+# Values per block of replicates (rows x n: 1310 x 100, 131 x 1000).  A
+# study holds a few blocks' worth of memory whatever its size.
+BLOCK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -49,6 +60,9 @@ class StudyConfig:
             raise ValueError("replicates must be >= 100")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if 0.0 in SPECS[self.family].estimates(self.params):
+            raise ValueError("true parameters must be nonzero: the study "
+                             "reports estimate/truth ratios")
 
 
 @dataclass
@@ -97,11 +111,19 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
     return math.sqrt(det_mle) / (n * math.sqrt(det))
 
 
+def _uniforms(seed: int, rep: int, start: int, stop: int, n: int):
+    """The uniform draws of replicates start..stop-1 of repetition rep."""
+    u = np.empty((stop - start, n))
+    for i in range(stop - start):
+        ss = np.random.SeedSequence((seed, rep, start + i))
+        np.random.default_rng(ss).random(n, out=u[i])
+    return u
+
+
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full Monte Carlo study described by config."""
     config.validate()
-    family = config.family
-    params = config.params
+    family, params, n = config.family, config.params, config.n
     spec = SPECS[family]
     truth = np.array(spec.estimates(params))
     constants = [eta_constants(family, s) for s in config.schemes]
@@ -112,31 +134,33 @@ def run_study(config: StudyConfig) -> StudyResult:
     ratio_reps = np.full((config.repetitions, nlab, 2), np.nan)
     re_reps = np.full((config.repetitions, nlab), np.nan)
     failures = np.zeros(nlab, dtype=int)
+    block = max(1, BLOCK_ELEMENTS // n)
 
     for rep in range(config.repetitions):
-        batches = [[] for _ in range(nlab)]
-        for k in range(config.replicates):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, rep, k)))
-            x = sample(family, params, config.n, rng)
-            mle = spec.mle(x)
-            offset = 0
-            if config.include_mle:
-                batches[0].append(spec.estimates(mle))
-                offset = 1
-            for idx, (scheme, con) in enumerate(zip(config.schemes, constants)):
-                try:
-                    est = fit(x, scheme, family, con, mle).params
-                except EstimationError:
-                    failures[offset + idx] += 1
-                    continue
-                batches[offset + idx].append(spec.estimates(est))
-        for idx, batch in enumerate(batches):
-            arr = np.asarray(batch, dtype=float)
+        est = np.full((nlab, config.replicates, 2), np.nan)
+        for start in range(0, config.replicates, block):
+            stop = min(start + block, config.replicates)
+            y = spec.transform(from_uniform(
+                family, params, _uniforms(config.seed, rep, start, stop, n)))
+            mle = spec.mle_rows(y)
+            y.sort(axis=1)
+            fits = [mle] if config.include_mle else []
+            for scheme, con in zip(config.schemes, constants):
+                loc, scale = fit_rows(y, scheme, con, lambda: mle[1])[:2]
+                fits.append((loc, np.where(scale > 0.0, scale, np.nan)))
+            for idx, (loc, scale) in enumerate(fits):
+                est[idx, start:stop] = np.transpose(
+                    spec.estimates(spec.params(loc, scale)))
+        for idx in range(nlab):
+            arr = est[idx][~np.isnan(est[idx]).any(axis=1)]
+            failures[idx] += config.replicates - arr.shape[0]
             if arr.shape[0] < 2:
                 continue
             ratio_reps[rep, idx] = np.mean(arr / truth, axis=0)
-            re_reps[rep, idx] = finite_re(family, params, arr, config.n)
+            try:
+                re_reps[rep, idx] = finite_re(family, params, arr, n)
+            except ValueError:
+                pass  # singular: this repetition's RE stays NaN
 
     total = config.replicates * config.repetitions
     result = StudyResult(config)
@@ -148,14 +172,10 @@ def run_study(config: StudyConfig) -> StudyResult:
                 f"replicates (limit {100.0 * config.max_failure_rate:.1f}%); "
                 "update trimming proportions"
             )
-        result.rows.append(SchemeSummary(
-            label=label,
-            mean_ratio_1=float(np.nanmean(ratio_reps[:, idx, 0])),
-            mean_ratio_2=float(np.nanmean(ratio_reps[:, idx, 1])),
-            re=float(np.nanmean(re_reps[:, idx])),
-            sd_ratio_1=float(np.nanstd(ratio_reps[:, idx, 0])),
-            sd_ratio_2=float(np.nanstd(ratio_reps[:, idx, 1])),
-            sd_re=float(np.nanstd(re_reps[:, idx])),
-            failures=int(failures[idx]),
-        ))
+        with warnings.catch_warnings():  # no repetition left: NaN, quietly
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stats = [float(f(v)) for f in (np.nanmean, np.nanstd)
+                     for v in (ratio_reps[:, idx, 0], ratio_reps[:, idx, 1],
+                               re_reps[:, idx])]
+        result.rows.append(SchemeSummary(label, *stats, int(failures[idx])))
     return result

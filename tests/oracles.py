@@ -1,11 +1,13 @@
-"""Test oracles for the asymptotic covariance: the empirical-process
+"""Test oracles.  For the asymptotic covariance: the empirical-process
 kernel, the (I, Ibar) endpoint integrals, V(i, j) through the closed
 form for a parametrized model, and the brute-force double integral
-that checks it."""
+that checks it.  For the Frechet MLE: the likelihood score of one
+sample and a bracketing Brent root search on it."""
 
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from trimmoments.asymptotics import _i_lower, _i_upper, _v_pair
@@ -102,3 +104,29 @@ def v_entry_bruteforce(family: Family, params: ParameterVector, i: int, j: int,
     dv = (bbarj - aj) / grid_n
     dw = (bbari - ai) / grid_n
     return float(np.sum(integrand) * dv * dw)
+
+
+def frechet_score(beta, logx):
+    """The Frechet likelihood score xi(beta) of one sample, strictly
+    increasing in beta; the MLE of beta is its root."""
+    z = -logx / beta
+    m = np.max(z)
+    w = np.exp(z - m)
+    return beta + float(np.dot(w, logx) / np.sum(w)) - float(np.mean(logx))
+
+
+def mle_frechet_brent(x):
+    """Frechet MLE (beta, sigma) of one sample: Brent's method on the
+    score, bracketed by halving and doubling from the sample coefficient
+    of variation."""
+    logx = np.log(x)
+    lo = hi = min(max(float(np.std(x) / np.mean(x)), 1e-3), 1e3)
+    while frechet_score(lo, logx) > 0.0:
+        lo *= 0.5
+    while frechet_score(hi, logx) < 0.0:
+        hi *= 2.0
+    beta = brentq(frechet_score, lo, hi, args=(logx,), xtol=1e-14,
+                  rtol=8.9e-16)
+    z = -logx / beta
+    m = np.max(z)
+    return beta, math.exp(-beta * (m + math.log(float(np.mean(np.exp(z - m))))))

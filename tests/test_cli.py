@@ -132,6 +132,31 @@ class TestSimulate:
                            "--scheme", "0,0.05,0,0.05")
         assert code == 2
 
+    @pytest.mark.parametrize("model,flags", [
+        ("normal", ["--theta", "0.1", "--beta", "3"]),
+        ("frechet", []),
+        ("normal", []),
+        ("lognormal", ["--theta", "1", "--beta", "3"]),
+    ])
+    def test_model_parameter_flag_checked_exit_2(self, capsys, model, flags):
+        code, out, err = run(capsys, "simulate", "--model", model,
+                             "--sigma", "5", "--n", "20",
+                             "--replicates", "100", "--repetitions", "1",
+                             "--scheme", "0.1,0.1,0.1,0.1", *flags)
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert out == ""
+
+    def test_zero_true_parameter_exit_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--model", "normal",
+                             "--sigma", "5", "--theta", "0", "--n", "20",
+                             "--replicates", "100", "--repetitions", "1",
+                             "--scheme", "0.1,0.1,0.1,0.1")
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
     def test_byte_identical_reruns(self, capsys):
         args = ("simulate", "--model", "normal", "--sigma", "5",
                 "--theta", "0.1", "--n", "100", "--replicates", "200",

@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trimmoments.estimators import (
     Branch,
     EstimationError,
     candidate_scales,
+    fit,
     fit_frechet,
     fit_location_scale,
+    fit_rows,
     mle_frechet,
     mle_normal,
     solve_scale,
 )
-from trimmoments.estimators import _xi
-from trimmoments.models import Family, ParameterVector, sample
+from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeTag,
     c_k,
@@ -25,6 +28,8 @@ from trimmoments.moments import (
     zeta_constants,
 )
 from conftest import random_params, random_scheme
+from oracles import frechet_score as _xi
+from oracles import mle_frechet_brent
 
 
 class TestMleNormal:
@@ -69,6 +74,28 @@ class TestMleFrechet:
     def test_nonpositive_data(self):
         with pytest.raises(ValueError):
             mle_frechet([1.0, -1.0])
+
+    def test_rows_match_brent_oracle_and_single_samples(self, rng):
+        # The Newton rows agree with Brent's method on the score, and
+        # each row is the MLE of that sample alone.
+        for n in (20, 100, 1000):
+            params = [random_params(rng, Family.FRECHET) for _ in range(8)]
+            x = np.array([sample(Family.FRECHET, p, n, rng) for p in params])
+            loc, beta = SPECS[Family.FRECHET].mle_rows(np.log(x))
+            for i, row in enumerate(x):
+                b_ref, s_ref = mle_frechet_brent(row)
+                assert beta[i] == pytest.approx(b_ref, rel=1e-13)
+                assert math.exp(loc[i]) == pytest.approx(s_ref, rel=1e-12)
+                assert mle_frechet(row) == (beta[i], math.exp(loc[i]))
+
+    def test_rows_flag_constant_rows(self):
+        x = np.array([sample(Family.FRECHET,
+                             ParameterVector(sigma=2.0, beta=5.0), 50, k)
+                      for k in range(3)])
+        x[1] = 3.0
+        loc, beta = SPECS[Family.FRECHET].mle_rows(np.log(x))
+        assert np.isnan(loc[1]) and np.isnan(beta[1])
+        assert np.isfinite(loc[[0, 2]]).all() and np.isfinite(beta[[0, 2]]).all()
 
 
 class TestCandidateScales:
@@ -131,6 +158,20 @@ class TestSolveScale:
         t2 = con.eta_r * t1 * t1
         with pytest.raises(EstimationError, match="update trimming"):
             solve_scale(t1, t2, con, s.tag, lambda: 1.0)
+
+    def test_arrays_fail_per_sample(self):
+        # Elementwise: NaN where both candidates are nonpositive, or both
+        # positive and the sample has no reference MLE.
+        s = validate_scheme(0.05, 0.05, 0.00, 0.10)
+        con = eta_constants(Family.NORMAL, s)
+        t1 = np.array([-2.0, 2.0, 2.0, 2.0])
+        t2 = con.eta_r * t1 * t1 + np.array([0.0, 0.01, 0.01, 1e3])
+        pair = candidate_scales(t1, t2, con)
+        ref = np.array([1.0, pair.minus[1], np.nan, np.nan])
+        scale, minus, _ = solve_scale(t1, t2, con, s.tag, lambda: ref)
+        assert np.isnan(scale[:3]).tolist() == [True, False, True]
+        assert scale[1] == pair.minus[1] and minus[1]
+        assert pair.minus[3] <= 0.0 and scale[3] == pair.plus[3]
 
     def test_proximity_rule_and_tie_break(self):
         s = validate_scheme(0.05, 0.05, 0.00, 0.10)
@@ -267,3 +308,90 @@ class TestFitFrechet:
         mean = np.mean(ratios, axis=0)
         assert mean[0] == pytest.approx(1.00, abs=0.03)
         assert mean[1] == pytest.approx(1.02, abs=0.03)
+
+
+class TestFitRows:
+    def test_rows_are_single_fits(self, rng):
+        # Every row of the batch kernel is the fit of that sample alone,
+        # given the same reference MLE.
+        for family in Family:
+            spec = SPECS[family]
+            x = np.array([sample(family, random_params(rng, family), 80, rng)
+                          for _ in range(12)])
+            y = spec.transform(x)
+            mle = spec.mle_rows(y)
+            for _ in range(4):
+                s = random_scheme(rng, lo=0.0)
+                con = eta_constants(family, s)
+                loc, scale, _, _, t1, t2 = fit_rows(
+                    np.sort(y, axis=1), s, con, lambda: mle[1])
+                for i, row in enumerate(x):
+                    ref = spec.params(mle[0][i], mle[1][i])
+                    if not scale[i] > 0.0:
+                        with pytest.raises(EstimationError):
+                            fit(row, s, family, con, ref)
+                        continue
+                    one = fit(row, s, family, con, ref)
+                    assert (one.t1, one.t2) == (t1[i], t2[i])
+                    assert one.params == spec.params(loc[i], scale[i])
+
+
+PROPORTIONS = (0.0, 0.02, 1 / 30, 0.05, 0.1, 0.15, 0.2)
+
+
+class TestContaminationInvariance:
+    """Criterion 7 as a property: order statistics beyond both trimming
+    windows, moved to arbitrary more extreme values, leave the trimmed
+    moments, both scale candidates and, for equal schemes (which never
+    consult the non-robust MLE), the estimates bit-identical."""
+
+    @given(n=st.integers(min_value=20, max_value=300),
+           quad=st.tuples(*[st.sampled_from(PROPORTIONS)] * 4),
+           frechet=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           spread=st.sampled_from([1e-8, 1.0, 1e3, 1e12]))
+    @settings(max_examples=150, deadline=None)
+    def test_moved_extremes_change_nothing(self, n, quad, frechet, seed,
+                                           spread):
+        try:
+            s = validate_scheme(*quad)
+        except ValueError:
+            assume(False)
+        family = Family.FRECHET if frechet else Family.NORMAL
+        spec = SPECS[family]
+        rng = np.random.default_rng(seed)
+        x = np.sort(sample(family, random_params(rng, family), n, rng))
+        lo = math.floor(n * min(s.a1, s.a2) * (1 + 1e-12))
+        hi = n - math.floor(n * min(s.b1, s.b2) * (1 + 1e-12))
+        # More extreme by a random amount: shifted for normal data,
+        # scaled (a shift of the logs) for positive Frechet data.
+        move = rng.exponential(spread, n)
+        moved = x.copy()
+        if frechet:
+            moved[:lo] /= 1.0 + move[:lo]
+            moved[hi:] *= 1.0 + move[hi:]
+        else:
+            moved[:lo] -= move[:lo]
+            moved[hi:] += move[hi:]
+        rng.shuffle(moved)
+        con = eta_constants(family, s)
+        y = spec.transform(np.array([x, moved]))
+        _, scale, _, pair, t1, t2 = fit_rows(
+            np.sort(y, axis=1), s, con, lambda: spec.mle_rows(y)[1])
+        assert t1[0] == t1[1] and t2[0] == t2[1]
+        assert pair.minus[0] == pair.minus[1]
+        assert pair.plus[0] == pair.plus[1]
+        equal = s.tag is SchemeTag.EQUAL
+        if equal:
+            assert scale[0] == scale[1]
+
+        def single(data):
+            try:
+                r = fit(data, s, family, con)
+            except EstimationError:  # no admissible candidate, in both
+                return None
+            return r.t1, r.t2, r.params if equal else None
+
+        one = single(x)
+        assert single(moved) == one
+        assert one is None or one[:2] == (t1[0], t2[0])

@@ -1,9 +1,11 @@
 """Golden outputs of the README reference invocations.
 
 Each case runs ``cli.main`` in-process and compares stdout byte for byte
-with a file under ``tests/golden/``.  The files hold the output of the
-package before the families were merged into one location-scale engine;
-regenerate them only for a deliberate change of printed output, with
+with a file under ``tests/golden/``.  The ``fit``, ``are`` and ``gof``
+files hold the output of the package before the families were merged
+into one location-scale engine, the two ``simulate`` files its output
+before the Monte Carlo study was vectorised; regenerate them only for a
+deliberate change of printed output, with
 ``python tests/test_golden.py --write``.
 """
 
@@ -20,6 +22,12 @@ TABLE_SCHEMES = ("0.02,0.02,0.02,0.02", "0.05,0.05,0.05,0.05",
                  "0.10,0.10,0.10,0.10", "0.15,0.15,0.15,0.15",
                  "0.02,0.02,0,0.04", "0.05,0.05,0,0.10",
                  "0.10,0.10,0,0.20", "0.15,0.15,0,0.30")
+SIMULATION_SCHEMES = ("0,0,0,0", "0,0.05,0,0.05", "0,0.10,0,0.10",
+                      "0.10,0,0.05,0.05", "0.05,0.05,0,0.10",
+                      "0.10,0.10,0,0.20", "0.15,0.15,0,0.30",
+                      "0,0.10,0.05,0.05", "0.05,0.05,0.10,0",
+                      "0.10,0.10,0.20,0", "0.15,0.15,0.30,0",
+                      "0.25,0.50,0.50,0.25")
 GOF_SCHEMES = ("0,1/30,0,1/30", "1/30,0,1/30,0", "1/30,1/30,1/30,1/30",
                "2/30,2/30,2/30,2/30", "3/30,3/30,3/30,3/30")
 
@@ -41,6 +49,16 @@ CASES = {
                         "--beta", "0.1,0.2,0.5,1,2,5,10,15,25"]
     + _schemes(TABLE_SCHEMES),
     "gof_modified.csv": ["gof", "--modified"] + _schemes(GOF_SCHEMES),
+    # The README simulation tables, reduced to one sample size and one
+    # repetition (and 500 Frechet replicates) to keep the run short.
+    "simulate_normal.csv": ["simulate", "--model", "normal", "--theta", "0.1",
+                            "--sigma", "5", "--n", "100",
+                            "--replicates", "2000", "--repetitions", "1",
+                            "--seed", "0"] + _schemes(SIMULATION_SCHEMES),
+    "simulate_frechet.csv": ["simulate", "--model", "frechet", "--beta", "5",
+                             "--sigma", "2", "--n", "1000",
+                             "--replicates", "500", "--repetitions", "1",
+                             "--seed", "0"] + _schemes(SIMULATION_SCHEMES),
 }
 
 

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from trimmoments import simulation
 from trimmoments.models import Family, ParameterVector
 from trimmoments.moments import validate_scheme
 from trimmoments.simulation import (
@@ -34,6 +37,13 @@ class TestStudyConfig:
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError):
             _config(repetitions=0).validate()
+
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.LOGNORMAL])
+    def test_zero_true_parameter_rejected(self, family):
+        # The study reports estimate/truth ratios, undefined at theta = 0.
+        cfg = _config(family=family, params=ParameterVector(theta=0.0, sigma=5.0))
+        with pytest.raises(ValueError, match="nonzero"):
+            cfg.validate()
 
 
 class TestFiniteRe:
@@ -119,3 +129,51 @@ class TestRunStudy:
             cfg = _config(n=n, replicates=800, repetitions=2, seed=9)
             res[n] = run_study(cfg).row(scheme.label()).re
         assert res[1000] == pytest.approx(limit, abs=0.05)
+
+    def test_block_budget_does_not_change_rows(self, monkeypatch):
+        # Blocks of 3 rows (the last one short) give the rows of one block.
+        schemes = [validate_scheme(0.05, 0.05, 0.00, 0.10),
+                   validate_scheme(0.10, 0.10, 0.10, 0.10)]
+        for family, params in ((Family.NORMAL, NORMAL),
+                                (Family.FRECHET, FRECHET)):
+            cfg = StudyConfig(family, params, 60, schemes, replicates=100,
+                              repetitions=2, seed=4)
+            whole = run_study(cfg).rows
+            monkeypatch.setattr(simulation, "BLOCK_ELEMENTS", 3 * 60 + 7)
+            assert run_study(cfg).rows == whole
+            monkeypatch.undo()
+
+    def test_failed_mle_is_counted_not_fatal(self, monkeypatch):
+        # Replicate 0 of each repetition is constant: it has no Frechet
+        # MLE, which fails the MLE row and each scheme whose proximity
+        # rule needs it; every other estimate of it is kept.
+        draw = simulation._uniforms
+
+        def first_constant(seed, rep, start, stop, n):
+            u = draw(seed, rep, start, stop, n)
+            if start == 0:
+                u[0] = 0.5
+            return u
+
+        monkeypatch.setattr(simulation, "_uniforms", first_constant)
+        schemes = [validate_scheme(0.05, 0.05, 0.00, 0.10),
+                   validate_scheme(0.10, 0.10, 0.20, 0.00),
+                   validate_scheme(0.10, 0.10, 0.10, 0.10)]
+        cfg = StudyConfig(Family.FRECHET, FRECHET, 100, schemes,
+                          replicates=200, repetitions=2, seed=1)
+        rows = run_study(cfg).rows
+        assert [r.failures for r in rows] == [2, 2, 2, 0]
+        for r in rows:
+            assert np.isfinite([r.mean_ratio_1, r.mean_ratio_2, r.re]).all()
+
+    def test_singular_re_is_nan_not_fatal(self, monkeypatch):
+        def singular(*args):
+            raise ValueError("empirical cross-moment matrix is singular")
+
+        monkeypatch.setattr(simulation, "finite_re", singular)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_study(_config()).rows
+        for r in rows:
+            assert np.isnan(r.re) and np.isnan(r.sd_re)
+            assert r.failures == 0 and np.isfinite(r.mean_ratio_1)
