@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -33,8 +34,10 @@ def _parse_number(tok: str) -> float:
     """Float literal, also accepting simple fractions like 1/30."""
     tok = tok.strip()
     if "/" in tok:
-        num, den = tok.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(p) for p in tok.split("/", 1))
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {tok!r}")
+        return num / den
     return float(tok)
 
 
@@ -53,8 +56,10 @@ def _parse_grid(spec: str):
             raise ValueError("grid step must be positive")
         if stop < start:
             raise ValueError(f"grid range {spec!r} is descending")
-        count = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(count)]
+        span = (stop - start) / step
+        if not all(map(math.isfinite, (start, stop, step, span))):
+            raise ValueError(f"grid range {spec!r} is not finite")
+        return [start + i * step for i in range(int(round(span)) + 1)]
     return [_parse_number(p) for p in spec.split(",")]
 
 
@@ -64,10 +69,14 @@ def _load_data(path: str, scale: float) -> np.ndarray:
     return gof.load_dataset(path) * scale
 
 
-def _out_stream(path):
+@contextlib.contextmanager
+def _output(path):
+    """stdout for no path or '-', otherwise the file, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
 def _cmd_fit(args) -> int:
@@ -105,13 +114,9 @@ def _cmd_fit(args) -> int:
         "breakdown_points": {"lower": lbp, "upper": ubp},
         "discriminant_negative": bool(result.discriminant_negative),
     }
-    out, close = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(doc, out, indent=2)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -133,20 +138,17 @@ def _cmd_are(args) -> int:
         raise SchemeError("at least one --scheme is required")
     pname = _model_flag(args, family)
     grid = _parse_grid(getattr(args, pname))
-    mk = lambda v: ParameterVector(**{pname: v, "sigma": args.sigma})
-    out, close = _out_stream(args.output)
-    try:
+    points = [ParameterVector(**{pname: v, "sigma": args.sigma}) for v in grid]
+    for p in points:
+        p.validate(family)
+    with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["scheme"] + [f"{pname}={v:g}" for v in grid])
         for scheme in schemes:
             row = [scheme.label()]
-            for v in grid:
-                r = asymptotics.are(family, mk(v), scheme)
-                row.append(f"{r.are:.3f}")
+            for p in points:
+                row.append(f"{asymptotics.are(family, p, scheme).are:.3f}")
             w.writerow(row)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -155,14 +157,15 @@ def _cmd_simulate(args) -> int:
     schemes = [_parse_scheme(s) for s in args.scheme]
     p1 = _model_flag(args, family)
     params = ParameterVector(**{p1: getattr(args, p1), "sigma": args.sigma})
+    sizes = _parse_grid(args.n)
+    if not all(float(n).is_integer() for n in sizes):
+        raise ValueError(f"--n takes whole numbers, got {args.n!r}")
     configs = [simulation.StudyConfig(
         family, params, int(n), schemes, replicates=args.replicates,
-        repetitions=args.repetitions, seed=args.seed)
-        for n in _parse_grid(args.n)]
+        repetitions=args.repetitions, seed=args.seed) for n in sizes]
     for cfg in configs:
         cfg.validate()
-    out, close = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["estimator", "n", f"mean_{p1}_ratio", "mean_sigma_ratio",
                     "re", f"sd_{p1}_ratio", "sd_sigma_ratio", "sd_re",
@@ -174,9 +177,6 @@ def _cmd_simulate(args) -> int:
                             f"{r.re:.4f}", f"{r.sd_ratio_1:.4f}",
                             f"{r.sd_ratio_2:.4f}", f"{r.sd_re:.4f}",
                             r.failures])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -187,8 +187,7 @@ def _cmd_gof(args) -> int:
     datasets = [("original", data)]
     if args.modified:
         datasets.append(("modified", gof.modify_dataset(data)))
-    out, close = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["dataset", "estimator",
                     "ln_theta", "ln_sigma", "ln_fit", "ln_aic", "ln_bic",
@@ -207,9 +206,6 @@ def _cmd_gof(args) -> int:
                     f"{rf.params.sigma / scale:.2f}",
                     f"{rf.fit:.4f}", f"{rf.aic:.0f}", f"{rf.bic:.0f}",
                 ])
-    finally:
-        if close:
-            out.close()
     return 0
 
 

@@ -2,8 +2,9 @@
 
 FIT is the mean absolute deviation between log fitted quantiles at the
 plotting positions (j - 0.5)/n and the log order statistics.  AIC and
-BIC use the model log-likelihood at the supplied estimates; for
-trimmed-moment estimates this is a plug-in pseudo-likelihood.
+BIC use the model log-likelihood, the sum of `models.logpdf`, at the
+supplied estimates; for trimmed-moment estimates this is a plug-in
+pseudo-likelihood.
 
 The bundled dataset holds the 30 largest US hurricane damages of
 1925-95 in billions of dollars; the analysis pipeline rescales to
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .estimators import fit
-from .models import SPECS, Family, ParameterVector, quantile
+from .models import SPECS, Family, ParameterVector, logpdf, quantile
 from .moments import TrimmingScheme
 
 __all__ = [
@@ -66,22 +67,7 @@ def fit_statistic(family: Family, params: ParameterVector, data) -> float:
 
 
 def log_likelihood(family: Family, params: ParameterVector, data) -> float:
-    x = np.asarray(data, dtype=float)
-    params.validate(family)
-    if family is Family.NORMAL:
-        z = (x - params.theta) / params.sigma
-        return float(np.sum(-0.5 * z * z - math.log(params.sigma)
-                            - 0.5 * math.log(2.0 * math.pi)))
-    if np.any(x <= 0.0):
-        raise ValueError(f"{family.value} support is x > 0")
-    if family is Family.LOGNORMAL:
-        z = (np.log(x) - params.theta) / params.sigma
-        return float(np.sum(-0.5 * z * z - np.log(x) - math.log(params.sigma)
-                            - 0.5 * math.log(2.0 * math.pi)))
-    alpha = 1.0 / params.beta
-    t = (x / params.sigma) ** (-alpha)
-    return float(np.sum(math.log(alpha / params.sigma)
-                        + (-alpha - 1.0) * np.log(x / params.sigma) - t))
+    return float(np.sum(logpdf(family, params, data)))
 
 
 def information_criteria(family: Family, params: ParameterVector, data,

@@ -1,16 +1,19 @@
 """Parametric families: normal, lognormal and Frechet (location zero).
 
-Each family exposes quantile/cdf/pdf/sampling, its reference maximum
-likelihood estimator and one `FamilySpec` record in `SPECS`.  The
-trimmed-moment machinery only ever fits a location-scale model
-y = location + scale * Z to transformed data y, and the spec says how a
-family maps onto it:
+Each family is one `FamilySpec` record in `SPECS` plus its reference
+maximum likelihood estimator.  The trimmed-moment machinery only ever
+fits a location-scale model y = location + scale * Z to transformed
+data y, and the spec says how a family maps onto it:
 
 - normal: y = x, Z ~ Phi^{-1}(U), (theta, sigma) = (location, scale);
 - lognormal: y = log x, the normal model on log-data, with (theta,
   sigma) reported on the log scale;
 - Frechet: y = log x = log sigma + beta * G with G = -log(-log U) the
   standard Gumbel quantile, so location = log sigma and scale = beta.
+
+quantile, cdf, pdf/logpdf and sampling are written once from the spec:
+the base law of Z (normal or standard Gumbel), the transform, its
+inverse and its log-Jacobian.
 
 The paper writes the Frechet constants with Delta(u) = log(-log u) =
 -G(u): its kappa_k are the window averages of Delta^k, so the
@@ -42,8 +45,8 @@ __all__ = [
     "quantile",
     "cdf",
     "pdf",
+    "logpdf",
     "sample",
-    "from_uniform",
     "mle_normal",
     "mle_frechet",
 ]
@@ -80,11 +83,14 @@ class ParameterVector:
     beta: Optional[float] = None
 
     def validate(self, family: Family) -> None:
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if family is Family.FRECHET:
-            if self.beta is None or not (self.beta > 0):
-                raise ValueError(f"beta must be positive, got {self.beta}")
+        """Each reported parameter must be finite, and positive unless it
+        is the location theta."""
+        for name in SPECS[family].names:
+            value = getattr(self, name)
+            if value is None or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name != "theta" and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_u(u):
@@ -94,43 +100,36 @@ def _check_u(u):
     return u
 
 
-def quantile(family: Family, params: ParameterVector, u):
-    """F^{-1}(u) for the parametrized model."""
+def _location_scale(family: Family, params: ParameterVector):
     params.validate(family)
-    u = _check_u(u)
-    if family is Family.NORMAL:
-        return params.theta + params.sigma * ndtri(u)
-    if family is Family.LOGNORMAL:
-        return np.exp(params.theta + params.sigma * ndtri(u))
-    return params.sigma * (-np.log(u)) ** (-params.beta)
+    spec = SPECS[family]
+    return (spec, *spec.location_scale(params))
+
+
+def quantile(family: Family, params: ParameterVector, u):
+    """F^{-1}(u): the inverse transform of loc + scale * base_quantile(u)."""
+    spec, loc, scale = _location_scale(family, params)
+    return spec.inverse(loc + scale * spec.base_quantile(_check_u(u)))
 
 
 def cdf(family: Family, params: ParameterVector, x):
-    params.validate(family)
-    x = np.asarray(x, dtype=float)
-    if family is Family.NORMAL:
-        return ndtr((x - params.theta) / params.sigma)
-    if np.any(x <= 0.0):
-        raise ValueError(f"{family.value} support is x > 0")
-    if family is Family.LOGNORMAL:
-        return ndtr((np.log(x) - params.theta) / params.sigma)
-    return np.exp(-((x / params.sigma) ** (-1.0 / params.beta)))
+    """The base cdf at the standardised transformed data."""
+    spec, loc, scale = _location_scale(family, params)
+    y = spec.transform(np.asarray(x, dtype=float))
+    return spec.base_cdf((y - loc) / scale)
+
+
+def logpdf(family: Family, params: ParameterVector, x):
+    """Log-density: the base log-density at the standardised transformed
+    data, minus log scale, plus the transform's log-Jacobian."""
+    spec, loc, scale = _location_scale(family, params)
+    y = spec.transform(np.asarray(x, dtype=float))
+    return (spec.base_logpdf((y - loc) / scale) - math.log(scale)
+            + spec.log_jacobian(y))
 
 
 def pdf(family: Family, params: ParameterVector, x):
-    params.validate(family)
-    x = np.asarray(x, dtype=float)
-    if family is Family.NORMAL:
-        z = (x - params.theta) / params.sigma
-        return np.exp(-0.5 * z * z) / (params.sigma * math.sqrt(2.0 * math.pi))
-    if np.any(x <= 0.0):
-        raise ValueError(f"{family.value} support is x > 0")
-    if family is Family.LOGNORMAL:
-        z = (np.log(x) - params.theta) / params.sigma
-        return np.exp(-0.5 * z * z) / (x * params.sigma * math.sqrt(2.0 * math.pi))
-    alpha = 1.0 / params.beta
-    t = (x / params.sigma) ** (-alpha)
-    return (alpha / params.sigma) * (x / params.sigma) ** (-alpha - 1.0) * np.exp(-t)
+    return np.exp(logpdf(family, params, x))
 
 
 def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:
@@ -141,15 +140,9 @@ def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    spec = _location_scale(family, params)[0]
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return from_uniform(family, params, rng.random(n))
-
-
-def from_uniform(family: Family, params: ParameterVector, u) -> np.ndarray:
-    """Draws by inverse transform of the uniform draws u (an array of any
-    shape, which is clipped in place)."""
-    # Keep u strictly inside (0, 1); random() can return exactly 0.
-    return quantile(family, params, np.clip(u, 1e-300, 1.0 - 1e-16, out=u))
+    return spec.inverse(spec.draw(params, rng.random(n)))
 
 
 def _normal_rows(y):
@@ -240,12 +233,14 @@ def _gumbel_quantile(u):
     return -np.log(-np.log(u))
 
 
-def _log_of_positive(label):
+def _log_data(label):
+    """y = log x for positive data, its inverse, and the log-Jacobian
+    log |dy/dx| = -log x = -y."""
     def transform(x):
         if np.any(x <= 0.0):
             raise ValueError(f"{label} data must be positive")
         return np.log(x)
-    return transform
+    return dict(transform=transform, inverse=np.exp, log_jacobian=np.negative)
 
 
 def _s_mle_frechet(p):
@@ -272,6 +267,10 @@ _exp = np.frompyfunc(math.exp, 1, 1)
 class FamilySpec:
     """How one family maps onto the location-scale engine.
 
+    The data y = transform(x) (x = inverse(y), with log |dy/dx| =
+    log_jacobian(y)) follow y = loc + scale * Z, where Z has the base
+    law given by `base_quantile`, `base_cdf` and `base_logpdf`; every
+    distribution function of the family is derived from these.
     Reported parameters come in `names` order, also the row order of
     estimator Jacobians: Frechet reports (scale, exp(location)), so
     `scale_first` is set and the location row carries d sigma / d
@@ -279,14 +278,17 @@ class FamilySpec:
     arrays.  `mle` fits the raw data, `mle_rows` each row of transformed
     data (R, n), as (location, scale) arrays that are NaN where no
     estimate exists, and `scaled` names the parameters in data units.
-    The `mle` lambdas look
-    the estimators up at call time, so rebinding the module-level names
-    (as bench/spans.py does) reaches them.
+    The `mle` lambdas look the estimators up at call time, so rebinding
+    the module-level names (as bench/spans.py does) reaches them.
     """
 
     names: Tuple[str, str]
     transform: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
+    log_jacobian: Callable[[np.ndarray], np.ndarray]
     base_quantile: Callable
+    base_cdf: Callable
+    base_logpdf: Callable
     location_scale: Callable[[ParameterVector], Tuple[float, float]]
     params: Callable[[float, float], ParameterVector]
     location_factor: Callable[[float], float]
@@ -300,10 +302,20 @@ class FamilySpec:
         """The reported parameters of p, in `names` order."""
         return (getattr(p, self.names[0]), getattr(p, self.names[1]))
 
+    def draw(self, p: ParameterVector, u) -> np.ndarray:
+        """Transformed data loc + scale * base_quantile(u) from uniform
+        draws u of any shape, which are clipped in place to stay strictly
+        inside (0, 1): random() can return exactly 0."""
+        loc, scale = self.location_scale(p)
+        return loc + scale * self.base_quantile(
+            np.clip(u, 1e-300, 1.0 - 1e-16, out=u))
+
 
 _NORMAL_MAPS = dict(
     names=("theta", "sigma"),
     base_quantile=ndtri,
+    base_cdf=ndtr,
+    base_logpdf=lambda z: -0.5 * (z * z + math.log(2.0 * math.pi)),
     location_scale=lambda p: (p.theta, p.sigma),
     params=lambda loc, scale: ParameterVector(theta=loc, sigma=scale),
     location_factor=lambda sigma: 1.0,
@@ -315,17 +327,20 @@ _NORMAL_MAPS = dict(
 
 SPECS = {
     Family.NORMAL: FamilySpec(
-        transform=lambda x: x,
+        transform=lambda x: x, inverse=lambda y: y,
+        log_jacobian=lambda y: 0.0,
         mle=lambda x: ParameterVector(*mle_normal(x)),
         **_NORMAL_MAPS),
     Family.LOGNORMAL: FamilySpec(
-        transform=_log_of_positive("lognormal"),
+        **_log_data("lognormal"),
         mle=lambda x: ParameterVector(*mle_normal(np.log(x))),
         **_NORMAL_MAPS),
     Family.FRECHET: FamilySpec(
         names=("beta", "sigma"),
-        transform=_log_of_positive("Frechet"),
+        **_log_data("Frechet"),
         base_quantile=_gumbel_quantile,
+        base_cdf=lambda z: np.exp(-np.exp(-z)),
+        base_logpdf=lambda z: -z - np.exp(-z),
         location_scale=lambda p: (math.log(p.sigma), p.beta),
         params=lambda loc, scale: _frechet(scale, _exp(loc)),
         location_factor=lambda sigma: sigma,

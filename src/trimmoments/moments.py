@@ -224,9 +224,11 @@ def _constants(scheme: TrimmingScheme, const, kind) -> MomentConstants:
                            eta_22 / eta_12)
 
 
+@lru_cache(maxsize=None)
 def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
     """Location-scale constants c and the eta quadratic forms (for
-    Frechet, c of the Gumbel base: equal to zeta_constants' c_form)."""
+    Frechet, c of the Gumbel base: equal to zeta_constants' c_form),
+    cached per scheme."""
     base = SPECS[family].base_quantile
     return _constants(scheme, lambda a, b, k: _window_mean(base, a, b, k), "c")
 
@@ -241,13 +243,8 @@ def population_moments(family: Family, params: ParameterVector,
     """Population trimmed moments (T1, T2) of the transformed data: X
     itself for normal data, log X for lognormal and Frechet data."""
     params.validate(family)
-    spec = SPECS[family]
-    loc, scale = spec.location_scale(params)
-    a1, bbar1 = scheme.window(1)
-    a2, bbar2 = scheme.window(2)
-    c1_11 = _window_mean(spec.base_quantile, a1, bbar1, 1)
-    c1_22 = _window_mean(spec.base_quantile, a2, bbar2, 1)
-    c2_22 = _window_mean(spec.base_quantile, a2, bbar2, 2)
-    t1 = loc + scale * c1_11
-    t2 = loc * loc + 2.0 * loc * scale * c1_22 + scale * scale * c2_22
+    loc, scale = SPECS[family].location_scale(params)
+    c = eta_constants(family, scheme)
+    t1 = loc + scale * c.m1_11
+    t2 = loc * loc + 2.0 * loc * scale * c.m1_22 + scale * scale * c.m2_22
     return t1, t2

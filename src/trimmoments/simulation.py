@@ -6,7 +6,8 @@ study is fitted to the same samples.  Replicate k of repetition r draws
 its uniforms from its own stream SeedSequence((seed, r, k)), so results
 are reproducible and do not depend on how replicates are grouped.
 Replicates are processed in blocks of at most BLOCK_ELEMENTS values: a
-block goes through the family quantile and transform at once, gets its
+block is drawn directly on the transformed scale the estimators fit,
+y = loc + scale * base_quantile(u) (`FamilySpec.draw`), gets its
 reference MLE (`FamilySpec.mle_rows`) on the rows as drawn, is sorted
 once, and each estimator fits all its rows in one `estimators.fit_rows`
 call.  A replicate whose fit fails, or whose MLE fails where the MLE
@@ -27,7 +28,7 @@ import numpy as np
 
 from .asymptotics import s_mle
 from .estimators import EstimationError, fit_rows
-from .models import SPECS, Family, ParameterVector, from_uniform
+from .models import SPECS, Family, ParameterVector
 from .moments import TrimmingScheme, eta_constants
 
 __all__ = ["StudyConfig", "SchemeSummary", "StudyResult", "finite_re",
@@ -39,6 +40,9 @@ MLE_LABEL = "MLE"
 # study holds a few blocks' worth of memory whatever its size.
 BLOCK_ELEMENTS = 2 ** 17
 
+# Largest share of replicates an estimator may fail on.
+MAX_FAILURE_RATE = 0.01
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -49,8 +53,6 @@ class StudyConfig:
     replicates: int = 2000
     repetitions: int = 3
     seed: int = 0
-    include_mle: bool = True
-    max_failure_rate: float = 0.01
 
     def validate(self):
         self.params.validate(self.family)
@@ -128,8 +130,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     truth = np.array(spec.estimates(params))
     constants = [eta_constants(family, s) for s in config.schemes]
 
-    labels = ([MLE_LABEL] if config.include_mle else []) \
-        + [s.label() for s in config.schemes]
+    labels = [MLE_LABEL] + [s.label() for s in config.schemes]
     nlab = len(labels)
     ratio_reps = np.full((config.repetitions, nlab, 2), np.nan)
     re_reps = np.full((config.repetitions, nlab), np.nan)
@@ -140,11 +141,10 @@ def run_study(config: StudyConfig) -> StudyResult:
         est = np.full((nlab, config.replicates, 2), np.nan)
         for start in range(0, config.replicates, block):
             stop = min(start + block, config.replicates)
-            y = spec.transform(from_uniform(
-                family, params, _uniforms(config.seed, rep, start, stop, n)))
+            y = spec.draw(params, _uniforms(config.seed, rep, start, stop, n))
             mle = spec.mle_rows(y)
             y.sort(axis=1)
-            fits = [mle] if config.include_mle else []
+            fits = [mle]
             for scheme, con in zip(config.schemes, constants):
                 loc, scale = fit_rows(y, scheme, con, lambda: mle[1])[:2]
                 fits.append((loc, np.where(scale > 0.0, scale, np.nan)))
@@ -166,10 +166,10 @@ def run_study(config: StudyConfig) -> StudyResult:
     result = StudyResult(config)
     for idx, label in enumerate(labels):
         frate = failures[idx] / total
-        if frate > config.max_failure_rate:
+        if frate > MAX_FAILURE_RATE:
             raise EstimationError(
                 f"estimator {label} failed on {100.0 * frate:.1f}% of "
-                f"replicates (limit {100.0 * config.max_failure_rate:.1f}%); "
+                f"replicates (limit {100.0 * MAX_FAILURE_RATE:.1f}%); "
                 "update trimming proportions"
             )
         with warnings.catch_warnings():  # no repetition left: NaN, quietly

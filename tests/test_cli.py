@@ -170,6 +170,50 @@ class TestSimulate:
         assert header[:3] == ["estimator", "n", "mean_theta_ratio"]
 
 
+SCHEME = ("--scheme", "0.1,0.1,0.1,0.1")
+SIMULATE = ("simulate", "--replicates", "100", "--repetitions", "1") + SCHEME
+NORMAL = ("--model", "normal", "--sigma", "1", "--theta", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("are", "--model", "normal", "--sigma", "1", "--theta", "nan,inf")
+    + SCHEME,
+    ("are", "--model", "normal", "--sigma", "inf", "--theta", "1") + SCHEME,
+    ("are", "--model", "frechet", "--sigma", "2", "--beta", "inf") + SCHEME,
+    ("are", "--model", "lognormal", "--sigma", "1", "--theta=-inf")
+    + SCHEME,
+    SIMULATE + ("--n", "20", "--model", "frechet", "--sigma", "2",
+                "--beta", "inf"),
+    SIMULATE + ("--n", "20", "--model", "normal", "--sigma", "inf",
+                "--theta", "1"),
+    SIMULATE + ("--n", "20", "--model", "lognormal", "--sigma", "1",
+                "--theta", "nan"),
+])
+def test_non_finite_parameter_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("validation error:")
+    assert len(err.splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--model", "normal", "--data", "hurricane",
+     "--a1", "1/0", "--b1", "0", "--a2", "0", "--b2", "0"),
+    ("are", "--model", "normal", "--sigma", "1",
+     "--theta", "0:1e308:1e-308") + SCHEME,
+    ("are", "--model", "normal", "--sigma", "1",
+     "--theta=-1e308:1e308:1") + SCHEME,
+    SIMULATE + ("--n", "20.7") + NORMAL,
+    SIMULATE + ("--n", "inf") + NORMAL,
+])
+def test_unparsable_number_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("validation error:")
+    assert out == ""
+
+
 class TestGof:
     def test_table_shape_and_modified_rows(self, capsys):
         code, out, _ = run(capsys, "gof", "--modified",
