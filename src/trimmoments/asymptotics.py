@@ -145,13 +145,15 @@ def _v_pair(HA, winA, HB, winB):
     return total
 
 
-def _entries_from_base(scheme: TrimmingScheme, base, half_sq):
+@lru_cache(maxsize=None)
+def _entries(base, scheme: TrimmingScheme) -> dict:
     """The six parameter-free covariance building blocks for one model,
-    evaluated through the closed-form V routine.
+    evaluated through the closed-form V routine and cached per scheme.
 
     base is the family's base quantile (Phi^{-1} or the Gumbel G) and
     half_sq its squared half, whose derivative weight is base itself.
     """
+    half_sq = lambda u: 0.5 * base(u) ** 2
     w1 = scheme.window(1)
     w2 = scheme.window(2)
     g1 = 1.0 / (1.0 - scheme.a1 - scheme.b1)
@@ -164,17 +166,6 @@ def _entries_from_base(scheme: TrimmingScheme, base, half_sq):
         "222": g2 * g2 * _v_pair(base, w2, half_sq, w2),
         "223": g2 * g2 * _v_pair(half_sq, w2, half_sq, w2),
     }
-
-
-@lru_cache(maxsize=None)
-def _entries_cached(base, key):
-    scheme = TrimmingScheme(*key)
-    return _entries_from_base(scheme, base, lambda u: 0.5 * base(u) ** 2)
-
-
-def _entries(base, scheme: TrimmingScheme) -> dict:
-    key = (scheme.a1, scheme.b1, scheme.a2, scheme.b2, scheme.tag)
-    return _entries_cached(base, key)
 
 
 def lambda_entries(scheme: TrimmingScheme) -> dict:
@@ -275,7 +266,11 @@ def s_mle(family: Family, params: ParameterVector) -> np.ndarray:
     """Asymptotic covariance of the MLE, the inverse Fisher information
     (`FamilySpec.s_mle`)."""
     params.validate(family)
-    return SPECS[family].s_mle(params)
+    try:
+        return SPECS[family].s_mle(params)
+    except OverflowError:
+        raise ValueError("parameters out of range: the MLE covariance "
+                         "overflows") from None
 
 
 def are(family: Family, params: ParameterVector,
@@ -286,11 +281,8 @@ def are(family: Family, params: ParameterVector,
     det(D-) = -det(D+) the branch choice cannot affect the result.
     """
     det_mle = float(np.linalg.det(s_mle(family, params)))
-    constants = eta_constants(family, scheme)
-    t1, t2 = population_moments(family, params, scheme)
     try:
-        jac = jacobian_at_moments(family, t1, t2, constants, "plus",
-                                  params.sigma)
+        jac = jacobian_location_scale(params, scheme, "plus", family)
     except SingularityError:
         return AreResult(family, params, scheme, det_mle, math.inf, 0.0, True)
     s_t = delta_covariance(sigma_T(family, params, scheme), jac)

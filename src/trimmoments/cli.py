@@ -64,9 +64,11 @@ def _parse_grid(spec: str):
 
 
 def _load_data(path: str, scale: float) -> np.ndarray:
-    if path == "hurricane":
-        return gof.load_dataset() * scale
-    return gof.load_dataset(path) * scale
+    x = gof.load_dataset(None if path == "hurricane" else path)
+    if not (scale > 0.0 and math.isfinite(float(np.abs(x).max()) * scale)):
+        raise ValueError(f"--scale must be positive and keep the data "
+                         f"finite, got {scale}")
+    return x * scale
 
 
 @contextlib.contextmanager
@@ -77,6 +79,12 @@ def _output(path):
     else:
         with open(path, "w", newline="") as out:
             yield out
+
+
+def _write_csv(path, rows):
+    """Write rows that are all computed, so a failure writes nothing."""
+    with _output(path) as out:
+        csv.writer(out).writerows(rows)
 
 
 def _cmd_fit(args) -> int:
@@ -114,9 +122,9 @@ def _cmd_fit(args) -> int:
         "breakdown_points": {"lower": lbp, "upper": ubp},
         "discriminant_negative": bool(result.discriminant_negative),
     }
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with _output(args.output) as out:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(text + "\n")
     return 0
 
 
@@ -141,14 +149,11 @@ def _cmd_are(args) -> int:
     points = [ParameterVector(**{pname: v, "sigma": args.sigma}) for v in grid]
     for p in points:
         p.validate(family)
-    with _output(args.output) as out:
-        w = csv.writer(out)
-        w.writerow(["scheme"] + [f"{pname}={v:g}" for v in grid])
-        for scheme in schemes:
-            row = [scheme.label()]
-            for p in points:
-                row.append(f"{asymptotics.are(family, p, scheme).are:.3f}")
-            w.writerow(row)
+    rows = [["scheme"] + [f"{pname}={v:g}" for v in grid]]
+    for scheme in schemes:
+        rows.append([scheme.label()] + [
+            f"{asymptotics.are(family, p, scheme).are:.3f}" for p in points])
+    _write_csv(args.output, rows)
     return 0
 
 
@@ -165,18 +170,15 @@ def _cmd_simulate(args) -> int:
         repetitions=args.repetitions, seed=args.seed) for n in sizes]
     for cfg in configs:
         cfg.validate()
-    with _output(args.output) as out:
-        w = csv.writer(out)
-        w.writerow(["estimator", "n", f"mean_{p1}_ratio", "mean_sigma_ratio",
-                    "re", f"sd_{p1}_ratio", "sd_sigma_ratio", "sd_re",
-                    "failures"])
-        for cfg in configs:
-            for r in simulation.run_study(cfg).rows:
-                w.writerow([r.label, cfg.n,
-                            f"{r.mean_ratio_1:.4f}", f"{r.mean_ratio_2:.4f}",
-                            f"{r.re:.4f}", f"{r.sd_ratio_1:.4f}",
-                            f"{r.sd_ratio_2:.4f}", f"{r.sd_re:.4f}",
-                            r.failures])
+    rows = [["estimator", "n", f"mean_{p1}_ratio", "mean_sigma_ratio", "re",
+             f"sd_{p1}_ratio", "sd_sigma_ratio", "sd_re", "failures"]]
+    for cfg in configs:
+        for r in simulation.run_study(cfg).rows:
+            rows.append([r.label, cfg.n,
+                         f"{r.mean_ratio_1:.4f}", f"{r.mean_ratio_2:.4f}",
+                         f"{r.re:.4f}", f"{r.sd_ratio_1:.4f}",
+                         f"{r.sd_ratio_2:.4f}", f"{r.sd_re:.4f}", r.failures])
+    _write_csv(args.output, rows)
     return 0
 
 
@@ -187,25 +189,22 @@ def _cmd_gof(args) -> int:
     datasets = [("original", data)]
     if args.modified:
         datasets.append(("modified", gof.modify_dataset(data)))
-    with _output(args.output) as out:
-        w = csv.writer(out)
-        w.writerow(["dataset", "estimator",
-                    "ln_theta", "ln_sigma", "ln_fit", "ln_aic", "ln_bic",
-                    "fr_beta", "fr_sigma_scaled", "fr_fit", "fr_aic",
-                    "fr_bic"])
-        for tag, x in datasets:
-            rows = [("MLE", None)] + [(s.label(), s) for s in schemes]
-            for label, scheme in rows:
-                rl = gof.gof_report(Family.LOGNORMAL, x, scheme, tag)
-                rf = gof.gof_report(Family.FRECHET, x, scheme, tag)
-                w.writerow([
-                    tag, label,
-                    f"{rl.params.theta:.2f}", f"{rl.params.sigma:.2f}",
-                    f"{rl.fit:.4f}", f"{rl.aic:.0f}", f"{rl.bic:.0f}",
-                    f"{rf.params.beta:.2f}",
-                    f"{rf.params.sigma / scale:.2f}",
-                    f"{rf.fit:.4f}", f"{rf.aic:.0f}", f"{rf.bic:.0f}",
-                ])
+    rows = [["dataset", "estimator",
+             "ln_theta", "ln_sigma", "ln_fit", "ln_aic", "ln_bic",
+             "fr_beta", "fr_sigma_scaled", "fr_fit", "fr_aic", "fr_bic"]]
+    estimators = [("MLE", None)] + [(s.label(), s) for s in schemes]
+    for tag, x in datasets:
+        for label, scheme in estimators:
+            rl = gof.gof_report(Family.LOGNORMAL, x, scheme, tag)
+            rf = gof.gof_report(Family.FRECHET, x, scheme, tag)
+            rows.append([
+                tag, label,
+                f"{rl.params.theta:.2f}", f"{rl.params.sigma:.2f}",
+                f"{rl.fit:.4f}", f"{rl.aic:.0f}", f"{rl.bic:.0f}",
+                f"{rf.params.beta:.2f}", f"{rf.params.sigma / scale:.2f}",
+                f"{rf.fit:.4f}", f"{rf.aic:.0f}", f"{rf.bic:.0f}",
+            ])
+    _write_csv(args.output, rows)
     return 0
 
 
@@ -280,7 +279,8 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"estimation failure: {exc}", file=sys.stderr)
         return 3
-    except (SchemeError, ValueError, asymptotics.SingularityError) as exc:
+    except (SchemeError, ValueError, OverflowError,
+            asymptotics.SingularityError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

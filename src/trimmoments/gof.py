@@ -105,13 +105,9 @@ def load_dataset(path: Optional[str] = None) -> np.ndarray:
             continue  # header line
     if not values:
         raise ValueError("no numeric values found in dataset")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("dataset holds a non-finite value")
     return np.asarray(values, dtype=float)
-
-
-def _report(family, label, params, data, tag):
-    fit = fit_statistic(family, params, data)
-    aic, bic = information_criteria(family, params, data)
-    return GofReport(family, label, params, fit, aic, bic, len(data), tag)
 
 
 def gof_report(family: Family, data, scheme: Optional[TrimmingScheme] = None,
@@ -125,4 +121,6 @@ def gof_report(family: Family, data, scheme: Optional[TrimmingScheme] = None,
         params, label = SPECS[family].mle(x), "MLE"
     else:
         params, label = fit(x, scheme, family).params, scheme.label()
-    return _report(family, label, params, x, tag)
+    stat = fit_statistic(family, params, x)
+    aic, bic = information_criteria(family, params, x)
+    return GofReport(family, label, params, stat, aic, bic, len(x), tag)

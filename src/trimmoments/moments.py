@@ -13,8 +13,9 @@ window averages c_k of powers of the base quantile: Phi^{-1} for the
 normal and lognormal models, the Gumbel G(u) = -log(-log u) for Frechet
 (mu = log sigma, s = beta).  The paper's Frechet constants kappa_k
 average powers of Delta = log(-log u) = -G instead, so kappa_1 = -c_1
-and kappa_2 = c_2; `zeta_constants` returns them in that kappa form and
-`MomentConstants.c_form` is the one place they are turned back.
+and kappa_2 = c_2; `zeta_constants` is the signed view of the cached
+Gumbel constants `eta_constants(Family.FRECHET, .)` in that kappa form,
+and `MomentConstants.c_form` turns it back through the same sign flip.
 """
 
 from __future__ import annotations
@@ -65,24 +66,13 @@ class TrimmingScheme:
     b2: float
     tag: SchemeTag
 
-    @property
-    def bbar1(self) -> float:
-        return 1.0 - self.b1
-
-    @property
-    def bbar2(self) -> float:
-        return 1.0 - self.b2
-
     def window(self, j: int):
         """(a_j, 1-b_j) for moment j in {1, 2}."""
         if j == 1:
-            return (self.a1, self.bbar1)
+            return (self.a1, 1.0 - self.b1)
         if j == 2:
-            return (self.a2, self.bbar2)
+            return (self.a2, 1.0 - self.b2)
         raise ValueError(f"moment index must be 1 or 2, got {j}")
-
-    def proportions(self):
-        return (self.a1, self.b1, self.a2, self.b2)
 
     def label(self) -> str:
         return (f"({self.a1:g},{self.b1:g})/({self.a2:g},{self.b2:g})")
@@ -158,13 +148,6 @@ def _c_cached(base, a: float, bbar: float, k: int) -> float:
     return integrate(lambda u: base(u) ** k, a, bbar) / (bbar - a)
 
 
-def _check_window(a, bbar, k):
-    if not (0.0 <= a < bbar <= 1.0):
-        raise SchemeError(f"window must satisfy 0 <= a < bbar <= 1, got ({a}, {bbar})")
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"k must be in 1..4, got {k}")
-
-
 def c_k(family: Family, a: float, bbar: float, k: int) -> float:
     """Window-averaged k-th power of the standard normal quantile."""
     if family is Family.FRECHET:
@@ -180,7 +163,10 @@ def kappa_k(a: float, bbar: float, k: int) -> float:
 
 def _window_mean(base, a: float, bbar: float, k: int) -> float:
     """Window-averaged k-th power of a base quantile function."""
-    _check_window(a, bbar, k)
+    if not (0.0 <= a < bbar <= 1.0):
+        raise SchemeError(f"window must satisfy 0 <= a < bbar <= 1, got ({a}, {bbar})")
+    if k not in (1, 2, 3, 4):
+        raise ValueError(f"k must be in 1..4, got {k}")
     return _c_cached(base, a, bbar, k)
 
 
@@ -206,36 +192,34 @@ class MomentConstants:
     def c_form(self) -> "MomentConstants":
         """These constants with c_1 = -kappa_1 (c_2 = kappa_2) for the
         Frechet kappa kind; every estimator formula uses this form."""
-        if self.kind == "kappa":
-            return replace(self, kind="c", m1_11=-self.m1_11,
-                           m1_22=-self.m1_22)
-        return self
+        return _flip(self, "c") if self.kind == "kappa" else self
 
 
-def _constants(scheme: TrimmingScheme, const, kind) -> MomentConstants:
-    a1, bbar1 = scheme.window(1)
-    a2, bbar2 = scheme.window(2)
-    m1_11 = const(a1, bbar1, 1)
-    m1_22 = const(a2, bbar2, 1)
-    m2_22 = const(a2, bbar2, 2)
-    eta_12 = m1_11 * m1_11 - 2.0 * m1_11 * m1_22 + m2_22
-    eta_22 = m2_22 - m1_22 * m1_22
-    return MomentConstants(kind, m1_11, m1_22, m2_22, eta_12, eta_22,
-                           eta_22 / eta_12)
+def _flip(con: MomentConstants, kind: str) -> MomentConstants:
+    """con with the first-order constants negated, relabelled kind (the
+    eta forms are even in them, so they carry over exactly)."""
+    return replace(con, kind=kind, m1_11=-con.m1_11, m1_22=-con.m1_22)
 
 
 @lru_cache(maxsize=None)
 def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
     """Location-scale constants c and the eta quadratic forms (for
-    Frechet, c of the Gumbel base: equal to zeta_constants' c_form),
-    cached per scheme."""
+    Frechet, c of the Gumbel base), cached per scheme."""
     base = SPECS[family].base_quantile
-    return _constants(scheme, lambda a, b, k: _window_mean(base, a, b, k), "c")
+    (a1, bbar1), (a2, bbar2) = scheme.window(1), scheme.window(2)
+    m1_11 = _window_mean(base, a1, bbar1, 1)
+    m1_22 = _window_mean(base, a2, bbar2, 1)
+    m2_22 = _window_mean(base, a2, bbar2, 2)
+    eta_12 = m1_11 * m1_11 - 2.0 * m1_11 * m1_22 + m2_22
+    eta_22 = m2_22 - m1_22 * m1_22
+    return MomentConstants("c", m1_11, m1_22, m2_22, eta_12, eta_22,
+                           eta_22 / eta_12)
 
 
 def zeta_constants(scheme: TrimmingScheme) -> MomentConstants:
-    """Frechet constants kappa and the zeta quadratic forms."""
-    return _constants(scheme, kappa_k, "kappa")
+    """Frechet constants kappa and the zeta quadratic forms: the signed
+    view of the cached Gumbel constants."""
+    return _flip(eta_constants(Family.FRECHET, scheme), "kappa")
 
 
 def population_moments(family: Family, params: ParameterVector,

@@ -13,12 +13,10 @@ are interior, so f is never called at 0 or 1.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["Integrand", "IntegrationError", "integrate"]
+__all__ = ["IntegrationError", "integrate"]
 
 # 15-point Kronrod abscissae on [-1, 1] and the matching weights for the
 # embedded 7-point Gauss rule.  Values from the standard QUADPACK tables.
@@ -69,15 +67,6 @@ _WG = np.array([
 _MAX_INTERVALS = 2 ** 16
 
 
-@dataclass(frozen=True)
-class Integrand:
-    """Evaluation rule on (0, 1) with optional singular-endpoint flags."""
-
-    f: Callable[[np.ndarray], np.ndarray]
-    singular_left: bool = False
-    singular_right: bool = False
-
-
 class IntegrationError(Exception):
     """Raised when the subdivision budget is exhausted.
 
@@ -112,11 +101,12 @@ def integrate(f, a, b, tol=1e-10):
 
     Parameters
     ----------
-    f : callable or Integrand
+    f : callable
         Vectorized integrand, finite on the open interval.
     a, b : float
         Limits with 0 <= a < b <= 1.  Endpoint values 0 and 1 are fine:
-        only interior nodes are ever evaluated.
+        only interior nodes are ever evaluated, and a limit at 0 or 1 is
+        treated as a possible singularity.
     tol : float
         Absolute error target.
 
@@ -132,30 +122,20 @@ def integrate(f, a, b, tol=1e-10):
     ValueError
         On an invalid interval or tolerance.
     """
-    if isinstance(f, Integrand):
-        fun = f.f
-        singular_left = f.singular_left
-        singular_right = f.singular_right
-    else:
-        fun = f
-        singular_left = a == 0.0
-        singular_right = b == 1.0
     if not (a < b):
         raise ValueError(f"integration limits must satisfy a < b, got [{a}, {b}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    # Seed panels: peel geometric shells off flagged singular endpoints
-    # so the first adaptive pass already resolves most of the spike.
+    # Seed panels: peel geometric shells off the limits 0 and 1, where
+    # quantile powers may diverge, so the first adaptive pass already
+    # resolves most of the spike.
+    w = b - a
     cuts = [a]
-    if singular_left:
-        w = b - a
+    if a == 0.0:
         cuts.extend(a + w * 10.0 ** (-k) for k in range(6, 0, -1))
-    inner_right = []
-    if singular_right:
-        w = b - a
-        inner_right = [b - w * 10.0 ** (-k) for k in range(1, 7)]
-    cuts.extend(inner_right)
+    if b == 1.0:
+        cuts.extend(b - w * 10.0 ** (-k) for k in range(1, 7))
     cuts.append(b)
     cuts = sorted(set(cuts))
 
@@ -163,7 +143,7 @@ def integrate(f, a, b, tol=1e-10):
     total = 0.0
     total_err = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        est, err = _gk15(fun, lo, hi)
+        est, err = _gk15(f, lo, hi)
         total += est
         total_err += err
         heapq.heappush(heap, (-err, lo, hi, est))
@@ -184,8 +164,8 @@ def integrate(f, a, b, tol=1e-10):
             total_err += neg_err  # remove this error from the budget
             total_err = max(total_err, 0.0)
             continue
-        e1, r1 = _gk15(fun, lo, mid)
-        e2, r2 = _gk15(fun, mid, hi)
+        e1, r1 = _gk15(f, lo, mid)
+        e2, r2 = _gk15(f, mid, hi)
         total += (e1 + e2) - est
         total_err += (r1 + r2) + neg_err
         heapq.heappush(heap, (-r1, lo, mid, e1))

@@ -55,7 +55,7 @@ class StudyConfig:
     seed: int = 0
 
     def validate(self):
-        self.params.validate(self.family)
+        s_mle(self.family, self.params)  # validates params, rejects overflow
         if self.n < 20:
             raise ValueError("n must be >= 20")
         if self.replicates < 100:

@@ -401,6 +401,16 @@ class TestAre:
         assert not r.singular
         assert r.are == pytest.approx(0.004, abs=2e-3)
 
+    def test_vanishing_discriminant_is_singular(self):
+        # At this theta the plus-branch discriminant of the scheme falls
+        # below the singularity threshold: ARE 0 with the singular flag.
+        s = validate_scheme(0.05, 0.05, 0.00, 0.10)
+        r = are(Family.NORMAL, ParameterVector(theta=3.846702307022145,
+                                               sigma=1.0), s)
+        assert r.singular
+        assert r.are == 0.0
+        assert r.det_s_t == math.inf
+
 
 class TestBreakdownAndFitCovariance:
     def test_breakdown_points(self):

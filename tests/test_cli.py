@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trimmoments import simulation
 from trimmoments.cli import main
 
 
@@ -227,3 +228,105 @@ class TestGof:
         t3_orig, t3_mod = rows[2], rows[4]
         assert t3_orig[2:4] == t3_mod[2:4]
         assert t3_orig[7:9] == t3_mod[7:9]
+
+
+FIT_ZERO = ("--a1", "0", "--b1", "0", "--a2", "0", "--b2", "0")
+HUGE_SIGMA = ("--sigma", "1e200", "--theta", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("are", "--model", "normal", "--scheme", "0.1,0.1,0,0.2") + HUGE_SIGMA,
+    SIMULATE + ("--n", "20", "--model", "normal") + HUGE_SIGMA,
+    ("fit", "--model", "frechet", "--data", "hurricane", "--scale", "1e300")
+    + FIT_ZERO,
+])
+def test_overflow_exit_2(capsys, argv):
+    # sigma**2 of the MLE covariance, and a fitted covariance JSON would
+    # print as Infinity.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("validation error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_data_row_exit_2(capsys, tmp_path, value):
+    path = tmp_path / "data.csv"
+    path.write_text("x\n" + "\n".join(
+        [str(v) for v in range(1, 10)] + [value]) + "\n")
+    code, out, err = run(capsys, "fit", "--model", "normal",
+                         "--data", str(path), "--a1", "0.1", "--b1", "0.1",
+                         "--a2", "0.1", "--b2", "0.1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--model", "normal", "--data", "hurricane", "--scale", "nan")
+    + FIT_ZERO,
+    ("fit", "--model", "normal", "--data", "hurricane", "--scale", "inf")
+    + FIT_ZERO,
+    ("fit", "--model", "normal", "--data", "hurricane", "--scale", "1e308")
+    + FIT_ZERO,
+    ("gof", "--scale", "0"),
+    ("gof", "--scale", "-1"),
+])
+def test_bad_scale_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("command", ["are", "simulate", "gof"])
+def test_failure_during_rows_writes_nothing(capsys, tmp_path, monkeypatch,
+                                            command, to_file):
+    # Each command fails while it computes its rows, after its header:
+    # neither the header nor a file may be written.
+    if command == "are":
+        argv = ("are", "--model", "normal", "--sigma", "1e200",
+                "--theta", "1") + SCHEME
+    elif command == "simulate":
+        draw = simulation._uniforms  # constant samples: no Frechet MLE
+        monkeypatch.setattr(simulation, "_uniforms",
+                            lambda *a: np.full_like(draw(*a), 0.5))
+        argv = SIMULATE + ("--n", "20", "--model", "frechet",
+                           "--sigma", "2", "--beta", "5")
+    else:
+        data = tmp_path / "data.csv"
+        data.write_text("x\n1\n2\n-3\n4\n5\n")
+        argv = ("gof", "--data", str(data), "--scale", "1")
+    out_file = tmp_path / "out.csv"
+    if to_file:
+        argv += ("-o", str(out_file))
+    code, out, err = run(capsys, *argv)
+    assert code in (2, 3)
+    assert out == ""
+    assert not out_file.exists()
+    assert "Traceback" not in err
+
+
+def test_output_file_on_success(capsys, tmp_path):
+    argv = ("fit", "--model", "lognormal", "--data", "hurricane") + FIT_ZERO
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    out_file = tmp_path / "fit.json"
+    code, out, err = run(capsys, *argv, "-o", str(out_file))
+    assert code == 0
+    assert out == "" and err == ""
+    assert out_file.read_text() == expected
+
+
+def test_constant_data_exit_3(capsys, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x\n" + "4\n" * 10)
+    code, out, err = run(capsys, "fit", "--model", "normal",
+                         "--data", str(path), *FIT_ZERO)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("estimation failure:")

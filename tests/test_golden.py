@@ -42,6 +42,14 @@ CASES = {
     "fit_frechet.json": ["fit", "--model", "frechet", "--data", "hurricane",
                          "--a1", "1/30", "--b1", "1/30",
                          "--a2", "1/30", "--b2", "1/30"],
+    # Unequal schemes: the nested-window covariance entries and the linear
+    # term of the Jacobian (minus branch, then plus branch).
+    "fit_frechet_nested.json": ["fit", "--model", "frechet",
+                                "--data", "hurricane", "--a1", "0.05",
+                                "--b1", "0.05", "--a2", "0", "--b2", "0.10"],
+    "fit_lognormal_nested.json": ["fit", "--model", "lognormal",
+                                  "--data", "hurricane", "--a1", "0.1",
+                                  "--b1", "0.1", "--a2", "0.2", "--b2", "0"],
     "are_normal.csv": ["are", "--model", "normal", "--sigma", "3",
                        "--theta=-25,-15,-10,-5,0,5,10,15,25"]
     + _schemes(TABLE_SCHEMES),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trimmoments import simulation
+from trimmoments.estimators import EstimationError
 from trimmoments.models import Family, ParameterVector
 from trimmoments.moments import validate_scheme
 from trimmoments.simulation import (
@@ -165,6 +166,23 @@ class TestRunStudy:
         assert [r.failures for r in rows] == [2, 2, 2, 0]
         for r in rows:
             assert np.isfinite([r.mean_ratio_1, r.mean_ratio_2, r.re]).all()
+
+    def test_failure_rate_limit_raises(self, monkeypatch):
+        # Two of 100 replicates constant: 2% MLE failures > the 1% limit.
+        draw = simulation._uniforms
+
+        def two_constant(seed, rep, start, stop, n):
+            u = draw(seed, rep, start, stop, n)
+            if start == 0:
+                u[:2] = 0.5
+            return u
+
+        monkeypatch.setattr(simulation, "_uniforms", two_constant)
+        cfg = StudyConfig(Family.FRECHET, FRECHET, 100,
+                          [validate_scheme(0.10, 0.10, 0.10, 0.10)],
+                          replicates=100, repetitions=1, seed=1)
+        with pytest.raises(EstimationError, match="MLE failed on 2.0%"):
+            run_study(cfg)
 
     def test_singular_re_is_nan_not_fatal(self, monkeypatch):
         def singular(*args):
