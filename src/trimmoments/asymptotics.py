@@ -299,10 +299,17 @@ def breakdown_points(scheme: TrimmingScheme):
 def fit_covariance(fit) -> np.ndarray:
     """Delta-method covariance S_T at the fitted values, using the sign
     branch the estimator actually selected.  Stored on the fit and
-    returned; divide by n for standard errors."""
+    returned; divide by n for standard errors.  ValueError when it
+    overflows, as it can for data on an extreme scale."""
     branch = "minus" if fit.branch is Branch.MINUS else "plus"
     jac = jacobian_at_moments(fit.family, fit.t1, fit.t2, fit.constants,
                               branch, fit.params.sigma)
-    s_t = delta_covariance(sigma_T(fit.family, fit.params, fit.scheme), jac)
+    sigma_t = sigma_T(fit.family, fit.params, fit.scheme)
+    try:
+        with np.errstate(over="raise"):
+            s_t = delta_covariance(sigma_t, jac)
+    except FloatingPointError:
+        raise ValueError("parameters out of range: the delta-method "
+                         "covariance overflows") from None
     fit.cov = s_t
     return s_t

@@ -333,7 +333,8 @@ SPECS = {
         **_NORMAL_MAPS),
     Family.LOGNORMAL: FamilySpec(
         **_log_data("lognormal"),
-        mle=lambda x: ParameterVector(*mle_normal(np.log(x))),
+        mle=lambda x: ParameterVector(
+            *mle_normal(SPECS[Family.LOGNORMAL].transform(x))),
         **_NORMAL_MAPS),
     Family.FRECHET: FamilySpec(
         names=("beta", "sigma"),

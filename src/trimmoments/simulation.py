@@ -3,8 +3,12 @@ efficiency of the trimmed estimators versus maximum likelihood.
 
 Each outer repetition draws a batch of samples; every estimator in the
 study is fitted to the same samples.  Replicate k of repetition r draws
-its uniforms from its own stream SeedSequence((seed, r, k)), so results
-are reproducible and do not depend on how replicates are grouped.
+its uniforms from its own stream, numpy's
+default_rng(SeedSequence((seed, r, k))), so results are reproducible and
+do not depend on how replicates are grouped.  The streams of a block are
+not built one SeedSequence at a time: their PCG64 states are derived
+together in uint64 array arithmetic that reproduces numpy's seeding bit
+for bit (`_pcg64_states`), and one reused generator draws each row.
 Replicates are processed in blocks of at most BLOCK_ELEMENTS values: a
 block is drawn directly on the transformed scale the estimators fit,
 y = loc + scale * base_quantile(u) (`FamilySpec.draw`), gets its
@@ -62,6 +66,8 @@ class StudyConfig:
             raise ValueError("replicates must be >= 100")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if 0.0 in SPECS[self.family].estimates(self.params):
             raise ValueError("true parameters must be nonzero: the study "
                              "reports estimate/truth ratios")
@@ -113,12 +119,93 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
     return math.sqrt(det_mle) / (n * math.sqrt(det))
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
+_POOL_SIZE = 4
+
+
+def _words(value: int) -> list:
+    """The little-endian 32-bit words SeedSequence splits an int into."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix: hash 32-bit words (ints or uint64 arrays)
+    with a hash constant that is multiplied by mult on every call."""
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _pcg64_states(seed: int, rep: int, ks):
+    """The PCG64 (state, inc) of default_rng(SeedSequence((seed, rep, k)))
+    for each k of the uint64 array ks, as Python ints.
+
+    SeedSequence's pool mix and generate_state(4, uint64) run on uint64
+    arrays of 32-bit words, one element per k.  The entropy is the words
+    of seed, rep and k; a k below 2**32 has no high word, and its zero
+    there stands for numpy's zero padding inside the pool (seed and rep
+    give at least two words) and is skipped beyond it.
+    """
+    prefix = _words(seed) + _words(rep)
+    high = ks >> 32
+    length = len(prefix) + 1 + (high > 0)
+    entropy = [np.full(ks.shape, w, np.uint64) for w in prefix]
+    entropy += [ks & _MASK32, high]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for i in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            mixed = _mix(pool[dst], hashmix(entropy[i]))
+            pool[dst] = np.where(i < length, mixed, pool[dst])
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
+    for s0, s1, s2, s3 in zip(*(
+            (words[2 * j] | words[2 * j + 1] << 32).tolist() for j in range(4))):
+        # pcg_setseq_128_srandom_r(initstate, initseq) from state 0.
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        yield ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
 def _uniforms(seed: int, rep: int, start: int, stop: int, n: int):
-    """The uniform draws of replicates start..stop-1 of repetition rep."""
+    """The uniform draws of replicates start..stop-1 of repetition rep.
+
+    Row i is default_rng(SeedSequence((seed, rep, start + i))).random(n):
+    the rows' PCG64 states are derived in bulk (`_pcg64_states`) and
+    each row is drawn by one reused generator set to its state.
+    """
+    ks = np.arange(start, stop, dtype=np.uint64)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
     u = np.empty((stop - start, n))
-    for i in range(stop - start):
-        ss = np.random.SeedSequence((seed, rep, start + i))
-        np.random.default_rng(ss).random(n, out=u[i])
+    for row, (state, inc) in zip(u, _pcg64_states(seed, rep, ks)):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.random(n, out=row)
     return u
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,15 @@ def test_unparsable_number_exit_2(capsys, argv):
     assert out == ""
 
 
+def test_negative_seed_exit_2(capsys):
+    code, out, err = run(capsys, *SIMULATE, "--n", "20", *NORMAL,
+                         "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error:") and "seed" in err
+    assert len(err.splitlines()) == 1
+
+
 class TestGof:
     def test_table_shape_and_modified_rows(self, capsys):
         code, out, _ = run(capsys, "gof", "--modified",
@@ -234,6 +244,18 @@ FIT_ZERO = ("--a1", "0", "--b1", "0", "--a2", "0", "--b2", "0")
 HUGE_SIGMA = ("--sigma", "1e200", "--theta", "1")
 
 
+def _assert_one_validation_line(capsys, *argv):
+    # Rejected with one validation error line and no numpy RuntimeWarning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error:")
+    assert len(err.splitlines()) == 1
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("argv", [
     ("are", "--model", "normal", "--scheme", "0.1,0.1,0,0.2") + HUGE_SIGMA,
     SIMULATE + ("--n", "20", "--model", "normal") + HUGE_SIGMA,
@@ -241,13 +263,17 @@ HUGE_SIGMA = ("--sigma", "1e200", "--theta", "1")
     + FIT_ZERO,
 ])
 def test_overflow_exit_2(capsys, argv):
-    # sigma**2 of the MLE covariance, and a fitted covariance JSON would
-    # print as Infinity.
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("validation error:")
+    # sigma**2 of the MLE covariance; the fitted Frechet sigma (5.5e300)
+    # is finite, but its delta-method covariance is not.
+    _assert_one_validation_line(capsys, *argv)
+
+
+def test_lognormal_mle_of_negative_data_exit_2(capsys, tmp_path):
+    # The lognormal MLE takes logs through the positivity check.
+    data = tmp_path / "data.csv"
+    data.write_text("x\n1\n2\n-3\n4\n5\n")
+    _assert_one_validation_line(capsys, "gof", "--data", str(data),
+                                "--scale", "1")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trimmoments import simulation
 from trimmoments.estimators import EstimationError
@@ -39,12 +41,43 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             _config(repetitions=0).validate()
 
+    def test_negative_seed_rejected(self):
+        # Rejected before any draw, with a message of the study's own.
+        with pytest.raises(ValueError, match="seed"):
+            run_study(_config(seed=-1))
+
     @pytest.mark.parametrize("family", [Family.NORMAL, Family.LOGNORMAL])
     def test_zero_true_parameter_rejected(self, family):
         # The study reports estimate/truth ratios, undefined at theta = 0.
         cfg = _config(family=family, params=ParameterVector(theta=0.0, sigma=5.0))
         with pytest.raises(ValueError, match="nonzero"):
             cfg.validate()
+
+
+def _numpy_streams(seed, rep, start, stop, n):
+    """numpy's own stream of each replicate: the reference `_uniforms`
+    must reproduce bit for bit."""
+    u = np.empty((stop - start, n))
+    for i, k in enumerate(range(start, stop)):
+        ss = np.random.SeedSequence((seed, rep, k))
+        u[i] = np.random.default_rng(ss).random(n)
+    return u
+
+
+class TestUniforms:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 128 - 1), rep=st.integers(0, 2 ** 33 - 1),
+           start=st.integers(0, 2 ** 64 - 20), rows=st.integers(0, 20),
+           n=st.integers(1, 300))
+    @example(seed=0, rep=0, start=0, rows=20, n=100)
+    @example(seed=2 ** 32 - 1, rep=1, start=0, rows=5, n=7)
+    @example(seed=2 ** 32, rep=2, start=3, rows=5, n=7)
+    @example(seed=2 ** 64, rep=0, start=2 ** 32 - 2, rows=5, n=7)
+    @example(seed=901, rep=2 ** 32, start=0, rows=5, n=7)
+    def test_rows_are_seed_sequence_streams(self, seed, rep, start, rows, n):
+        u = simulation._uniforms(seed, rep, start, start + rows, n)
+        assert np.array_equal(
+            u, _numpy_streams(seed, rep, start, start + rows, n))
 
 
 class TestFiniteRe:
