@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .estimators import Branch
+from .estimators import Branch, candidate_scales
 from .models import SPECS, Family, ParameterVector
 from .moments import (
     MomentConstants,
@@ -39,10 +39,7 @@ __all__ = [
     "lambda_entries",
     "psi_entries",
     "sigma_T",
-    "sigma_T_location_scale",
-    "sigma_T_frechet",
     "jacobian_location_scale",
-    "jacobian_frechet",
     "jacobian_at_moments",
     "delta_covariance",
     "s_mle",
@@ -152,20 +149,21 @@ def _entries(base, scheme: TrimmingScheme) -> dict:
 
     base is the family's base quantile (Phi^{-1} or the Gumbel G) and
     half_sq its squared half, whose derivative weight is base itself.
+    Entries are Python floats, whose products overflow to inf silently.
     """
     half_sq = lambda u: 0.5 * base(u) ** 2
     w1 = scheme.window(1)
     w2 = scheme.window(2)
     g1 = 1.0 / (1.0 - scheme.a1 - scheme.b1)
     g2 = 1.0 / (1.0 - scheme.a2 - scheme.b2)
-    return {
+    return {k: float(v) for k, v in {
         "111": g1 * g1 * _v_pair(base, w1, base, w1),
         "121": g1 * g2 * _v_pair(base, w1, base, w2),
         "122": g1 * g2 * _v_pair(base, w1, half_sq, w2),
         "221": g2 * g2 * _v_pair(base, w2, base, w2),
         "222": g2 * g2 * _v_pair(base, w2, half_sq, w2),
         "223": g2 * g2 * _v_pair(half_sq, w2, half_sq, w2),
-    }
+    }.items()}
 
 
 def lambda_entries(scheme: TrimmingScheme) -> dict:
@@ -185,55 +183,50 @@ def psi_entries(scheme: TrimmingScheme) -> dict:
 def sigma_T(family: Family, params: ParameterVector,
             scheme: TrimmingScheme) -> np.ndarray:
     """Asymptotic covariance of (T1_hat, T2_hat), the trimmed moments of
-    the transformed data, in the location-scale form of the family."""
+    the transformed data, in the location-scale form of the family;
+    ValueError when it or its determinant overflows."""
     params.validate(family)
     spec = SPECS[family]
     loc, scale = spec.location_scale(params)
     lam = _entries(spec.base_quantile, scheme)
-    s11 = scale ** 2 * lam["111"]
-    s12 = 2.0 * loc * scale ** 2 * lam["121"] + 2.0 * scale ** 3 * lam["122"]
-    s22 = (4.0 * loc ** 2 * scale ** 2 * lam["221"]
-           + 8.0 * loc * scale ** 3 * lam["222"]
-           + 4.0 * scale ** 4 * lam["223"])
-    return np.array([[s11, s12], [s12, s22]])
-
-
-sigma_T_location_scale = partial(sigma_T, Family.NORMAL)
-sigma_T_frechet = partial(sigma_T, Family.FRECHET)
-
-
-def _check_discriminant(t1, t2, eta_r):
-    disc = t2 - eta_r * t1 * t1
-    if disc < _SINGULAR_TOL * max(1.0, t1 * t1):
-        raise SingularityError(
-            f"scale discriminant {disc:.4e} is vanishing or negative"
-        )
-    return disc
+    try:
+        s11 = scale ** 2 * lam["111"]
+        s12 = (2.0 * loc * scale ** 2 * lam["121"]
+               + 2.0 * scale ** 3 * lam["122"])
+        s22 = (4.0 * loc ** 2 * scale ** 2 * lam["221"]
+               + 8.0 * loc * scale ** 3 * lam["222"]
+               + 4.0 * scale ** 4 * lam["223"])
+        if math.isfinite(s11 * s22 - s12 * s12):
+            return np.array([[s11, s12], [s12, s22]])
+    except OverflowError:
+        pass
+    raise ValueError("parameters out of range: Sigma_T overflows")
 
 
 def jacobian_at_moments(family: Family, t1, t2, constants: MomentConstants,
-                        branch: str = "plus", sigma=None) -> np.ndarray:
+                        branch=Branch.PLUS, sigma=None) -> np.ndarray:
     """Jacobian of the estimator map (g1, g2) at moment values (t1, t2).
 
     Rows follow the family's reported parameters: (location, scale) for
     the location-scale families, (tail index, scale) for Frechet, whose
     sigma = exp(location) row is the location row times sigma.  branch
-    selects the sign of the square-root candidate ("plus" or "minus").
-    Pass the true (or fitted) sigma for the Frechet rows, otherwise it
-    is reconstructed from the plus-branch estimate.
-    """
-    if branch not in ("plus", "minus"):
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    sign = 1.0 if branch == "plus" else -1.0
+    is a `Branch` or its value; EQUAL_TRIM takes the plus sign.  Pass the
+    true (or fitted) sigma for the Frechet rows, otherwise it is that of
+    the plus candidate of `candidate_scales`."""
+    if not isinstance(branch, Branch):
+        branch = Branch(branch)  # a value such as "minus"; ValueError if none
+    sign = -1.0 if branch is Branch.MINUS else 1.0
     c = constants.c_form()
-    disc = _check_discriminant(t1, t2, c.eta_r)
-    e = c.eta_12
-    root = math.sqrt(e) * math.sqrt(disc)
+    disc = t2 - c.eta_r * t1 * t1
+    if disc < _SINGULAR_TOL * max(1.0, t1 * t1):
+        raise SingularityError(
+            f"scale discriminant {disc:.4e} is vanishing or negative")
+    root = math.sqrt(c.eta_12) * math.sqrt(disc)
     spec = SPECS[family]
-    ds1 = sign * (-c.eta_r * t1 / root) + (c.m1_11 - c.m1_22) / e
+    ds1 = sign * (-c.eta_r * t1 / root) + (c.m1_11 - c.m1_22) / c.eta_12
     ds2 = sign / (2.0 * root)
     if sigma is None:
-        plus = math.sqrt(disc) / math.sqrt(e) + t1 * (c.m1_11 - c.m1_22) / e
+        plus = candidate_scales(t1, t2, c).plus
         sigma = spec.params(t1 - c.m1_11 * plus, plus).sigma
     # The factor goes first so that the Frechet row keeps the rounding
     # of its published form sigma * ds2 * kappa_1.
@@ -245,15 +238,12 @@ def jacobian_at_moments(family: Family, t1, t2, constants: MomentConstants,
 
 
 def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,
-                            branch: str = "plus",
+                            branch=Branch.PLUS,
                             family: Family = Family.NORMAL) -> np.ndarray:
     """Population-level Jacobian for the given branch."""
     t1, t2 = population_moments(family, params, scheme)
     return jacobian_at_moments(family, t1, t2, eta_constants(family, scheme),
                                branch, params.sigma)
-
-
-jacobian_frechet = partial(jacobian_location_scale, family=Family.FRECHET)
 
 
 def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -264,13 +254,16 @@ def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 def s_mle(family: Family, params: ParameterVector) -> np.ndarray:
     """Asymptotic covariance of the MLE, the inverse Fisher information
-    (`FamilySpec.s_mle`)."""
+    (`FamilySpec.s_mle`); ValueError when it or its determinant overflows."""
     params.validate(family)
     try:
-        return SPECS[family].s_mle(params)
+        m = SPECS[family].s_mle(params)
+        (a, b), (c, d) = m.tolist()  # Python floats: inf, no warning
+        if math.isfinite(a * d - b * c):
+            return m
     except OverflowError:
-        raise ValueError("parameters out of range: the MLE covariance "
-                         "overflows") from None
+        pass
+    raise ValueError("parameters out of range: the MLE covariance overflows")
 
 
 def are(family: Family, params: ParameterVector,
@@ -281,12 +274,12 @@ def are(family: Family, params: ParameterVector,
     det(D-) = -det(D+) the branch choice cannot affect the result.
     """
     det_mle = float(np.linalg.det(s_mle(family, params)))
+    sigma_t = sigma_T(family, params, scheme)
     try:
-        jac = jacobian_location_scale(params, scheme, "plus", family)
+        jac = jacobian_location_scale(params, scheme, Branch.PLUS, family)
     except SingularityError:
         return AreResult(family, params, scheme, det_mle, math.inf, 0.0, True)
-    s_t = delta_covariance(sigma_T(family, params, scheme), jac)
-    det_t = float(np.linalg.det(s_t))
+    det_t = float(np.linalg.det(delta_covariance(sigma_t, jac)))
     return AreResult(family, params, scheme, det_mle, det_t,
                      math.sqrt(max(det_mle, 0.0) / det_t), False)
 
@@ -297,19 +290,16 @@ def breakdown_points(scheme: TrimmingScheme):
 
 
 def fit_covariance(fit) -> np.ndarray:
-    """Delta-method covariance S_T at the fitted values, using the sign
-    branch the estimator actually selected.  Stored on the fit and
-    returned; divide by n for standard errors.  ValueError when it
+    """Delta-method covariance S_T at the fitted values, on the `Branch`
+    the fit took; divide by n for standard errors.  ValueError when it
     overflows, as it can for data on an extreme scale."""
-    branch = "minus" if fit.branch is Branch.MINUS else "plus"
-    jac = jacobian_at_moments(fit.family, fit.t1, fit.t2, fit.constants,
-                              branch, fit.params.sigma)
+    jac = jacobian_at_moments(fit.family, fit.t1, fit.t2,
+                              eta_constants(fit.family, fit.scheme),
+                              fit.branch, fit.params.sigma)
     sigma_t = sigma_T(fit.family, fit.params, fit.scheme)
     try:
         with np.errstate(over="raise"):
-            s_t = delta_covariance(sigma_t, jac)
+            return delta_covariance(sigma_t, jac)
     except FloatingPointError:
         raise ValueError("parameters out of range: the delta-method "
                          "covariance overflows") from None
-    fit.cov = s_t
-    return s_t

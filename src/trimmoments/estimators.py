@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,7 +65,10 @@ class CandidatePair:
     ft: float
     st: float
     discriminant: float
-    discriminant_negative: bool
+
+    @property
+    def discriminant_negative(self):
+        return self.discriminant < 0.0
 
     @property
     def minus(self) -> float:
@@ -76,8 +79,10 @@ class CandidatePair:
         return self.ft + self.st
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
+    """A fit's parameters, the `Branch` it took and its trimmed moments."""
+
     family: Family
     scheme: TrimmingScheme
     params: ParameterVector
@@ -85,10 +90,7 @@ class FitResult:
     t1: float
     t2: float
     n: int
-    constants: MomentConstants
-    mle: Optional[ParameterVector] = None
-    discriminant_negative: bool = False
-    cov: Optional[np.ndarray] = field(default=None, repr=False)
+    discriminant_negative: bool
 
     @property
     def estimates(self) -> tuple:
@@ -101,13 +103,13 @@ def candidate_scales(t1, t2, constants: MomentConstants) -> CandidatePair:
 
     FT carries an absolute value so it stays real when the sample
     discriminant t2 - eta_r*t1^2 dips negative; the flag records that
-    the fallback was engaged.
+    the fallback was engaged (`CandidatePair.discriminant_negative`).
     """
     c = constants.c_form()
     disc = t2 - c.eta_r * t1 * t1
     ft = np.sqrt(np.abs(disc)) / math.sqrt(c.eta_12)
     st = t1 * (c.m1_11 - c.m1_22) / c.eta_12
-    return CandidatePair(ft, st, disc, disc < 0.0)
+    return CandidatePair(ft, st, disc)
 
 
 def _branch(tag: SchemeTag, minus) -> Branch:
@@ -172,50 +174,38 @@ def fit_rows(ys, scheme: TrimmingScheme, constants: MomentConstants,
     return t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
 
 
-def fit(data, scheme: TrimmingScheme, family: Family = Family.NORMAL,
-        constants: Optional[MomentConstants] = None,
-        mle: Optional[ParameterVector] = None) -> FitResult:
+def fit(data, scheme: TrimmingScheme,
+        family: Family = Family.NORMAL) -> FitResult:
     """Fit the family's parameters by the location-scale trimmed-moment
     estimator on transformed data (see `models.SPECS`), as the one-row
-    case of `fit_rows`.
+    case of `fit_rows`; the reference MLE is computed only if needed.
 
     Normal data are fitted as they are; lognormal data are
     log-transformed and (theta, sigma) reported on the log scale;
     Frechet data are log-transformed and the location log sigma and
-    scale beta reported as (beta, sigma).  `constants` and `mle` (the
-    family's reference MLE of `data`) may be supplied.
+    scale beta reported as (beta, sigma).
     """
     spec = SPECS[family]
     x = np.asarray(data, dtype=float)
     y = spec.transform(x)
     if y.size < 2:
         raise ValueError("need at least two observations")
-    if constants is None:
-        constants = eta_constants(family, scheme)
-    state = {"mle": mle}
-
-    def ref_scale():
-        if state["mle"] is None:
-            state["mle"] = spec.mle(x)
-        return spec.location_scale(state["mle"])[1]
-
     loc, scale, minus, pair, t1, t2 = fit_rows(
-        np.sort(y).reshape(1, -1), scheme, constants, ref_scale)
+        np.sort(y).reshape(1, -1), scheme, eta_constants(family, scheme),
+        lambda: spec.location_scale(spec.mle(x))[1])
     if not scale[0] > 0.0:
         raise EstimationError(
             "no admissible scale candidate; update trimming proportions")
     params = spec.params(float(loc[0]), float(scale[0]))
     return FitResult(family, scheme, params, _branch(scheme.tag, minus[0]),
-                     float(t1[0]), float(t2[0]), y.size, constants.c_form(),
-                     state["mle"], bool(pair.discriminant_negative[0]))
+                     float(t1[0]), float(t2[0]), y.size,
+                     bool(pair.discriminant_negative[0]))
 
 
 # The location-scale families' name for `fit`.
 fit_location_scale = fit
 
 
-def fit_frechet(data, scheme: TrimmingScheme,
-                constants: Optional[MomentConstants] = None,
-                mle: Optional[ParameterVector] = None) -> FitResult:
+def fit_frechet(data, scheme: TrimmingScheme) -> FitResult:
     """Fit (beta, sigma) for the Frechet model via log-data moments."""
-    return fit(data, scheme, Family.FRECHET, constants, mle)
+    return fit(data, scheme, Family.FRECHET)

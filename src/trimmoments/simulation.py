@@ -47,6 +47,10 @@ BLOCK_ELEMENTS = 2 ** 17
 # Largest share of replicates an estimator may fail on.
 MAX_FAILURE_RATE = 0.01
 
+# Largest sample size, replicate count and repetition count, which size
+# a study's arrays.
+MAX_SIZE = 10 ** 6
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -60,12 +64,12 @@ class StudyConfig:
 
     def validate(self):
         s_mle(self.family, self.params)  # validates params, rejects overflow
-        if self.n < 20:
-            raise ValueError("n must be >= 20")
-        if self.replicates < 100:
-            raise ValueError("replicates must be >= 100")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not 20 <= self.n <= MAX_SIZE:
+            raise ValueError(f"n must be in [20, {MAX_SIZE}]")
+        if not 100 <= self.replicates <= MAX_SIZE:
+            raise ValueError(f"replicates must be in [100, {MAX_SIZE}]")
+        if not 1 <= self.repetitions <= MAX_SIZE:
+            raise ValueError(f"repetitions must be in [1, {MAX_SIZE}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if 0.0 in SPECS[self.family].estimates(self.params):

@@ -15,13 +15,11 @@ from trimmoments.asymptotics import (
     are,
     delta_covariance,
     jacobian_at_moments,
-    jacobian_frechet,
     jacobian_location_scale,
     lambda_entries,
     psi_entries,
     s_mle,
-    sigma_T_frechet,
-    sigma_T_location_scale,
+    sigma_T,
 )
 from trimmoments.estimators import candidate_scales, solve_scale
 from trimmoments.gof import DATA_SCALE, gof_report, load_dataset, modify_dataset
@@ -162,12 +160,12 @@ def test_criterion_4_covariance_oracle_20_random_configs_per_model():
 
 
 def _lambda_from_sigma_t(scheme, theta, sigma):
-    s0 = sigma_T_location_scale(ParameterVector(theta=0.0, sigma=sigma),
-                                scheme)
-    sp = sigma_T_location_scale(ParameterVector(theta=theta, sigma=sigma),
-                                scheme)
-    sm = sigma_T_location_scale(ParameterVector(theta=-theta, sigma=sigma),
-                                scheme)
+    s0 = sigma_T(Family.NORMAL, ParameterVector(theta=0.0, sigma=sigma),
+                 scheme)
+    sp = sigma_T(Family.NORMAL, ParameterVector(theta=theta, sigma=sigma),
+                 scheme)
+    sm = sigma_T(Family.NORMAL, ParameterVector(theta=-theta, sigma=sigma),
+                 scheme)
     return {
         "111": s0[0, 0] / sigma ** 2,
         "122": s0[0, 1] / (2.0 * sigma ** 3),
@@ -181,8 +179,8 @@ def _lambda_from_sigma_t(scheme, theta, sigma):
 
 def _psi_from_sigma_t(scheme, beta):
     def st(sigma):
-        return sigma_T_frechet(ParameterVector(sigma=sigma, beta=beta),
-                               scheme)
+        return sigma_T(Family.FRECHET, ParameterVector(sigma=sigma, beta=beta),
+                       scheme)
 
     s0, sp, sm = st(1.0), st(math.e), st(1.0 / math.e)
     return {
@@ -202,19 +200,15 @@ def test_criterion_5_structural_identities():
         for _ in range(25):
             s = random_scheme(rng)
             params = random_params(rng, family)
-            if family is Family.FRECHET:
-                dp = jacobian_frechet(params, s, "plus")
-                dm = jacobian_frechet(params, s, "minus")
-            else:
-                dp = jacobian_location_scale(params, s, "plus")
-                dm = jacobian_location_scale(params, s, "minus")
+            dp = jacobian_location_scale(params, s, "plus", family)
+            dm = jacobian_location_scale(params, s, "minus", family)
             scale = max(1.0, abs(np.linalg.det(dp)))
             assert abs(np.linalg.det(dp) + np.linalg.det(dm)) < 1e-10 * scale
     # ARE branch-invariance: det(S_T) identical on both branches.
     for _ in range(10):
         s = random_scheme(rng)
         params = random_params(rng, Family.NORMAL)
-        st = sigma_T_location_scale(params, s)
+        st = sigma_T(Family.NORMAL, params, s)
         t1, t2 = population_moments(Family.NORMAL, params, s)
         con = eta_constants(Family.NORMAL, s)
         dets = [np.linalg.det(delta_covariance(

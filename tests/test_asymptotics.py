@@ -10,16 +10,13 @@ from trimmoments.asymptotics import (
     delta_covariance,
     fit_covariance,
     jacobian_at_moments,
-    jacobian_frechet,
     jacobian_location_scale,
     lambda_entries,
     psi_entries,
     s_mle,
     sigma_T,
-    sigma_T_frechet,
-    sigma_T_location_scale,
 )
-from trimmoments.estimators import fit_frechet, fit_location_scale
+from trimmoments.estimators import Branch, fit_frechet, fit_location_scale
 from trimmoments.models import Family, ParameterVector, sample
 from trimmoments.moments import (
     c_k,
@@ -123,16 +120,17 @@ def _extract_lambda_from_sigma_t(scheme, theta_values, sigma=1.0):
     parameter points; used to prove parameter-independence and to build
     an independent oracle from the brute-force double integral."""
     out = {}
-    s0 = sigma_T_location_scale(ParameterVector(theta=0.0, sigma=sigma), scheme)
-    sp = sigma_T_location_scale(
-        ParameterVector(theta=theta_values[0], sigma=sigma), scheme)
+    s0 = sigma_T(Family.NORMAL, ParameterVector(theta=0.0, sigma=sigma),
+                 scheme)
+    sp = sigma_T(Family.NORMAL,
+                 ParameterVector(theta=theta_values[0], sigma=sigma), scheme)
     t = theta_values[0]
     out["111"] = s0[0, 0] / sigma ** 2
     out["122"] = s0[0, 1] / (2.0 * sigma ** 3)
     out["223"] = s0[1, 1] / (4.0 * sigma ** 4)
     out["121"] = (sp[0, 1] - s0[0, 1]) / (2.0 * t * sigma ** 2)
-    sm = sigma_T_location_scale(
-        ParameterVector(theta=-t, sigma=sigma), scheme)
+    sm = sigma_T(Family.NORMAL,
+                 ParameterVector(theta=-t, sigma=sigma), scheme)
     # s22(t) + s22(-t) - 2 s22(0) = 8 t^2 sigma^2 L221
     out["221"] = (sp[1, 1] + sm[1, 1] - 2.0 * s0[1, 1]) / (
         8.0 * t * t * sigma ** 2)
@@ -156,12 +154,12 @@ class TestLambdaPsiEntries:
         psi = psi_entries(s)
         # sigma = 1 kills the log-sigma terms entry by entry.
         p1 = ParameterVector(sigma=1.0, beta=2.0)
-        st = sigma_T_frechet(p1, s)
+        st = sigma_T(Family.FRECHET, p1, s)
         assert st[0, 0] == pytest.approx(4.0 * psi["111"], rel=1e-12)
         assert st[0, 1] == pytest.approx(-16.0 * psi["122"], rel=1e-12)
         assert st[1, 1] == pytest.approx(64.0 * psi["223"], rel=1e-12)
         p2 = ParameterVector(sigma=math.e, beta=1.0)
-        st = sigma_T_frechet(p2, s)
+        st = sigma_T(Family.FRECHET, p2, s)
         assert st[0, 0] == pytest.approx(psi["111"], rel=1e-12)
         assert st[0, 1] == pytest.approx(
             2.0 * psi["121"] - 2.0 * psi["122"], rel=1e-12)
@@ -189,7 +187,7 @@ class TestLambdaPsiEntries:
     def test_theta_zero_cross_term(self):
         s = validate_scheme(0.05, 0.05, 0.00, 0.10)
         params = ParameterVector(theta=0.0, sigma=2.0)
-        st = sigma_T_location_scale(params, s)
+        st = sigma_T(Family.NORMAL, params, s)
         lam = lambda_entries(s)
         assert st[0, 1] == pytest.approx(2.0 * 8.0 * lam["122"], rel=1e-12)
 
@@ -264,7 +262,7 @@ class TestJacobians:
         s = validate_scheme(0.05, 0.05, 0.00, 0.10)
         params = ParameterVector(sigma=2.0, beta=0.7)
         con = zeta_constants(s)
-        jac = jacobian_frechet(params, s, "plus")
+        jac = jacobian_location_scale(params, s, "plus", Family.FRECHET)
         assert jac[1, 1] / jac[0, 1] == pytest.approx(
             params.sigma * con.m1_11, rel=1e-10)
 
@@ -278,8 +276,8 @@ class TestJacobians:
         for _ in range(25):
             s = random_scheme(rng)
             params = random_params(rng, Family.FRECHET)
-            dp = jacobian_frechet(params, s, "plus")
-            dm = jacobian_frechet(params, s, "minus")
+            dp = jacobian_location_scale(params, s, "plus", Family.FRECHET)
+            dm = jacobian_location_scale(params, s, "minus", Family.FRECHET)
             scale = max(1.0, abs(np.linalg.det(dp)))
             assert abs(np.linalg.det(dp) + np.linalg.det(dm)) < 1e-10 * scale
 
@@ -310,7 +308,7 @@ class TestJacobians:
 class TestDeltaAndSMle:
     def test_identity_jacobian(self):
         s = validate_scheme(0.1, 0.1, 0.1, 0.1)
-        st = sigma_T_location_scale(ParameterVector(theta=1.0, sigma=2.0), s)
+        st = sigma_T(Family.NORMAL, ParameterVector(theta=1.0, sigma=2.0), s)
         assert np.allclose(delta_covariance(st, np.eye(2)), st)
 
     def test_determinant_multiplicativity(self, rng):
@@ -426,9 +424,25 @@ class TestBreakdownAndFitCovariance:
                    500, 77)
         fit = fit_location_scale(x, validate_scheme(0.05, 0.05, 0.00, 0.10))
         cov = fit_covariance(fit)
-        assert fit.cov is cov
         assert cov[0, 0] > 0.0 and cov[1, 1] > 0.0
         assert cov[0, 1] == pytest.approx(cov[1, 0])
+        # On this sample the estimator takes the minus candidate, and the
+        # covariance is the delta method on the minus-branch Jacobian.
+        s = validate_scheme(0.05, 0.05, 0.00, 0.10)
+        x = sample(Family.NORMAL, ParameterVector(theta=5.0, sigma=1.0),
+                   500, 0)
+        fit = fit_location_scale(x, s)
+        assert fit.branch is Branch.MINUS
+        st = sigma_T(Family.NORMAL, fit.params, s)
+        con = eta_constants(Family.NORMAL, s)
+
+        def delta(branch):
+            return delta_covariance(st, jacobian_at_moments(
+                Family.NORMAL, fit.t1, fit.t2, con, branch, fit.params.sigma))
+
+        cov = fit_covariance(fit)
+        assert np.array_equal(cov, delta(Branch.MINUS))
+        assert not np.allclose(cov, delta(Branch.PLUS))
 
     def test_fit_covariance_frechet(self):
         x = sample(Family.FRECHET, ParameterVector(sigma=2.0, beta=5.0),

@@ -208,11 +208,21 @@ def test_non_finite_parameter_exit_2(capsys, argv):
      "--theta=-1e308:1e308:1") + SCHEME,
     SIMULATE + ("--n", "20.7") + NORMAL,
     SIMULATE + ("--n", "inf") + NORMAL,
+    # Sizes rejected before anything of that size is built.
+    ("are", "--model", "normal", "--sigma", "1", "--theta", "0:1e300:1",
+     "--scheme", "0,0,0,0"),
+    SIMULATE + ("--n", "20:2e6:1") + NORMAL,
+    SIMULATE + ("--n", "2000000") + NORMAL,
+    ("simulate", "--replicates", "1000000000000", "--repetitions", "1",
+     "--n", "20") + SCHEME + NORMAL,
+    ("simulate", "--replicates", "100", "--repetitions", "1000000000000",
+     "--n", "20") + SCHEME + NORMAL,
 ])
 def test_unparsable_number_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("validation error:")
+    assert len(err.splitlines()) == 1
     assert out == ""
 
 
@@ -254,6 +264,7 @@ def _assert_one_validation_line(capsys, *argv):
     assert err.startswith("validation error:")
     assert len(err.splitlines()) == 1
     assert [str(w.message) for w in caught] == []
+    return err
 
 
 @pytest.mark.parametrize("argv", [
@@ -261,11 +272,22 @@ def _assert_one_validation_line(capsys, *argv):
     SIMULATE + ("--n", "20", "--model", "normal") + HUGE_SIGMA,
     ("fit", "--model", "frechet", "--data", "hurricane", "--scale", "1e300")
     + FIT_ZERO,
+    ("are", "--model", "normal", "--sigma", "1e100", "--theta", "1",
+     "--scheme", "0.1,0.1,0,0.2"),
+    ("are", "--model", "frechet", "--sigma", "1", "--beta", "1e100",
+     "--scheme", "0.1,0.1,0,0.2"),
+    ("are", "--model", "normal", "--sigma", "1", "--theta", "1e200")
+    + SCHEME,
+    SIMULATE + ("--n", "20", "--model", "normal", "--sigma", "1e100",
+                "--theta", "1"),
 ])
 def test_overflow_exit_2(capsys, argv):
-    # sigma**2 of the MLE covariance; the fitted Frechet sigma (5.5e300)
-    # is finite, but its delta-method covariance is not.
-    _assert_one_validation_line(capsys, *argv)
+    # sigma**2 of the MLE covariance; det S_MLE (sigma**4 / 2 or
+    # 6 beta**4 sigma**2 / pi**2) for sigma or beta = 1e100; theta**2 in
+    # Sigma_T; the fitted Frechet sigma (5.5e300) is finite, but its
+    # delta-method covariance is not.
+    err = _assert_one_validation_line(capsys, *argv)
+    assert err.startswith("validation error: parameters out of range")
 
 
 def test_lognormal_mle_of_negative_data_exit_2(capsys, tmp_path):
