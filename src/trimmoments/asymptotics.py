@@ -139,7 +139,7 @@ def _v_pair(HA, winA, HB, winB):
     total -= (_guarded(ai, Hj, ai) + _guarded(bj, Hj, bbarj)) * int_hi_mid
     total -= int_hj_mid * int_hi_mid
     total -= int_hj_mid * int_hi_right
-    return total
+    return float(total)
 
 
 @lru_cache(maxsize=None)
@@ -149,21 +149,20 @@ def _entries(base, scheme: TrimmingScheme) -> dict:
 
     base is the family's base quantile (Phi^{-1} or the Gumbel G) and
     half_sq its squared half, whose derivative weight is base itself.
-    Entries are Python floats, whose products overflow to inf silently.
     """
     half_sq = lambda u: 0.5 * base(u) ** 2
     w1 = scheme.window(1)
     w2 = scheme.window(2)
     g1 = 1.0 / (1.0 - scheme.a1 - scheme.b1)
     g2 = 1.0 / (1.0 - scheme.a2 - scheme.b2)
-    return {k: float(v) for k, v in {
+    return {
         "111": g1 * g1 * _v_pair(base, w1, base, w1),
         "121": g1 * g2 * _v_pair(base, w1, base, w2),
         "122": g1 * g2 * _v_pair(base, w1, half_sq, w2),
         "221": g2 * g2 * _v_pair(base, w2, base, w2),
         "222": g2 * g2 * _v_pair(base, w2, half_sq, w2),
         "223": g2 * g2 * _v_pair(half_sq, w2, half_sq, w2),
-    }.items()}
+    }
 
 
 def lambda_entries(scheme: TrimmingScheme) -> dict:
@@ -184,7 +183,7 @@ def sigma_T(family: Family, params: ParameterVector,
             scheme: TrimmingScheme) -> np.ndarray:
     """Asymptotic covariance of (T1_hat, T2_hat), the trimmed moments of
     the transformed data, in the location-scale form of the family;
-    ValueError when it or its determinant overflows."""
+    ValueError when a power of its parameters overflows."""
     params.validate(family)
     spec = SPECS[family]
     loc, scale = spec.location_scale(params)
@@ -196,11 +195,10 @@ def sigma_T(family: Family, params: ParameterVector,
         s22 = (4.0 * loc ** 2 * scale ** 2 * lam["221"]
                + 8.0 * loc * scale ** 3 * lam["222"]
                + 4.0 * scale ** 4 * lam["223"])
-        if math.isfinite(s11 * s22 - s12 * s12):
-            return np.array([[s11, s12], [s12, s22]])
     except OverflowError:
-        pass
-    raise ValueError("parameters out of range: Sigma_T overflows")
+        raise ValueError("parameters out of range: Sigma_T "
+                         "overflows") from None
+    return np.array([[s11, s12], [s12, s22]])
 
 
 def jacobian_at_moments(family: Family, t1, t2, constants: MomentConstants,
@@ -213,9 +211,7 @@ def jacobian_at_moments(family: Family, t1, t2, constants: MomentConstants,
     is a `Branch` or its value; EQUAL_TRIM takes the plus sign.  Pass the
     true (or fitted) sigma for the Frechet rows, otherwise it is that of
     the plus candidate of `candidate_scales`."""
-    if not isinstance(branch, Branch):
-        branch = Branch(branch)  # a value such as "minus"; ValueError if none
-    sign = -1.0 if branch is Branch.MINUS else 1.0
+    sign = -1.0 if Branch(branch) is Branch.MINUS else 1.0
     c = constants.c_form()
     disc = t2 - c.eta_r * t1 * t1
     if disc < _SINGULAR_TOL * max(1.0, t1 * t1):
@@ -279,7 +275,10 @@ def are(family: Family, params: ParameterVector,
         jac = jacobian_location_scale(params, scheme, Branch.PLUS, family)
     except SingularityError:
         return AreResult(family, params, scheme, det_mle, math.inf, 0.0, True)
-    det_t = float(np.linalg.det(delta_covariance(sigma_t, jac)))
+    (a, b), (c, d) = delta_covariance(sigma_t, jac).tolist()
+    det_t = a * d - b * c  # Python floats: inf, no warning
+    if not math.isfinite(det_t):
+        raise ValueError("parameters out of range: S_T overflows")
     return AreResult(family, params, scheme, det_mle, det_t,
                      math.sqrt(max(det_mle, 0.0) / det_t), False)
 

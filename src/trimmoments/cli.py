@@ -29,10 +29,6 @@ from .moments import SchemeError, validate_scheme
 
 __all__ = ["main"]
 
-# Most points a 'start:stop:step' grid may have; it is rejected before
-# it is built.
-_MAX_GRID_POINTS = 10 ** 6
-
 
 def _parse_number(tok: str) -> float:
     """Float literal, also accepting simple fractions like 1/30."""
@@ -64,9 +60,9 @@ def _parse_grid(spec: str):
         if not all(map(math.isfinite, (start, stop, step, span))):
             raise ValueError(f"grid range {spec!r} is not finite")
         points = round(span) + 1
-        if points > _MAX_GRID_POINTS:
+        if points > simulation.MAX_SIZE:
             raise ValueError(f"grid range {spec!r} has more than "
-                             f"{_MAX_GRID_POINTS} points")
+                             f"{simulation.MAX_SIZE} points")
         return [start + i * step for i in range(points)]
     return [_parse_number(p) for p in spec.split(",")]
 

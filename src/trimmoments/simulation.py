@@ -48,7 +48,7 @@ BLOCK_ELEMENTS = 2 ** 17
 MAX_FAILURE_RATE = 0.01
 
 # Largest sample size, replicate count and repetition count, which size
-# a study's arrays.
+# a study's arrays, and most points a CLI 'start:stop:step' grid may have.
 MAX_SIZE = 10 ** 6
 
 

@@ -280,14 +280,32 @@ def _assert_one_validation_line(capsys, *argv):
     + SCHEME,
     SIMULATE + ("--n", "20", "--model", "normal", "--sigma", "1e100",
                 "--theta", "1"),
+    ("are", "--model", "normal", "--sigma", "1e77", "--theta", "1",
+     "--scheme", "0.1,0.1,0,0.2"),
 ])
 def test_overflow_exit_2(capsys, argv):
     # sigma**2 of the MLE covariance; det S_MLE (sigma**4 / 2 or
     # 6 beta**4 sigma**2 / pi**2) for sigma or beta = 1e100; theta**2 in
     # Sigma_T; the fitted Frechet sigma (5.5e300) is finite, but its
-    # delta-method covariance is not.
+    # delta-method covariance is not; nor is det S_T for sigma = 1e77.
     err = _assert_one_validation_line(capsys, *argv)
     assert err.startswith("validation error: parameters out of range")
+
+
+@pytest.mark.parametrize("model, huge, small", [
+    ("normal", ("--sigma", "1e60", "--theta", "1"),
+     ("--sigma", "1", "--theta", "1e-60")),
+    ("frechet", ("--sigma", "1", "--beta", "1e60"),
+     ("--sigma", "1", "--beta", "1")),
+])
+def test_are_on_a_large_scale(capsys, model, huge, small):
+    # The ARE is scale-free, and det Sigma_T (scale**6) may overflow
+    # while S_MLE and S_T, whose determinants go as scale**4, do not.
+    argv = ("are", "--model", model, "--scheme", "0.1,0.1,0,0.2") + SCHEME
+    code, out_huge, err = run(capsys, *argv, *huge)
+    assert code == 0 and err == ""
+    _, out_small, _ = run(capsys, *argv, *small)
+    assert out_huge.splitlines()[1:] == out_small.splitlines()[1:]
 
 
 def test_lognormal_mle_of_negative_data_exit_2(capsys, tmp_path):
