@@ -3,21 +3,20 @@
 The covariance of the sample trimmed-moment vector has entries
 sigma2_ij = Gamma(i,j) * V(i,j) where V is a double integral of the
 kernel K(w,v) = min(w,v) - wv against the derivatives of the population
-moment functions H_i.  V reduces to a combination of single integrals
-and endpoint evaluations, the closed form computed here (the raw double
-integral is a brute-force oracle in the tests).  Every family is a
-location-scale model (location mu, scale s) on transformed data, so
-Sigma_T and the Jacobian are written once in (mu, s) and its base
-quantile, and mapped to the family's reported parameters through
-`models.SPECS`.  Delta-method covariances S_T = D Sigma_T D' follow
-from the branch-aware Jacobians of the estimator maps, and the
-asymptotic relative efficiency versus maximum likelihood is
-(det S_MLE / det S_T)^(1/2).
+moment functions H_i.  V reduces to endpoint evaluations and the window
+integrals the moment constants share (`moments.window_integral`); the
+raw double integral is a brute-force oracle in the tests.  Every family
+is a location-scale model on transformed data, so Sigma_T and the
+Jacobian are written once in (location, scale) and mapped to the
+reported parameters through `models.SPECS`.  S_T = D Sigma_T D' uses the
+branch-aware Jacobian, and the ARE versus maximum likelihood is
+(det S_MLE / det S_T)^(1/2), each rejected when it over- or underflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,8 +29,8 @@ from .moments import (
     TrimmingScheme,
     eta_constants,
     population_moments,
+    window_integral,
 )
-from .quadrature import integrate
 
 __all__ = [
     "SingularityError",
@@ -59,13 +58,24 @@ class SingularityError(Exception):
 
 @dataclass(frozen=True)
 class AreResult:
-    family: Family
-    params: ParameterVector
-    scheme: TrimmingScheme
-    det_s_mle: float
-    det_s_t: float
     are: float
+    det_s_t: float
     singular: bool = False
+
+
+def det2(m) -> float:
+    """Determinant of a 2x2 matrix in Python floats (no numpy warning)."""
+    (a, b), (c, d) = m.tolist()
+    return a * d - b * c
+
+
+def _covariance_det(m, name: str) -> float:
+    """det2 of S_MLE or S_T, which the ARE ratio needs to be a positive
+    normal float; otherwise the parameters are out of range."""
+    det = det2(m)
+    if not sys.float_info.min <= det < math.inf:
+        raise ValueError(f"parameters out of range: det {name} is {det}")
+    return det
 
 
 def _guarded(coef, H, u):
@@ -78,55 +88,36 @@ def _guarded(coef, H, u):
 
 def _i_lower(H, a, b, s):
     """I(a, b) given the precomputed integral s of H over [a, b]."""
-    if a == b:
-        return 0.0
     return _guarded(b, H, b) - _guarded(a, H, a) - s
 
 
 def _i_upper(H, a, b, s):
     """Ibar(a, b) given the precomputed integral s of H over [a, b]."""
-    if a == b:
-        return 0.0
     return _guarded(1.0 - b, H, b) - _guarded(1.0 - a, H, a) + s
 
 
 def _v_pair(HA, winA, HB, winB):
-    """The closed-form double integral of K against HA', HB' over
-    winA x winB, with the index roles normalized so that the inner
-    window (role j) starts no later and ends no later than the outer
-    one (role i).  K's symmetry makes the swap harmless."""
-    aA, bbarA = winA
-    aB, bbarB = winB
-    if aB <= aA and bbarB <= bbarA:
-        Hi, (ai, bbari) = HA, winA
-        Hj, (aj, bbarj) = HB, winB
-    elif aA <= aB and bbarA <= bbarB:
-        Hi, (ai, bbari) = HB, winB
-        Hj, (aj, bbarj) = HA, winA
+    """The closed-form double integral of K against HA', HB' over the
+    windows winA x winB of a scheme, the roles normalized so that the
+    inner window (j) starts and ends no later than the outer one (i);
+    K's symmetry makes the swap harmless."""
+    if winB[0] <= winA[0] and winB[1] <= winA[1]:
+        Hi, (ai, bbari), Hj, (aj, bbarj) = HA, winA, HB, winB
     else:
-        raise ValueError(f"windows {winA} and {winB} are not nested")
-    if not (ai <= bbarj):
-        raise ValueError(f"windows {winA} and {winB} do not overlap")
+        Hi, (ai, bbari), Hj, (aj, bbarj) = HB, winB, HA, winA
     bi = 1.0 - bbari
     bj = 1.0 - bbarj
-
-    if ai < bbarj:
-        int_hi_mid = integrate(Hi, ai, bbarj)
-        int_hj_mid = integrate(Hj, ai, bbarj)
-        int_hihj_mid = integrate(lambda u: Hi(u) * Hj(u), ai, bbarj)
-    else:
-        int_hi_mid = int_hj_mid = int_hihj_mid = 0.0
-    int_hi_right = integrate(Hi, bbarj, bbari) if bbarj < bbari else 0.0
+    int_hi_mid = window_integral(ai, bbarj, Hi)
+    int_hj_mid = window_integral(ai, bbarj, Hj)
+    int_hihj_mid = window_integral(ai, bbarj, Hi, Hj)
+    int_hi_right = window_integral(bbarj, bbari, Hi)
 
     # The [aj, ai] strip is empty when aj == ai, in which case Ibar_i
     # (which diverges at ai == 0) must not be touched at all.
+    total = 0.0
     if aj < ai:
-        i_j_left = _i_lower(Hj, aj, ai, integrate(Hj, aj, ai))
-        ibar_i_full = _i_upper(Hi, ai, bbari,
-                               int_hi_mid + int_hi_right)
-        total = i_j_left * ibar_i_full
-    else:
-        total = 0.0
+        total = (_i_lower(Hj, aj, ai, window_integral(aj, ai, Hj))
+                 * _i_upper(Hi, ai, bbari, int_hi_mid + int_hi_right))
     if bi != 0.0:
         i_j_mid = _i_lower(Hj, ai, bbarj, int_hj_mid)
         total += bi * float(Hi(bbari)) * i_j_mid
@@ -143,6 +134,12 @@ def _v_pair(HA, winA, HB, winB):
 
 
 @lru_cache(maxsize=None)
+def _half_square(base):
+    """base^2 / 2, one function per base: schemes share its integrals."""
+    return lambda u: 0.5 * base(u) ** 2
+
+
+@lru_cache(maxsize=None)
 def _entries(base, scheme: TrimmingScheme) -> dict:
     """The six parameter-free covariance building blocks for one model,
     evaluated through the closed-form V routine and cached per scheme.
@@ -150,7 +147,7 @@ def _entries(base, scheme: TrimmingScheme) -> dict:
     base is the family's base quantile (Phi^{-1} or the Gumbel G) and
     half_sq its squared half, whose derivative weight is base itself.
     """
-    half_sq = lambda u: 0.5 * base(u) ** 2
+    half_sq = _half_square(base)
     w1 = scheme.window(1)
     w2 = scheme.window(2)
     g1 = 1.0 / (1.0 - scheme.a1 - scheme.b1)
@@ -196,8 +193,7 @@ def sigma_T(family: Family, params: ParameterVector,
                + 8.0 * loc * scale ** 3 * lam["222"]
                + 4.0 * scale ** 4 * lam["223"])
     except OverflowError:
-        raise ValueError("parameters out of range: Sigma_T "
-                         "overflows") from None
+        raise ValueError("parameters out of range: Sigma_T overflows") from None
     return np.array([[s11, s12], [s12, s22]])
 
 
@@ -250,37 +246,30 @@ def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 def s_mle(family: Family, params: ParameterVector) -> np.ndarray:
     """Asymptotic covariance of the MLE, the inverse Fisher information
-    (`FamilySpec.s_mle`); ValueError when it or its determinant overflows."""
+    (`FamilySpec.s_mle`); ValueError when it or its determinant is out of
+    range."""
     params.validate(family)
     try:
         m = SPECS[family].s_mle(params)
-        (a, b), (c, d) = m.tolist()  # Python floats: inf, no warning
-        if math.isfinite(a * d - b * c):
-            return m
     except OverflowError:
-        pass
-    raise ValueError("parameters out of range: the MLE covariance overflows")
+        raise ValueError("parameters out of range: S_MLE overflows") from None
+    _covariance_det(m, "S_MLE")
+    return m
 
 
 def are(family: Family, params: ParameterVector,
         scheme: TrimmingScheme) -> AreResult:
-    """Asymptotic relative efficiency of the trimmed estimator vs MLE.
-
-    Uses the plus-branch Jacobian; by the determinant identity
-    det(D-) = -det(D+) the branch choice cannot affect the result.
-    """
-    det_mle = float(np.linalg.det(s_mle(family, params)))
+    """Asymptotic relative efficiency of the trimmed estimator vs MLE, on
+    the plus-branch Jacobian: det(D-) = -det(D+), so the branch cannot
+    affect it."""
+    det_mle = det2(s_mle(family, params))
     sigma_t = sigma_T(family, params, scheme)
     try:
         jac = jacobian_location_scale(params, scheme, Branch.PLUS, family)
     except SingularityError:
-        return AreResult(family, params, scheme, det_mle, math.inf, 0.0, True)
-    (a, b), (c, d) = delta_covariance(sigma_t, jac).tolist()
-    det_t = a * d - b * c  # Python floats: inf, no warning
-    if not math.isfinite(det_t):
-        raise ValueError("parameters out of range: S_T overflows")
-    return AreResult(family, params, scheme, det_mle, det_t,
-                     math.sqrt(max(det_mle, 0.0) / det_t), False)
+        return AreResult(0.0, math.inf, True)
+    det_t = _covariance_det(delta_covariance(sigma_t, jac), "S_T")
+    return AreResult(math.sqrt(det_mle / det_t), det_t)
 
 
 def breakdown_points(scheme: TrimmingScheme):

@@ -112,6 +112,12 @@ def candidate_scales(t1, t2, constants: MomentConstants) -> CandidatePair:
     return CandidatePair(ft, st, disc)
 
 
+def squares_overflow(y, n: int) -> bool:
+    """Whether n squared deviations up to 2 max|y| overflow in a sum."""
+    m = 2.0 * float(np.max(np.abs(y)))
+    return not math.isfinite(n * m * m)
+
+
 def _branch(tag: SchemeTag, minus) -> Branch:
     if tag is SchemeTag.EQUAL:
         return Branch.EQUAL_TRIM
@@ -190,6 +196,8 @@ def fit(data, scheme: TrimmingScheme,
     y = spec.transform(x)
     if y.size < 2:
         raise ValueError("need at least two observations")
+    if squares_overflow(y, y.size):
+        raise ValueError("data out of range: their squares overflow")
     loc, scale, minus, pair, t1, t2 = fit_rows(
         np.sort(y).reshape(1, -1), scheme, eta_constants(family, scheme),
         lambda: spec.location_scale(spec.mle(x))[1])

@@ -196,7 +196,7 @@ def _frechet_rows(logx):
         lo, hi = np.where(below, b, lo), np.where(below, hi, b)
         keep, last = ~last, np.abs(step) <= _MLE_RTOL * b
         b = b - step
-        b = np.where((lo < b) & (b <= hi), b, 0.5 * (lo + hi))
+        b = np.where(last | ((lo < b) & (b <= hi)), b, 0.5 * (lo + hi))
         rows, d, b, lo, hi, last = (v[keep] for v in (rows, d, b, lo, hi, last))
     return loc, beta
 
@@ -210,8 +210,8 @@ def mle_frechet(data):
     1 + Var_w(l) / b^2 >= 1 and rises from min(l) - mean(l) < 0 at 0+ to
     >= 0 at mean(l) - min(l), which brackets the root.  Newton steps
     start from the log-moment estimate sqrt(6) / pi * sd(l) and fall back
-    to bisection when they leave the bracket; only unconverged rows are
-    iterated.  Constant data (no root), no convergence within
+    to bisection when they leave the bracket unconverged; only unconverged
+    rows are iterated.  Constant data (no root), no convergence within
     _MLE_MAX_ITER steps and a residual |xi| > 1e-10 raise EstimationError
     (NaN in the rows).  sigma follows in closed form.
     """

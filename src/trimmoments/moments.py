@@ -1,21 +1,17 @@
 """Trimmed moments: sample versions, population constants and schemes.
 
 The j-th sample trimmed moment discards the lowest floor(n*a_j) and
-highest floor(n*b_j) order statistics of the data and averages h_j over
-the kept block.  Its population counterpart is the integral of
-H_j = h_j o F^{-1} over the probability window [a_j, 1-b_j], normalized
-by the window length.
-
-Every family is fitted as a location-scale model on transformed data
-(see `models.SPECS`), with h_1(y) = y and h_2(y) = y^2, so the population
-moments are T1 = mu + s c_1 and T2 = mu^2 + 2 mu s c_1 + s^2 c_2 in the
-window averages c_k of powers of the base quantile: Phi^{-1} for the
-normal and lognormal models, the Gumbel G(u) = -log(-log u) for Frechet
-(mu = log sigma, s = beta).  The paper's Frechet constants kappa_k
-average powers of Delta = log(-log u) = -G instead, so kappa_1 = -c_1
-and kappa_2 = c_2; `zeta_constants` is the signed view of the cached
-Gumbel constants `eta_constants(Family.FRECHET, .)` in that kappa form,
-and `MomentConstants.c_form` turns it back through the same sign flip.
+highest floor(n*b_j) order statistics and averages h_j over the kept
+block; its population counterpart averages H_j = h_j o F^{-1} over the
+window [a_j, 1-b_j].  Every family is a location-scale model on
+transformed data (`models.SPECS`) with h_1(y) = y, h_2(y) = y^2, so
+T1 = mu + s c_1 and T2 = mu^2 + 2 mu s c_1 + s^2 c_2 in the window
+averages c_k of powers of the base quantile (Phi^{-1}, or the Gumbel
+G = -log(-log u) for Frechet).  Every window integral, here and in the
+covariances of `asymptotics`, is one cached `window_integral`.  The
+paper's Frechet kappa_k average powers of Delta = -G, so kappa_1 = -c_1
+and kappa_2 = c_2: `zeta_constants` is that signed view of
+`eta_constants(Family.FRECHET, .)`; `MomentConstants.c_form` flips back.
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ __all__ = [
     "eta_constants",
     "zeta_constants",
     "population_moments",
+    "window_integral",
 ]
 
 
@@ -109,8 +106,8 @@ def validate_scheme(a1, b1, a2, b2) -> TrimmingScheme:
         tag = SchemeTag.CONDITION12
     else:
         raise SchemeError(
-            "trimming windows are not nested: need a2 <= a1 and b2 <= b1 "
-            f"or a1 <= a2 and b1 <= b2, got ({a1},{b1}) and ({a2},{b2})"
+            "trimming windows are not nested: need a2 <= a1 and b1 <= b2, "
+            f"or a1 <= a2 and b2 <= b1, got ({a1},{b1}) and ({a2},{b2})"
         )
     return TrimmingScheme(a1, b1, a2, b2, tag)
 
@@ -144,8 +141,12 @@ def sample_trimmed_moment(data, a, b, h):
 
 
 @lru_cache(maxsize=None)
-def _c_cached(base, a: float, bbar: float, k: int) -> float:
-    return integrate(lambda u: base(u) ** k, a, bbar) / (bbar - a)
+def window_integral(a: float, b: float, *factors) -> float:
+    """Integral over [a, b] of the product of the factor functions (0.0
+    if a == b), computed once: constants and covariances share it."""
+    if a == b:
+        return 0.0
+    return integrate(lambda u: math.prod(g(u) for g in factors), a, b)
 
 
 def c_k(family: Family, a: float, bbar: float, k: int) -> float:
@@ -162,12 +163,12 @@ def kappa_k(a: float, bbar: float, k: int) -> float:
 
 
 def _window_mean(base, a: float, bbar: float, k: int) -> float:
-    """Window-averaged k-th power of a base quantile function."""
+    """Window-averaged k-th power (k = 1, 2) of a base quantile."""
     if not (0.0 <= a < bbar <= 1.0):
         raise SchemeError(f"window must satisfy 0 <= a < bbar <= 1, got ({a}, {bbar})")
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"k must be in 1..4, got {k}")
-    return _c_cached(base, a, bbar, k)
+    if k not in (1, 2):
+        raise ValueError(f"k must be 1 or 2, got {k}")
+    return window_integral(a, bbar, *(base,) * k) / (bbar - a)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import s_mle
-from .estimators import EstimationError, fit_rows
+from .asymptotics import det2, s_mle
+from .estimators import EstimationError, fit_rows, squares_overflow
 from .models import SPECS, Family, ParameterVector
 from .moments import TrimmingScheme, eta_constants
 
@@ -70,6 +70,10 @@ class StudyConfig:
             raise ValueError(f"replicates must be in [100, {MAX_SIZE}]")
         if not 1 <= self.repetitions <= MAX_SIZE:
             raise ValueError(f"repetitions must be in [1, {MAX_SIZE}]")
+        # u = 0 and 1 are clipped to the draw's extremes.
+        if squares_overflow(SPECS[self.family].draw(
+                self.params, np.array([0.0, 1.0])), self.n):
+            raise ValueError("parameters out of range: squares of draws overflow")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if 0.0 in SPECS[self.family].estimates(self.params):
@@ -115,12 +119,10 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
     if est.ndim != 2 or est.shape[0] < 2 or est.shape[1] != 2:
         raise ValueError("estimates must be an (m, 2) array with m >= 2")
     diff = est - np.array(SPECS[family].estimates(params))
-    m = diff.T @ diff / diff.shape[0]
-    det = float(np.linalg.det(m))
+    det = det2(diff.T @ diff / diff.shape[0])
     if det <= 0.0:
         raise ValueError("empirical cross-moment matrix is singular")
-    det_mle = float(np.linalg.det(s_mle(family, params)))
-    return math.sqrt(det_mle) / (n * math.sqrt(det))
+    return math.sqrt(det2(s_mle(family, params))) / (n * math.sqrt(det))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the

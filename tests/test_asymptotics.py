@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trimmoments import asymptotics, moments
 from trimmoments.asymptotics import (
     SingularityError,
     are,
@@ -25,6 +26,7 @@ from trimmoments.moments import (
     validate_scheme,
     zeta_constants,
 )
+from trimmoments.quadrature import integrate
 from conftest import random_params, random_scheme
 from oracles import i_integrals, kernel, v_entry, v_entry_bruteforce
 
@@ -398,6 +400,26 @@ class TestAre:
         r = are(Family.FRECHET, ParameterVector(sigma=2.0, beta=0.2), s)
         assert not r.singular
         assert r.are == pytest.approx(0.004, abs=2e-3)
+
+    @pytest.mark.parametrize("quad, distinct", [((0.1, 0.1, 0.1, 0.1), 5),
+                                                ((0.05, 0.1, 0.05, 0.2), 8)])
+    def test_cold_point_computes_each_window_integral_once(
+            self, monkeypatch, quad, distinct):
+        # The constants and the covariance entries share their window
+        # integrals, so a cold point integrates each distinct one once.
+        calls = []
+
+        def counted(f, a, b):
+            calls.append((a, b))
+            return integrate(f, a, b)
+
+        monkeypatch.setattr(moments, "integrate", counted)
+        for cached in (moments.window_integral, eta_constants,
+                       asymptotics._entries):
+            cached.cache_clear()
+        are(Family.NORMAL, ParameterVector(theta=1.0, sigma=1.0),
+            validate_scheme(*quad))
+        assert len(calls) == distinct
 
     def test_vanishing_discriminant_is_singular(self):
         # At this theta the plus-branch discriminant of the scheme falls

@@ -217,6 +217,10 @@ def test_non_finite_parameter_exit_2(capsys, argv):
      "--n", "20") + SCHEME + NORMAL,
     ("simulate", "--replicates", "100", "--repetitions", "1000000000000",
      "--n", "20") + SCHEME + NORMAL,
+    ("are", "--model", "normal", "--sigma", "1", "--theta", "1",
+     "--scheme", "0.1,0.1,0.1"),
+    ("are", "--model", "normal", "--sigma", "1", "--theta", "0:1:0")
+    + SCHEME,
 ])
 def test_unparsable_number_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -282,12 +286,20 @@ def _assert_one_validation_line(capsys, *argv):
                 "--theta", "1"),
     ("are", "--model", "normal", "--sigma", "1e77", "--theta", "1",
      "--scheme", "0.1,0.1,0,0.2"),
+    ("are", "--model", "normal", "--sigma", "1e-200", "--theta", "1",
+     "--scheme", "0.1,0.1,0,0.2"),
+    ("are", "--model", "frechet", "--sigma", "1", "--beta", "1e-170",
+     "--scheme", "0.1,0.1,0,0.2"),
+    SIMULATE + ("--n", "20", "--model", "normal", "--sigma", "1",
+                "--theta", "1e200"),
 ])
 def test_overflow_exit_2(capsys, argv):
     # sigma**2 of the MLE covariance; det S_MLE (sigma**4 / 2 or
     # 6 beta**4 sigma**2 / pi**2) for sigma or beta = 1e100; theta**2 in
     # Sigma_T; the fitted Frechet sigma (5.5e300) is finite, but its
     # delta-method covariance is not; nor is det S_T for sigma = 1e77.
+    # det S_MLE underflows to zero for sigma = 1e-200 or beta = 1e-170,
+    # and the squares of draws near theta = 1e200 overflow.
     err = _assert_one_validation_line(capsys, *argv)
     assert err.startswith("validation error: parameters out of range")
 
@@ -339,6 +351,8 @@ def test_non_finite_data_row_exit_2(capsys, tmp_path, value):
     + FIT_ZERO,
     ("gof", "--scale", "0"),
     ("gof", "--scale", "-1"),
+    ("fit", "--model", "normal", "--data", "hurricane", "--scale", "1e160",
+     "--a1", "0.1", "--b1", "0.1", "--a2", "0", "--b2", "0.2"),
 ])
 def test_bad_scale_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -386,6 +400,20 @@ def test_output_file_on_success(capsys, tmp_path):
     assert code == 0
     assert out == "" and err == ""
     assert out_file.read_text() == expected
+
+
+def test_singular_covariance_reported_as_null(capsys, tmp_path):
+    # Data this close together leave no room for the delta-method
+    # covariance: the fit succeeds without standard errors.
+    path = tmp_path / "data.csv"
+    path.write_text("x\n1000000\n1000000.001\n1000000.002\n"
+                    "1000000.0005\n1000000.0015\n")
+    code, out, err = run(capsys, "fit", "--model", "normal",
+                         "--data", str(path), *FIT_ZERO)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["standard_errors"] is None
+    assert doc["covariance"] is None
 
 
 def test_constant_data_exit_3(capsys, tmp_path):

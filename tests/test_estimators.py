@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trimmoments.estimators import (
@@ -87,6 +87,22 @@ class TestMleFrechet:
                 assert beta[i] == pytest.approx(b_ref, rel=1e-13)
                 assert math.exp(loc[i]) == pytest.approx(s_ref, rel=1e-12)
                 assert mle_frechet(row) == (beta[i], math.exp(loc[i]))
+
+    def test_step_below_half_an_ulp_converges(self):
+        # The moved sample of the contamination example: at the root
+        # (score -8.9e-16) the last Newton step rounds beta onto the lower
+        # bracket end, and the row is kept rather than restarted.
+        x = [6.228772277373257, 4.066316680546237, 2.750667029112797,
+             5.180015479362789, 0.002979168480323709, 0.011531861282921753,
+             0.0003407598725462346, 7.724273206525247, 0.0004784154604355888,
+             4.777122701631869, 4.654034350755878, 6.794229198795917,
+             2.957150052479533, 6.848337657358204, 11.091477996238387,
+             4.337297157755706, 4.6658962504142325, 5.6838200270836365,
+             5.084362263769661, 3.1511877734365332]
+        beta, sigma = mle_frechet(x)
+        b_ref, s_ref = mle_frechet_brent(np.array(x))
+        assert beta == pytest.approx(b_ref, rel=1e-13)
+        assert sigma == pytest.approx(s_ref, rel=1e-12)
 
     def test_rows_flag_constant_rows(self):
         x = np.array([sample(Family.FRECHET,
@@ -348,6 +364,8 @@ class TestContaminationInvariance:
            frechet=st.booleans(),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            spread=st.sampled_from([1e-8, 1.0, 1e3, 1e12]))
+    @example(n=20, quad=(0.2, 0.0, 0.2, 0.05), frechet=True, seed=2389,
+             spread=1000.0)
     @settings(max_examples=150, deadline=None)
     def test_moved_extremes_change_nothing(self, n, quad, frechet, seed,
                                            spread):

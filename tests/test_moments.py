@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -46,6 +47,20 @@ class TestValidateScheme:
             validate_scheme(0.0, 0.1, 0.05, 0.2)
         with pytest.raises(SchemeError, match="not nested"):
             validate_scheme(0.05, 0.2, 0.0, 0.1)
+
+    def test_stated_orderings_accepted(self):
+        # The rejection states the two nested orderings, and every grid
+        # scheme that follows one of them, with proportions summing below
+        # one and windows that overlap, is accepted.
+        with pytest.raises(SchemeError, match="need a2 <= a1 and b1 <= b2, "
+                                              "or a1 <= a2 and b2 <= b1"):
+            validate_scheme(0.05, 0.05, 0.15, 0.15)
+        grid = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75)
+        for a1, b1, a2, b2 in itertools.product(grid, repeat=4):
+            if ((a2 <= a1 and b1 <= b2 or a1 <= a2 and b2 <= b1)
+                    and a1 + b1 < 1.0 and a2 + b2 < 1.0
+                    and a1 <= 1.0 - b2 and a2 <= 1.0 - b1):
+                validate_scheme(a1, b1, a2, b2)
 
     def test_mass_one_rejected(self):
         with pytest.raises(SchemeError):
