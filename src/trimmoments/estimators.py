@@ -159,22 +159,23 @@ def solve_scale(t1, t2, constants, tag: SchemeTag,
     return float(scale), _branch(tag, take), pair
 
 
-def fit_rows(ys, scheme: TrimmingScheme, constants: MomentConstants,
-             mle_scale: Callable[[], np.ndarray]):
+def fit_rows(ys, squares, scheme: TrimmingScheme,
+             constants: MomentConstants, mle_scale: Callable[[], np.ndarray]):
     """The trimmed-moment fit of each row of ys, sorted samples of
-    transformed data (R, n).
+    transformed data (R, n), given their squares ys * ys.
 
-    Each moment is the plain mean over its kept column slice, so values
-    beyond the trimmed order statistics cannot reach it.  Returns
-    (location, scale, branch, pair, t1, t2), arrays over the rows as
-    `solve_scale` gives them; a row fails where scale is not positive.
+    The squares are formed once per block by the caller, so every scheme
+    fitted to the same block shares them.  Each moment is the plain mean
+    over its kept column slice of ys or of the squares, so values beyond
+    the trimmed order statistics cannot reach it.  Returns (location,
+    scale, branch, pair, t1, t2), arrays over the rows as `solve_scale`
+    gives them; a row fails where scale is not positive.
     """
     n = ys.shape[1]
     lo1, hi1 = trim_counts(n, scheme.a1, scheme.b1)
     lo2, hi2 = trim_counts(n, scheme.a2, scheme.b2)
-    kept2 = ys[:, lo2:n - hi2]
     t1 = ys[:, lo1:n - hi1].mean(axis=1)
-    t2 = (kept2 * kept2).mean(axis=1)
+    t2 = squares[:, lo2:n - hi2].mean(axis=1)
     c = constants.c_form()
     scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
     return t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
@@ -198,8 +199,9 @@ def fit(data, scheme: TrimmingScheme,
         raise ValueError("need at least two observations")
     if squares_overflow(y, y.size):
         raise ValueError("data out of range: their squares overflow")
+    ys = np.sort(y).reshape(1, -1)
     loc, scale, minus, pair, t1, t2 = fit_rows(
-        np.sort(y).reshape(1, -1), scheme, eta_constants(family, scheme),
+        ys, ys * ys, scheme, eta_constants(family, scheme),
         lambda: spec.location_scale(spec.mle(x))[1])
     if not scale[0] > 0.0:
         raise EstimationError(

@@ -176,28 +176,37 @@ def _frechet_rows(logx):
     dbar = d.mean(axis=1)
     loc, beta = np.full(len(d), np.nan), np.full(len(d), np.nan)
     rows = np.flatnonzero(np.isfinite(dbar) & (dbar > 0.0))
-    d, lo, hi = d[rows], np.zeros(rows.size), dbar[rows]
-    sd = np.sqrt(((d - hi[:, None]) ** 2).mean(axis=1))
+    if rows.size < len(d):
+        d = d[rows]
+    lo, hi = np.zeros(rows.size), dbar[rows]
+    # Every block-sized step writes into two scratch arrays, whose
+    # leading rows hold the rows still iterated.
+    w, wd = np.empty_like(d), np.empty_like(d)
+    np.subtract(d, hi[:, None], out=w)
+    sd = np.sqrt(np.square(w, out=w).mean(axis=1))
     b = np.minimum(math.sqrt(6.0) / math.pi * sd, hi)
     last = np.zeros(rows.size, dtype=bool)
     for _ in range(_MLE_MAX_ITER):
         if rows.size == 0:
             break
-        w = np.exp(d / -b[:, None])
-        s0 = w.sum(axis=1)
-        wd = w * d
-        m1 = wd.sum(axis=1) / s0
+        e, ed = w[:rows.size], wd[:rows.size]
+        np.exp(np.divide(d, -b[:, None], out=e), out=e)
+        s0 = e.sum(axis=1)
+        m1 = np.multiply(e, d, out=ed).sum(axis=1) / s0
         xi = b + m1 - dbar[rows]
         good = last & (np.abs(xi) <= _MLE_RESIDUAL)
         beta[rows[good]] = b[good]
         loc[rows[good]] = lmin[rows[good]] - b[good] * np.log(s0[good] / n)
-        step = xi / (1.0 + ((wd * d).sum(axis=1) / s0 - m1 * m1) / (b * b))
+        m2 = np.multiply(ed, d, out=ed).sum(axis=1) / s0
+        step = xi / (1.0 + (m2 - m1 * m1) / (b * b))
         below = xi < 0.0
         lo, hi = np.where(below, b, lo), np.where(below, hi, b)
         keep, last = ~last, np.abs(step) <= _MLE_RTOL * b
         b = b - step
         b = np.where(last | ((lo < b) & (b <= hi)), b, 0.5 * (lo + hi))
-        rows, d, b, lo, hi, last = (v[keep] for v in (rows, d, b, lo, hi, last))
+        if not keep.all():
+            rows, d, b, lo, hi, last = (v[keep]
+                                        for v in (rows, d, b, lo, hi, last))
     return loc, beta
 
 
@@ -227,10 +236,18 @@ def mle_frechet(data):
     return float(beta[0]), math.exp(loc[0])
 
 
-def _gumbel_quantile(u):
+def _gumbel_quantile(u, out=None):
     """Standard Gumbel quantile G(u) = -log(-log u): log X for the unit
-    Frechet model."""
-    return -np.log(-np.log(u))
+    Frechet model, written into `out` when given (a ufunc's `out`).
+
+    Without `out` the operators are kept: the quadrature calls this on
+    scalars, where -x is several times faster than np.negative(x) and an
+    explicit out=None slows np.log too.
+    """
+    if out is None:
+        return -np.log(-np.log(u))
+    return np.negative(np.log(np.negative(np.log(u, out=out), out=out),
+                              out=out), out=out)
 
 
 def _log_data(label):
@@ -269,8 +286,9 @@ class FamilySpec:
 
     The data y = transform(x) (x = inverse(y), with log |dy/dx| =
     log_jacobian(y)) follow y = loc + scale * Z, where Z has the base
-    law given by `base_quantile`, `base_cdf` and `base_logpdf`; every
-    distribution function of the family is derived from these.
+    law given by `base_quantile` (which, like a ufunc, takes `out=`),
+    `base_cdf` and `base_logpdf`; every distribution function of the
+    family is derived from these.
     Reported parameters come in `names` order, also the row order of
     estimator Jacobians: Frechet reports (scale, exp(location)), so
     `scale_first` is set and the location row carries d sigma / d
@@ -302,13 +320,14 @@ class FamilySpec:
         """The reported parameters of p, in `names` order."""
         return (getattr(p, self.names[0]), getattr(p, self.names[1]))
 
-    def draw(self, p: ParameterVector, u) -> np.ndarray:
-        """Transformed data loc + scale * base_quantile(u) from uniform
-        draws u of any shape, which are clipped in place to stay strictly
-        inside (0, 1): random() can return exactly 0."""
+    def draw(self, p: ParameterVector, u: np.ndarray) -> np.ndarray:
+        """Transformed data loc + scale * base_quantile(u) from a float
+        array u of uniform draws, of any shape, computed in u's buffer
+        and returned there.  u is first clipped to stay strictly inside
+        (0, 1): random() can return exactly 0."""
         loc, scale = self.location_scale(p)
-        return loc + scale * self.base_quantile(
-            np.clip(u, 1e-300, 1.0 - 1e-16, out=u))
+        z = self.base_quantile(np.clip(u, 1e-300, 1.0 - 1e-16, out=u), out=u)
+        return np.add(np.multiply(z, scale, out=z), loc, out=z)
 
 
 _NORMAL_MAPS = dict(

@@ -11,14 +11,17 @@ together in uint64 array arithmetic that reproduces numpy's seeding bit
 for bit (`_pcg64_states`), and one reused generator draws each row.
 Replicates are processed in blocks of at most BLOCK_ELEMENTS values: a
 block is drawn directly on the transformed scale the estimators fit,
-y = loc + scale * base_quantile(u) (`FamilySpec.draw`), gets its
-reference MLE (`FamilySpec.mle_rows`) on the rows as drawn, is sorted
-once, and each estimator fits all its rows in one `estimators.fit_rows`
-call.  A replicate whose fit fails, or whose MLE fails where the MLE
-row or a proximity rule needs it, counts in that estimator's failures
-and is left out of its ratios and RE; a singular RE leaves that
-repetition's RE NaN.  Mean ratios and REs are computed per repetition
-and averaged, with standard deviations across repetitions alongside.
+y = loc + scale * base_quantile(u), transformed in its uniforms buffer
+(`FamilySpec.draw`), gets its reference MLE (`FamilySpec.mle_rows`,
+which iterates in two scratch arrays) on the rows as drawn, is sorted
+once and squared once, and each estimator fits all its rows in one
+`estimators.fit_rows` call on the shared block and squares.  A
+replicate whose fit fails, whose fitted parameters overflow, or whose
+MLE fails where the MLE row or a proximity rule needs it, counts in
+that estimator's failures and is left out of its ratios and RE; a
+singular RE leaves that repetition's RE NaN.  Mean ratios and REs are
+computed per repetition and averaged, with standard deviations across
+repetitions alongside.
 """
 
 from __future__ import annotations
@@ -215,6 +218,20 @@ def _uniforms(seed: int, rep: int, start: int, stop: int, n: int):
     return u
 
 
+def _estimates(spec, loc, scale) -> np.ndarray:
+    """The reported estimates of each row's (location, scale), NaN in a
+    row whose parameters overflow (a Frechet sigma = exp(location) above
+    the float range), found by splitting the rows in halves."""
+    try:
+        return np.transpose(spec.estimates(spec.params(loc, scale)))
+    except OverflowError:
+        if len(loc) == 1:
+            return np.full((1, 2), np.nan)
+        h = len(loc) // 2
+        return np.concatenate([_estimates(spec, loc[:h], scale[:h]),
+                               _estimates(spec, loc[h:], scale[h:])])
+
+
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full Monte Carlo study described by config."""
     config.validate()
@@ -237,13 +254,14 @@ def run_study(config: StudyConfig) -> StudyResult:
             y = spec.draw(params, _uniforms(config.seed, rep, start, stop, n))
             mle = spec.mle_rows(y)
             y.sort(axis=1)
+            squares = y * y
             fits = [mle]
             for scheme, con in zip(config.schemes, constants):
-                loc, scale = fit_rows(y, scheme, con, lambda: mle[1])[:2]
+                loc, scale = fit_rows(y, squares, scheme, con,
+                                      lambda: mle[1])[:2]
                 fits.append((loc, np.where(scale > 0.0, scale, np.nan)))
             for idx, (loc, scale) in enumerate(fits):
-                est[idx, start:stop] = np.transpose(
-                    spec.estimates(spec.params(loc, scale)))
+                est[idx, start:stop] = _estimates(spec, loc, scale)
         for idx in range(nlab):
             arr = est[idx][~np.isnan(est[idx]).any(axis=1)]
             failures[idx] += config.replicates - arr.shape[0]

@@ -2,7 +2,8 @@
 kernel, the (I, Ibar) endpoint integrals, V(i, j) through the closed
 form for a parametrized model, and the brute-force double integral
 that checks it.  For the Frechet MLE: the likelihood score of one
-sample and a bracketing Brent root search on it."""
+sample, a bracketing Brent root search on it, and the batch Newton
+kernel written with a fresh array for every block-sized step."""
 
 import math
 
@@ -11,7 +12,13 @@ from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from trimmoments.asymptotics import _i_lower, _i_upper, _v_pair
-from trimmoments.models import Family, ParameterVector
+from trimmoments.models import (
+    _MLE_MAX_ITER,
+    _MLE_RESIDUAL,
+    _MLE_RTOL,
+    Family,
+    ParameterVector,
+)
 from trimmoments.moments import TrimmingScheme
 from trimmoments.quadrature import integrate
 
@@ -130,3 +137,39 @@ def mle_frechet_brent(x):
     z = -logx / beta
     m = np.max(z)
     return beta, math.exp(-beta * (m + math.log(float(np.mean(np.exp(z - m))))))
+
+
+def frechet_rows_allocating(logx):
+    """`models._frechet_rows` with a fresh array for every block-sized
+    step: the same IEEE operations in the same order, so the kernel must
+    match it bit for bit."""
+    n = logx.shape[1]
+    lmin = logx.min(axis=1)
+    # xi is shift invariant; d >= 0 keeps the weights exp(-d / b) <= 1.
+    d = logx - lmin[:, None]
+    dbar = d.mean(axis=1)
+    loc, beta = np.full(len(d), np.nan), np.full(len(d), np.nan)
+    rows = np.flatnonzero(np.isfinite(dbar) & (dbar > 0.0))
+    d, lo, hi = d[rows], np.zeros(rows.size), dbar[rows]
+    sd = np.sqrt(((d - hi[:, None]) ** 2).mean(axis=1))
+    b = np.minimum(math.sqrt(6.0) / math.pi * sd, hi)
+    last = np.zeros(rows.size, dtype=bool)
+    for _ in range(_MLE_MAX_ITER):
+        if rows.size == 0:
+            break
+        w = np.exp(d / -b[:, None])
+        s0 = w.sum(axis=1)
+        wd = w * d
+        m1 = wd.sum(axis=1) / s0
+        xi = b + m1 - dbar[rows]
+        good = last & (np.abs(xi) <= _MLE_RESIDUAL)
+        beta[rows[good]] = b[good]
+        loc[rows[good]] = lmin[rows[good]] - b[good] * np.log(s0[good] / n)
+        step = xi / (1.0 + ((wd * d).sum(axis=1) / s0 - m1 * m1) / (b * b))
+        below = xi < 0.0
+        lo, hi = np.where(below, b, lo), np.where(below, hi, b)
+        keep, last = ~last, np.abs(step) <= _MLE_RTOL * b
+        b = b - step
+        b = np.where(last | ((lo < b) & (b <= hi)), b, 0.5 * (lo + hi))
+        rows, d, b, lo, hi, last = (v[keep] for v in (rows, d, b, lo, hi, last))
+    return loc, beta

@@ -230,6 +230,18 @@ def test_unparsable_number_exit_2(capsys, argv):
     assert out == ""
 
 
+def test_overflowing_fitted_sigma_is_an_estimator_failure(capsys):
+    # With beta = 1e150 most replicates fit a log sigma beyond the float
+    # range: those count as failures of the estimator (the MLE row too),
+    # and past the 1% limit the study exits 3 rather than aborting.
+    code, out, err = run(capsys, *SIMULATE, "--n", "20", "--model",
+                         "frechet", "--sigma", "1e-150", "--beta", "1e150")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("estimation failure:") and "MLE failed" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_negative_seed_exit_2(capsys):
     code, out, err = run(capsys, *SIMULATE, "--n", "20", *NORMAL,
                          "--seed", "-1")

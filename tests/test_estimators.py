@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from trimmoments import simulation
 from trimmoments.estimators import (
     Branch,
     EstimationError,
@@ -28,8 +29,8 @@ from trimmoments.moments import (
     zeta_constants,
 )
 from conftest import random_params, random_scheme
+from oracles import frechet_rows_allocating, mle_frechet_brent
 from oracles import frechet_score as _xi
-from oracles import mle_frechet_brent
 
 
 class TestMleNormal:
@@ -103,6 +104,32 @@ class TestMleFrechet:
         b_ref, s_ref = mle_frechet_brent(np.array(x))
         assert beta == pytest.approx(b_ref, rel=1e-13)
         assert sigma == pytest.approx(s_ref, rel=1e-12)
+
+    def test_rows_match_allocating_kernel(self):
+        # The scratch-buffer kernel is the allocating one, bit for bit,
+        # and leaves its input alone.  A study block has every row fast;
+        # the mixed blocks add rows with one far low point, which fall
+        # back to bisection from n of about 60 on (at n = 20 Newton alone
+        # converges on them), and a constant row, which has no root.
+        u = simulation._uniforms(0, 0, 0, 131, 1000)
+        blocks = [SPECS[Family.FRECHET].draw(
+            ParameterVector(sigma=2.0, beta=5.0), u)]
+        gen = np.random.default_rng(8)
+        for n in (20, 100, 1000):
+            x = np.array(
+                [-np.log(-np.log(gen.random(n))) for _ in range(5)]
+                + [np.r_[-low, np.linspace(0.0, 1.0, n - 1)]
+                   for low in (5.0, 40.0, 1000.0)]
+                + [np.full(n, 0.7)])
+            blocks.append(x[gen.permutation(len(x))])
+        for y in blocks:
+            y0 = y.copy()
+            got = SPECS[Family.FRECHET].mle_rows(y)
+            want = frechet_rows_allocating(y0)
+            assert np.array_equal(y, y0)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+        assert np.isnan(got[1]).sum() == 1  # the constant row only
 
     def test_rows_flag_constant_rows(self):
         x = np.array([sample(Family.FRECHET,
@@ -338,8 +365,9 @@ class TestFitRows:
             for _ in range(4):
                 s = random_scheme(rng, lo=0.0)
                 con = eta_constants(family, s)
+                ys = np.sort(y, axis=1)
                 loc, scale, _, _, t1, t2 = fit_rows(
-                    np.sort(y, axis=1), s, con, lambda: mle[1])
+                    ys, ys * ys, s, con, lambda: mle[1])
                 for i, row in enumerate(x):
                     if not scale[i] > 0.0:
                         with pytest.raises(EstimationError):
@@ -392,8 +420,9 @@ class TestContaminationInvariance:
         rng.shuffle(moved)
         con = eta_constants(family, s)
         y = spec.transform(np.array([x, moved]))
+        ys = np.sort(y, axis=1)
         _, scale, _, pair, t1, t2 = fit_rows(
-            np.sort(y, axis=1), s, con, lambda: spec.mle_rows(y)[1])
+            ys, ys * ys, s, con, lambda: spec.mle_rows(y)[1])
         assert t1[0] == t1[1] and t2[0] == t2[1]
         assert pair.minus[0] == pair.minus[1]
         assert pair.plus[0] == pair.plus[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,50 @@ def test_quantile_monotone(family, u1, u2):
     params = PARAMS[family]
     lo, hi = sorted((u1, u2))
     assert quantile(family, params, lo) <= quantile(family, params, hi)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_draw_transforms_its_uniforms_in_place(family):
+    # Bit for bit the out-of-place loc + scale * base_quantile(clipped u),
+    # in u's own buffer, the extremes 0 and 1 - 2**-53 included.
+    spec, p = SPECS[family], PARAMS[family]
+    loc, scale = spec.location_scale(p)
+    u0 = np.random.default_rng(3).random((4, 50))
+    u0[0, :2] = 0.0, 1.0 - 2.0 ** -53
+    want = loc + scale * spec.base_quantile(np.clip(u0, 1e-300, 1 - 1e-16))
+    u = u0.copy()
+    y = spec.draw(p, u)
+    assert y is u
+    assert np.array_equal(y, want)
+    # The quadrature evaluates the base quantile at floats and 0-d arrays.
+    for v in (0.3, np.float64(0.3), np.array(0.3)):
+        q = spec.base_quantile(v)
+        assert np.ndim(q) == 0 and q == spec.base_quantile(np.array([0.3]))[0]
+
+
+def _peak_blocks(block, fn, *args):
+    """Peak traced memory of fn(*args) above its start, in block sizes;
+    tracemalloc sees numpy's data buffers."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - start) / block.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_kernels_make_no_block_sized_temporaries():
+    # One n = 1000 study block: the draw works in its uniforms buffer, and
+    # the Frechet MLE holds the shifted data and two scratch arrays (with
+    # a fourth, shrinking copy of the data once rows converge).
+    u = np.random.default_rng(5).random((131, 1000))
+    for family in Family:
+        assert _peak_blocks(u, SPECS[family].draw, PARAMS[family],
+                            u.copy()) < 0.01
+    y = SPECS[Family.FRECHET].draw(PARAMS[Family.FRECHET], u)
+    assert _peak_blocks(y, SPECS[Family.FRECHET].mle_rows, y) <= 4.0
 
 
 def test_h_functions():
