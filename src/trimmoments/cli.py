@@ -151,8 +151,6 @@ def _cmd_are(args) -> int:
     pname = _model_flag(args, family)
     grid = _parse_grid(getattr(args, pname))
     points = [ParameterVector(**{pname: v, "sigma": args.sigma}) for v in grid]
-    for p in points:
-        p.validate(family)
     rows = [["scheme"] + [f"{pname}={v:g}" for v in grid]]
     for scheme in schemes:
         rows.append([scheme.label()] + [
@@ -199,8 +197,8 @@ def _cmd_gof(args) -> int:
     estimators = [("MLE", None)] + [(s.label(), s) for s in schemes]
     for tag, x in datasets:
         for label, scheme in estimators:
-            rl = gof.gof_report(Family.LOGNORMAL, x, scheme, tag)
-            rf = gof.gof_report(Family.FRECHET, x, scheme, tag)
+            rl = gof.gof_report(Family.LOGNORMAL, x, scheme)
+            rf = gof.gof_report(Family.FRECHET, x, scheme)
             rows.append([
                 tag, label,
                 f"{rl.params.theta:.2f}", f"{rl.params.sigma:.2f}",

@@ -141,8 +141,8 @@ def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     spec = _location_scale(family, params)[0]
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return spec.inverse(spec.draw(params, rng.random(n)))
+    u = np.random.default_rng(seed).random(n)
+    return spec.inverse(spec.draw(params, u))
 
 
 def _normal_rows(y):

@@ -176,9 +176,9 @@ class MomentConstants:
     """Scheme-level constants used to invert the moment equations.
 
     m1_11 is the first-order constant on window 1, m1_22 and m2_22 the
-    first and second-order constants on window 2; eta_12 and eta_22 are
-    the quadratic forms eta(a1, bbar2) and eta(a2, bbar2) (zeta for the
-    Frechet family) and eta_r their ratio.  The eta forms are even in
+    first and second-order constants on window 2; eta_12 is the
+    quadratic form eta(a1, bbar2) (zeta for the Frechet family) and
+    eta_r the ratio eta(a2, bbar2) / eta_12.  The eta forms are even in
     the first-order constants, so they agree between the two kinds.
     """
 
@@ -187,7 +187,6 @@ class MomentConstants:
     m1_22: float
     m2_22: float
     eta_12: float
-    eta_22: float
     eta_r: float
 
     def c_form(self) -> "MomentConstants":
@@ -212,9 +211,8 @@ def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
     m1_22 = _window_mean(base, a2, bbar2, 1)
     m2_22 = _window_mean(base, a2, bbar2, 2)
     eta_12 = m1_11 * m1_11 - 2.0 * m1_11 * m1_22 + m2_22
-    eta_22 = m2_22 - m1_22 * m1_22
-    return MomentConstants("c", m1_11, m1_22, m2_22, eta_12, eta_22,
-                           eta_22 / eta_12)
+    return MomentConstants("c", m1_11, m1_22, m2_22, eta_12,
+                           (m2_22 - m1_22 * m1_22) / eta_12)
 
 
 def zeta_constants(scheme: TrimmingScheme) -> MomentConstants:

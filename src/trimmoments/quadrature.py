@@ -4,10 +4,11 @@ The integrands of interest are powers of quantile functions, which are
 smooth inside (0, 1) but may diverge (integrably) at the endpoints.  The
 integrator below is a nested Gauss-Kronrod 7/15 rule driven by a global
 error heap: the subinterval with the largest error estimate is bisected
-until the accumulated error drops below tolerance.  Bisection toward a
+until the accumulated error drops below 1e-10.  Bisection toward a
 singular endpoint produces geometrically shrinking panels, which is
 exactly the refinement such singularities need.  All evaluation nodes
-are interior, so f is never called at 0 or 1.
+are interior, so f is never called at 0 or 1: on a panel ending at 1,
+where a node may round to 1, they are clamped below it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ _WG = np.array([
 ])
 
 _MAX_INTERVALS = 2 ** 16
+_TOL = 1e-10
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class IntegrationError(Exception):
@@ -86,6 +89,8 @@ def _gk15(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid + half * _XK
+    if b == 1.0:
+        x = np.minimum(x, _BELOW_ONE)
     y = np.asarray(f(x), dtype=float)
     k15 = half * np.dot(_WK, y)
     g7 = half * np.dot(_WG, y[1::2])
@@ -96,8 +101,8 @@ def _gk15(f, a, b):
     return k15, err
 
 
-def integrate(f, a, b, tol=1e-10):
-    """Integrate f over [a, b] within (0, 1) to absolute tolerance tol.
+def integrate(f, a, b):
+    """Integrate f over [a, b] within (0, 1) to absolute tolerance 1e-10.
 
     Parameters
     ----------
@@ -107,8 +112,6 @@ def integrate(f, a, b, tol=1e-10):
         Limits with 0 <= a < b <= 1.  Endpoint values 0 and 1 are fine:
         only interior nodes are ever evaluated, and a limit at 0 or 1 is
         treated as a possible singularity.
-    tol : float
-        Absolute error target.
 
     Returns
     -------
@@ -120,12 +123,10 @@ def integrate(f, a, b, tol=1e-10):
         If the error target is not met within the 2**16 subinterval
         budget.
     ValueError
-        On an invalid interval or tolerance.
+        On an invalid interval.
     """
     if not (a < b):
         raise ValueError(f"integration limits must satisfy a < b, got [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     # Seed panels: peel geometric shells off the limits 0 and 1, where
     # quantile powers may diverge, so the first adaptive pass already
@@ -149,11 +150,11 @@ def integrate(f, a, b, tol=1e-10):
         heapq.heappush(heap, (-err, lo, hi, est))
     count = len(heap)
 
-    while total_err > tol and heap:
+    while total_err > _TOL and heap:
         if count >= _MAX_INTERVALS:
             raise IntegrationError(
                 f"quadrature budget of {_MAX_INTERVALS} subintervals exhausted "
-                f"(error bound {total_err:.3e} > tol {tol:.3e})",
+                f"(error bound {total_err:.3e} > tol {_TOL:.3e})",
                 total,
                 total_err,
             )

@@ -335,13 +335,13 @@ def test_criterion_7_robustness_to_maximum_inflation():
         s = validate_scheme(*quad)
         for family in (Family.LOGNORMAL, Family.FRECHET):
             before = gof_report(family, damages, s)
-            after = gof_report(family, modified, s, tag="modified")
+            after = gof_report(family, modified, s)
             assert before.params == after.params, (quad, family)
     # The non-robust MLE degrades visibly on the same modification.
     assert gof_report(Family.LOGNORMAL, damages, None).fit == pytest.approx(
         0.1036, abs=0.01)
-    assert gof_report(Family.LOGNORMAL, modified, None,
-                      tag="modified").fit == pytest.approx(0.2932, abs=0.01)
+    assert gof_report(Family.LOGNORMAL, modified, None).fit == pytest.approx(
+        0.2932, abs=0.01)
 
 
 def test_criterion_8_hurricane_table_spot_rows():

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -256,7 +259,6 @@ class TestGof:
         code, out, _ = run(capsys, "gof", "--modified",
                            "--scheme", "1/30,1/30,1/30,1/30")
         assert code == 0
-        import csv
         rows = list(csv.reader(out.strip().splitlines()))
         assert len(rows) == 5  # header + 2 estimators x 2 datasets
         assert float(rows[1][2]) == pytest.approx(22.80, abs=0.01)
@@ -436,3 +438,57 @@ def test_constant_data_exit_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err.startswith("estimation failure:")
+
+
+def _clean_run(capsys, *argv):
+    """stdout of a run that must exit 0 with nothing on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+def _csv_column(out, col):
+    return [float(row[col]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+
+
+ARE_AT_ONE = ("are", "--model", "normal", "--sigma", "1", "--theta", "0",
+              "--scheme")
+FIT_AT_ONE = ("fit", "--model", "frechet", "--data", "hurricane",
+              "--a1", "0.1", "--a2", "0.2", "--b2", "0", "--b1")
+SIMULATE_ONE = (*SIMULATE, "--n", "20", "--model", "frechet", "--beta", "0.5",
+                "--sigma")
+
+
+# Contract table: inputs the CLI accepts that once wrote RuntimeWarnings
+# or failed, each run beside a neighbouring input with the same answer.
+@pytest.mark.parametrize("argv, reference, values", [
+    # A window ending within 1e-9 of 1: no quadrature node may round to 1.
+    pytest.param((*ARE_AT_ONE, "0.05,0,0.05,1e-9"),
+                 (*ARE_AT_ONE, "0.05,0,0.05,0"),
+                 lambda out: _csv_column(out, 1), id="are-window-at-one"),
+    pytest.param((*FIT_AT_ONE, "1e-9"), (*FIT_AT_ONE, "0"),
+                 lambda out: list(json.loads(out)["estimates"].values()),
+                 id="fit-window-at-one"),
+    # The Frechet study is scale-equivariant in sigma; its squared errors
+    # in data units overflow at 1e154.
+    pytest.param((*SIMULATE_ONE, "1e154"), (*SIMULATE_ONE, "2"),
+                 lambda out: _csv_column(out, 4), id="simulate-large-sigma"),
+])
+def test_contract_matches_neighbour(capsys, argv, reference, values):
+    got = values(_clean_run(capsys, *argv))
+    assert got == pytest.approx(values(_clean_run(capsys, *reference)),
+                                rel=1e-6)
+
+
+def test_contract_gof_far_low_outlier(capsys, tmp_path):
+    # The Frechet MLE of data with one point far below the rest has a
+    # large beta: its fitted quantiles overflow, its log-quantiles do
+    # not, and the trimmed fit's density underflows at the outlier.
+    path = tmp_path / "data.csv"
+    values = [1e-300, *np.exp(np.linspace(-0.5, 0.5, 29)).tolist()]
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    out = _clean_run(capsys, "gof", "--data", str(path), "--scale", "1",
+                     "--scheme", "0.1,0.1,0.1,0.1")
+    fits = _csv_column(out, 4) + _csv_column(out, 9)
+    assert all(map(math.isfinite, fits))
+    assert _csv_column(out, 10)[1] == math.inf

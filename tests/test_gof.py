@@ -103,13 +103,13 @@ class TestRobustnessWorkflow:
         mod = modify_dataset(damages)
         for family in (Family.LOGNORMAL, Family.FRECHET):
             orig = gof_report(family, damages, T3)
-            after = gof_report(family, mod, T3, tag="modified")
+            after = gof_report(family, mod, T3)
             assert orig.params == after.params
 
     def test_mle_fit_degrades(self, damages):
         mod = modify_dataset(damages)
         before = gof_report(Family.LOGNORMAL, damages, None).fit
-        after = gof_report(Family.LOGNORMAL, mod, None, tag="modified").fit
+        after = gof_report(Family.LOGNORMAL, mod, None).fit
         assert before == pytest.approx(0.1036, abs=0.01)
         assert after == pytest.approx(0.2932, abs=0.01)
 

@@ -37,20 +37,33 @@ def test_never_evaluates_endpoints():
     integrate(f, 0.0, 1.0)
 
 
-def test_invalid_interval_and_tolerance():
+def test_narrow_window_at_one_stays_inside():
+    # The seed shells of [1 - 1e-9, 1] shrink to 1e-15, where the outer
+    # Kronrod node of the last shell rounds to 1.0 unless clamped.
+    seen = []
+
+    def f(u):
+        u = np.asarray(u)
+        seen.append(u.max())
+        return ndtri(u) ** 2
+
+    val = integrate(f, 1.0 - 1e-9, 1.0)
+    assert math.isfinite(val) and val > 0.0
+    assert max(seen) < 1.0
+
+
+def test_invalid_interval():
     with pytest.raises(ValueError):
         integrate(lambda u: u, 0.5, 0.5)
     with pytest.raises(ValueError):
         integrate(lambda u: u, 0.3, 0.2)
-    with pytest.raises(ValueError):
-        integrate(lambda u: u, 0.0, 1.0, tol=0.0)
 
 
 def test_budget_exhaustion_reports_estimate():
     # An oscillation far below panel resolution exhausts the budget; the
     # error must carry the running estimate and bound.
     with pytest.raises(IntegrationError) as exc:
-        integrate(lambda u: np.sin(3e7 * u), 0.0, 1.0, tol=1e-14)
+        integrate(lambda u: np.sin(3e7 * u), 0.0, 1.0)
     assert math.isfinite(exc.value.estimate)
     assert exc.value.error_bound > 0.0
 
