@@ -93,9 +93,8 @@ def _write_csv(path, rows):
 
 def _cmd_fit(args) -> int:
     scale = args.scale
-    if args.data == "hurricane" and args.scale is None:
-        scale = gof.DATA_SCALE
-    scale = 1.0 if scale is None else scale
+    if scale is None:
+        scale = gof.DATA_SCALE if args.data == "hurricane" else 1.0
     data = _load_data(args.data, scale)
     scheme = validate_scheme(_parse_number(args.a1), _parse_number(args.b1),
                              _parse_number(args.a2), _parse_number(args.b2))

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .estimators import fit
-from .models import SPECS, Family, ParameterVector, _location_scale, logpdf
+from .models import SPECS, Family, ParameterVector, logpdf, transformed_quantile
 from .moments import TrimmingScheme
 
 __all__ = [
@@ -51,16 +51,13 @@ class GofReport:
 
 def fit_statistic(family: Family, params: ParameterVector, data) -> float:
     """Mean absolute log-quantile deviation at positions (j - 0.5)/n."""
-    if family is Family.NORMAL:
-        raise ValueError("the case study fits lognormal or Frechet models")
     x = np.sort(np.asarray(data, dtype=float))
     if x.size < 1:
         raise ValueError("data must be nonempty")
     if np.any(x <= 0.0):
         raise ValueError("data must be positive (log scale comparison)")
     u = (np.arange(1, x.size + 1) - 0.5) / x.size
-    spec, loc, scale = _location_scale(family, params)
-    log_q = loc + scale * spec.base_quantile(u)
+    log_q = transformed_quantile(family, params, u)
     return float(np.mean(np.abs(log_q - np.log(x))))
 
 
@@ -113,6 +110,8 @@ def gof_report(family: Family, data,
                scheme: Optional[TrimmingScheme] = None) -> GofReport:
     """Fit the model (MLE when scheme is None, otherwise the trimmed
     estimator) and report FIT/AIC/BIC.  data is in dollars."""
+    if family is Family.NORMAL:
+        raise ValueError("the case study fits lognormal or Frechet models")
     x = np.asarray(data, dtype=float)
     if scheme is None:
         params = SPECS[family].mle(x)

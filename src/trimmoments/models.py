@@ -43,6 +43,7 @@ __all__ = [
     "SPECS",
     "EstimationError",
     "quantile",
+    "transformed_quantile",
     "cdf",
     "pdf",
     "logpdf",
@@ -106,10 +107,15 @@ def _location_scale(family: Family, params: ParameterVector):
     return (spec, *spec.location_scale(params))
 
 
-def quantile(family: Family, params: ParameterVector, u):
-    """F^{-1}(u): the inverse transform of loc + scale * base_quantile(u)."""
+def transformed_quantile(family: Family, params: ParameterVector, u):
+    """loc + scale * base_quantile(u), F^{-1}(u) on the transformed scale."""
     spec, loc, scale = _location_scale(family, params)
-    return spec.inverse(loc + scale * spec.base_quantile(_check_u(u)))
+    return loc + scale * spec.base_quantile(_check_u(u))
+
+
+def quantile(family: Family, params: ParameterVector, u):
+    """F^{-1}(u): the inverse transform of `transformed_quantile`."""
+    return SPECS[family].inverse(transformed_quantile(family, params, u))
 
 
 def cdf(family: Family, params: ParameterVector, x):

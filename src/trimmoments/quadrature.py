@@ -140,9 +140,7 @@ def integrate(f, a, b):
     cuts.append(b)
     cuts = sorted(set(cuts))
 
-    heap = []
-    total = 0.0
-    total_err = 0.0
+    heap, total, total_err = [], 0.0, 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         est, err = _gk15(f, lo, hi)
         total += est
@@ -162,8 +160,7 @@ def integrate(f, a, b):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # Interval at floating point resolution; keep its estimate.
-            total_err += neg_err  # remove this error from the budget
-            total_err = max(total_err, 0.0)
+            total_err = max(total_err + neg_err, 0.0)  # drop its error
             continue
         e1, r1 = _gk15(f, lo, mid)
         e2, r2 = _gk15(f, mid, hi)

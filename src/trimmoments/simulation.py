@@ -116,22 +116,20 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
     The numerator is the asymptotic per-observation MLE spread
     det(S_MLE)^(1/2); the denominator is the determinant of the
     empirical cross-moment matrix of the estimation errors, to the same
-    power, scaled by n so that the MLE itself scores about 1.  Both are
-    relative to the true parameters, which keeps the squares of large
-    estimates in range and leaves the ratio unchanged.
+    power, scaled by n so that the MLE itself scores about 1.  Both scale
+    each parameter by its MLE standard deviation, which keeps the squares
+    in range and leaves the ratio unchanged.
     """
     est = np.asarray(estimates, dtype=float)
     if est.ndim != 2 or est.shape[0] < 2 or est.shape[1] != 2:
         raise ValueError("estimates must be an (m, 2) array with m >= 2")
-    truth = np.array(SPECS[family].estimates(params))
-    if 0.0 in truth:
-        raise ValueError("true parameters must be nonzero")
-    rel = est / truth - 1.0
-    det = det2(rel.T @ rel / rel.shape[0])
+    cov = s_mle(family, params)
+    sd = np.sqrt(np.diag(cov))
+    z = (est - np.array(SPECS[family].estimates(params))) / sd
+    det = det2(z.T @ z / z.shape[0])
     if det <= 0.0:
         raise ValueError("empirical cross-moment matrix is singular")
-    spread = math.sqrt(det2(s_mle(family, params))) / abs(truth[0] * truth[1])
-    return spread / (n * math.sqrt(det))
+    return math.sqrt(det2(cov / np.outer(sd, sd))) / (n * math.sqrt(det))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the

@@ -457,6 +457,8 @@ FIT_AT_ONE = ("fit", "--model", "frechet", "--data", "hurricane",
               "--a1", "0.1", "--a2", "0.2", "--b2", "0", "--b1")
 SIMULATE_ONE = (*SIMULATE, "--n", "20", "--model", "frechet", "--beta", "0.5",
                 "--sigma")
+SIMULATE_NORMAL = (*SIMULATE, "--n", "20", "--model", "normal", "--sigma", "1",
+                   "--theta")
 
 
 # Contract table: inputs the CLI accepts that once wrote RuntimeWarnings
@@ -473,6 +475,10 @@ SIMULATE_ONE = (*SIMULATE, "--n", "20", "--model", "frechet", "--beta", "0.5",
     # in data units overflow at 1e154.
     pytest.param((*SIMULATE_ONE, "1e154"), (*SIMULATE_ONE, "2"),
                  lambda out: _csv_column(out, 4), id="simulate-large-sigma"),
+    # A normal study's errors do not depend on theta; relative to a tiny
+    # theta their squares overflow.
+    pytest.param((*SIMULATE_NORMAL, "1e-160"), (*SIMULATE_NORMAL, "1"),
+                 lambda out: _csv_column(out, 4), id="simulate-tiny-theta"),
 ])
 def test_contract_matches_neighbour(capsys, argv, reference, values):
     got = values(_clean_run(capsys, *argv))
