@@ -57,6 +57,8 @@ class Branch(enum.Enum):
     MINUS = "minus"
     EQUAL_TRIM = "equal-trim"
 
+    __hash__ = object.__hash__  # identity, as for `models.Family`
+
 
 @dataclass(frozen=True)
 class CandidatePair:

@@ -11,9 +11,11 @@ data y, and the spec says how a family maps onto it:
 - Frechet: y = log x = log sigma + beta * G with G = -log(-log U) the
   standard Gumbel quantile, so location = log sigma and scale = beta.
 
-quantile, cdf, pdf/logpdf and sampling are written once from the spec:
+quantile, pdf/logpdf and sampling are written once from the spec:
 the base law of Z (normal or standard Gumbel), the transform, its
-inverse and its log-Jacobian.
+inverse and its log-Jacobian.  Phi^{-1} is scipy's `ndtri`, imported
+at its first call (`_ndtri`): importing the package and every Frechet
+path leave scipy unloaded.
 
 The paper writes the Frechet constants with Delta(u) = log(-log u) =
 -G(u): its kappa_k are the window averages of Delta^k, so the
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "Family",
@@ -44,7 +45,6 @@ __all__ = [
     "EstimationError",
     "quantile",
     "transformed_quantile",
-    "cdf",
     "pdf",
     "logpdf",
     "sample",
@@ -61,6 +61,11 @@ class Family(enum.Enum):
     NORMAL = "normal"
     LOGNORMAL = "lognormal"
     FRECHET = "frechet"
+
+    # Members are singletons that compare by identity; Enum's own hash
+    # is a Python-level hash of the name, paid on every SPECS lookup and
+    # every cache key.
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, name: str) -> "Family":
@@ -116,13 +121,6 @@ def transformed_quantile(family: Family, params: ParameterVector, u):
 def quantile(family: Family, params: ParameterVector, u):
     """F^{-1}(u): the inverse transform of `transformed_quantile`."""
     return SPECS[family].inverse(transformed_quantile(family, params, u))
-
-
-def cdf(family: Family, params: ParameterVector, x):
-    """The base cdf at the standardised transformed data."""
-    spec, loc, scale = _location_scale(family, params)
-    y = spec.transform(np.asarray(x, dtype=float))
-    return spec.base_cdf((y - loc) / scale)
 
 
 def logpdf(family: Family, params: ParameterVector, x):
@@ -256,6 +254,23 @@ def _gumbel_quantile(u, out=None):
                               out=out), out=out)
 
 
+_scipy_ndtri = None
+
+
+def _ndtri(u, out=None):
+    """Standard normal quantile Phi^{-1}(u): scipy.special.ndtri, imported
+    on the first call and forwarded to, with `out` passed only when given
+    (see `_gumbel_quantile`).  This one function stays the normal
+    families' base_quantile, so caches keyed on it never split.
+    """
+    global _scipy_ndtri
+    if _scipy_ndtri is None:
+        from scipy.special import ndtri as _scipy_ndtri
+    if out is None:
+        return _scipy_ndtri(u)
+    return _scipy_ndtri(u, out=out)
+
+
 def _log_data(label):
     """y = log x for positive data, its inverse, and the log-Jacobian
     log |dy/dx| = -log x = -y."""
@@ -292,9 +307,9 @@ class FamilySpec:
 
     The data y = transform(x) (x = inverse(y), with log |dy/dx| =
     log_jacobian(y)) follow y = loc + scale * Z, where Z has the base
-    law given by `base_quantile` (which, like a ufunc, takes `out=`),
-    `base_cdf` and `base_logpdf`; every distribution function of the
-    family is derived from these.
+    law given by `base_quantile` (which, like a ufunc, takes `out=`) and
+    `base_logpdf`; every distribution function of the family is derived
+    from these.
     Reported parameters come in `names` order, also the row order of
     estimator Jacobians: Frechet reports (scale, exp(location)), so
     `scale_first` is set and the location row carries d sigma / d
@@ -311,7 +326,6 @@ class FamilySpec:
     inverse: Callable[[np.ndarray], np.ndarray]
     log_jacobian: Callable[[np.ndarray], np.ndarray]
     base_quantile: Callable
-    base_cdf: Callable
     base_logpdf: Callable
     location_scale: Callable[[ParameterVector], Tuple[float, float]]
     params: Callable[[float, float], ParameterVector]
@@ -338,8 +352,7 @@ class FamilySpec:
 
 _NORMAL_MAPS = dict(
     names=("theta", "sigma"),
-    base_quantile=ndtri,
-    base_cdf=ndtr,
+    base_quantile=_ndtri,
     base_logpdf=lambda z: -0.5 * (z * z + math.log(2.0 * math.pi)),
     location_scale=lambda p: (p.theta, p.sigma),
     params=lambda loc, scale: ParameterVector(theta=loc, sigma=scale),
@@ -365,7 +378,6 @@ SPECS = {
         names=("beta", "sigma"),
         **_log_data("Frechet"),
         base_quantile=_gumbel_quantile,
-        base_cdf=lambda z: np.exp(-np.exp(-z)),
         base_logpdf=lambda z: -z - np.exp(-z),
         location_scale=lambda p: (math.log(p.sigma), p.beta),
         params=lambda loc, scale: _frechet(scale, _exp(loc)),

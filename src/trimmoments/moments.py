@@ -52,6 +52,8 @@ class SchemeTag(enum.Enum):
     CONDITION8 = "condition8"
     CONDITION12 = "condition12"
 
+    __hash__ = object.__hash__  # identity, as for `models.Family`
+
 
 @dataclass(frozen=True)
 class TrimmingScheme:

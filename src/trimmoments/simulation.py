@@ -27,7 +27,6 @@ repetitions alongside.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -236,6 +235,20 @@ def _estimates(spec, loc, scale) -> np.ndarray:
                                _estimates(spec, loc[h:], scale[h:])])
 
 
+def _mean_sd(values):
+    """Mean and standard deviation of the repetitions that have a value
+    (not NaN), both NaN when none has.  They are computed on the values
+    divided by a power of two near the largest of them, and multiplied
+    back: the scaling is exact, so the results are the unscaled ones bit
+    for bit, except that the squared deviations cannot overflow."""
+    kept = values[~np.isnan(values)]
+    if kept.size == 0:
+        return math.nan, math.nan
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(kept))))[1] - 1)
+    z = kept / scale
+    return float(np.mean(z)) * scale, float(np.std(z)) * scale
+
+
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full Monte Carlo study described by config."""
     config.validate()
@@ -287,10 +300,8 @@ def run_study(config: StudyConfig) -> StudyResult:
                 f"replicates (limit {100.0 * MAX_FAILURE_RATE:.1f}%); "
                 "update trimming proportions"
             )
-        with warnings.catch_warnings():  # no repetition left: NaN, quietly
-            warnings.simplefilter("ignore", RuntimeWarning)
-            stats = [float(f(v)) for f in (np.nanmean, np.nanstd)
-                     for v in (ratio_reps[:, idx, 0], ratio_reps[:, idx, 1],
-                               re_reps[:, idx])]
-        result.rows.append(SchemeSummary(label, *stats, int(failures[idx])))
+        means, sds = zip(*(_mean_sd(v) for v in (
+            ratio_reps[:, idx, 0], ratio_reps[:, idx, 1], re_reps[:, idx])))
+        result.rows.append(SchemeSummary(label, *means, *sds,
+                                         int(failures[idx])))
     return result

@@ -3,24 +3,36 @@ kernel, the (I, Ibar) endpoint integrals, V(i, j) through the closed
 form for a parametrized model, and the brute-force double integral
 that checks it.  For the Frechet MLE: the likelihood score of one
 sample, a bracketing Brent root search on it, and the batch Newton
-kernel written with a fresh array for every block-sized step."""
+kernel written with a fresh array for every block-sized step.  For the
+models: the cdf of each family."""
 
 import math
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from trimmoments.asymptotics import _i_lower, _i_upper, _v_pair
 from trimmoments.models import (
     _MLE_MAX_ITER,
     _MLE_RESIDUAL,
     _MLE_RTOL,
+    SPECS,
     Family,
     ParameterVector,
 )
 from trimmoments.moments import TrimmingScheme
 from trimmoments.quadrature import integrate
+
+
+def cdf(family: Family, params: ParameterVector, x):
+    """The base cdf (Phi, or the standard Gumbel exp(-exp(-z))) at the
+    standardised transformed data."""
+    params.validate(family)
+    spec = SPECS[family]
+    loc, scale = spec.location_scale(params)
+    z = (spec.transform(np.asarray(x, dtype=float)) - loc) / scale
+    return np.exp(-np.exp(-z)) if family is Family.FRECHET else ndtr(z)
 
 
 def kernel(w, v):

@@ -479,6 +479,15 @@ SIMULATE_NORMAL = (*SIMULATE, "--n", "20", "--model", "normal", "--sigma", "1",
     # theta their squares overflow.
     pytest.param((*SIMULATE_NORMAL, "1e-160"), (*SIMULATE_NORMAL, "1"),
                  lambda out: _csv_column(out, 4), id="simulate-tiny-theta"),
+    # For a tiny theta the ratios est / theta scale as 1 / theta, so
+    # their standard deviation across repetitions over their mean does
+    # not depend on theta; at 1e-160 the squared deviations overflow
+    # unless scaled.
+    pytest.param((*SIMULATE_NORMAL, "1e-160", "--repetitions", "3"),
+                 (*SIMULATE_NORMAL, "1e-150", "--repetitions", "3"),
+                 lambda out: [sd / mean for sd, mean in zip(
+                     _csv_column(out, 5), _csv_column(out, 2))],
+                 id="simulate-tiny-theta-sd"),
 ])
 def test_contract_matches_neighbour(capsys, argv, reference, values):
     got = values(_clean_run(capsys, *argv))

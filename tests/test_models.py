@@ -11,11 +11,11 @@ from trimmoments.models import (
     SPECS,
     Family,
     ParameterVector,
-    cdf,
     pdf,
     quantile,
     sample,
 )
+from oracles import cdf
 
 PARAMS = {
     Family.NORMAL: ParameterVector(theta=1.5, sigma=2.0),
