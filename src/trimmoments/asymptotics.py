@@ -11,6 +11,8 @@ Jacobian are written once in (location, scale) and mapped to the
 reported parameters through `models.SPECS`.  S_T = D Sigma_T D' uses the
 branch-aware Jacobian, and the ARE versus maximum likelihood is
 (det S_MLE / det S_T)^(1/2), each rejected when it over- or underflows.
+The ARE needs only det S_T = det(D)^2 det(Sigma_T), which `are` writes
+in closed form in units of the scale, on the ratio location / scale.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .moments import (
     MomentConstants,
     TrimmingScheme,
     eta_constants,
-    population_moments,
     window_integral,
 )
 
@@ -38,7 +39,6 @@ __all__ = [
     "lambda_entries",
     "psi_entries",
     "sigma_T",
-    "jacobian_location_scale",
     "jacobian_at_moments",
     "delta_covariance",
     "s_mle",
@@ -69,10 +69,9 @@ def det2(m) -> float:
     return a * d - b * c
 
 
-def _covariance_det(m, name: str) -> float:
-    """det2 of S_MLE or S_T, which the ARE ratio needs to be a positive
+def _in_range(det: float, name: str) -> float:
+    """det S_MLE or det S_T, which the ARE ratio needs to be a positive
     normal float; otherwise the parameters are out of range."""
-    det = det2(m)
     if not sys.float_info.min <= det < math.inf:
         raise ValueError(f"parameters out of range: det {name} is {det}")
     return det
@@ -176,15 +175,9 @@ def psi_entries(scheme: TrimmingScheme) -> dict:
                                  scheme).items()}
 
 
-def sigma_T(family: Family, params: ParameterVector,
-            scheme: TrimmingScheme) -> np.ndarray:
-    """Asymptotic covariance of (T1_hat, T2_hat), the trimmed moments of
-    the transformed data, in the location-scale form of the family;
-    ValueError when a power of its parameters overflows."""
-    params.validate(family)
-    spec = SPECS[family]
-    loc, scale = spec.location_scale(params)
-    lam = _entries(spec.base_quantile, scheme)
+def _sigma_entries(loc: float, scale: float, lam: dict):
+    """(s11, s12, s22) of Sigma_T for the given location and scale;
+    ValueError when a power of them overflows."""
     try:
         s11 = scale ** 2 * lam["111"]
         s12 = (2.0 * loc * scale ** 2 * lam["121"]
@@ -194,6 +187,18 @@ def sigma_T(family: Family, params: ParameterVector,
                + 4.0 * scale ** 4 * lam["223"])
     except OverflowError:
         raise ValueError("parameters out of range: Sigma_T overflows") from None
+    return s11, s12, s22
+
+
+def sigma_T(family: Family, params: ParameterVector,
+            scheme: TrimmingScheme) -> np.ndarray:
+    """Asymptotic covariance of (T1_hat, T2_hat), the trimmed moments of
+    the transformed data, in the location-scale form of the family;
+    ValueError when a power of its parameters overflows."""
+    params.validate(family)
+    spec = SPECS[family]
+    s11, s12, s22 = _sigma_entries(*spec.location_scale(params),
+                                   _entries(spec.base_quantile, scheme))
     return np.array([[s11, s12], [s12, s22]])
 
 
@@ -229,15 +234,6 @@ def jacobian_at_moments(family: Family, t1, t2, constants: MomentConstants,
                     else (location, scale))
 
 
-def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,
-                            branch=Branch.PLUS,
-                            family: Family = Family.NORMAL) -> np.ndarray:
-    """Population-level Jacobian for the given branch."""
-    t1, t2 = population_moments(family, params, scheme)
-    return jacobian_at_moments(family, t1, t2, eta_constants(family, scheme),
-                               branch, params.sigma)
-
-
 def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Delta-method covariance S_T = D Sigma_T D'."""
     s = jac @ sigma_t @ jac.T
@@ -253,22 +249,51 @@ def s_mle(family: Family, params: ParameterVector) -> np.ndarray:
         m = SPECS[family].s_mle(params)
     except OverflowError:
         raise ValueError("parameters out of range: S_MLE overflows") from None
-    _covariance_det(m, "S_MLE")
+    _in_range(det2(m), "S_MLE")
     return m
 
 
 def are(family: Family, params: ParameterVector,
         scheme: TrimmingScheme) -> AreResult:
-    """Asymptotic relative efficiency of the trimmed estimator vs MLE, on
-    the plus-branch Jacobian: det(D-) = -det(D+), so the branch cannot
-    affect it."""
+    """Asymptotic relative efficiency of the trimmed estimator vs MLE.
+
+    det S_T = det(D)^2 det(Sigma_T), with l = location / scale:
+    det(D+) = f / (2 sqrt(eta_12) sqrt(disc)) for the location factor f
+    and the scale discriminant disc = t2 - eta_r t1^2 (det(D-) =
+    -det(D+), so the branch cannot affect it), and det(Sigma_T) = 4
+    scale^6 times a quadratic in l of the Lambda entries.  Both are
+    taken in units of the scale, so neither cancels at a large |l|; for
+    equal schemes their l terms vanish exactly and the ARE does not
+    depend on l.  The discriminant is singular below _SINGULAR_TOL of
+    the size of its terms.
+    """
     det_mle = det2(s_mle(family, params))
-    sigma_t = sigma_T(family, params, scheme)
-    try:
-        jac = jacobian_location_scale(params, scheme, Branch.PLUS, family)
-    except SingularityError:
+    spec = SPECS[family]
+    loc, scale = spec.location_scale(params)
+    lam = _entries(spec.base_quantile, scheme)
+    # The largest entry of Sigma_T in data units, the variance of T2,
+    # must be finite, though the ARE does not depend on the scale.
+    if not math.isfinite(_sigma_entries(loc, scale, lam)[2]):
+        raise ValueError("parameters out of range: Sigma_T overflows")
+    c = eta_constants(family, scheme)
+    m11, eta_r = c.m1_11, c.eta_r
+    ell = loc / scale
+    # disc / scale^2.  Each coefficient multiplies l before l does, so a
+    # zero one (equal schemes) stays zero where l * l overflows.
+    quad = (1.0 - eta_r) * ell * ell
+    lin = 2.0 * (c.m1_22 - eta_r * m11) * ell
+    const = c.m2_22 - eta_r * m11 * m11
+    disc = quad + lin + const
+    if disc < _SINGULAR_TOL * (abs(quad) + abs(lin) + abs(const)):
         return AreResult(0.0, math.inf, True)
-    det_t = _covariance_det(delta_covariance(sigma_t, jac), "S_T")
+    l111, l121, l122 = lam["111"], lam["121"], lam["122"]
+    l221, l222, l223 = lam["221"], lam["222"], lam["223"]
+    # det(Sigma_T) / (4 scale^6)
+    det_sigma = ((l111 * l221 - l121 * l121) * ell * ell
+                 + 2.0 * (l111 * l222 - l121 * l122) * ell
+                 + (l111 * l223 - l122 * l122))
+    g = spec.location_factor(params.sigma) * scale * scale
+    det_t = _in_range(g * g * det_sigma / (c.eta_12 * disc), "S_T")
     return AreResult(math.sqrt(det_mle / det_t), det_t)
 
 

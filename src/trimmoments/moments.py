@@ -165,12 +165,13 @@ def kappa_k(a: float, bbar: float, k: int) -> float:
 
 
 def _window_mean(base, a: float, bbar: float, k: int) -> float:
-    """Window-averaged k-th power (k = 1, 2) of a base quantile."""
+    """Window-averaged k-th power (k = 1, 2) of a base quantile, as a
+    Python float."""
     if not (0.0 <= a < bbar <= 1.0):
         raise SchemeError(f"window must satisfy 0 <= a < bbar <= 1, got ({a}, {bbar})")
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
-    return window_integral(a, bbar, *(base,) * k) / (bbar - a)
+    return float(window_integral(a, bbar, *(base,) * k) / (bbar - a))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ MLE fails where the MLE row or a proximity rule needs it, counts in
 that estimator's failures and is left out of its ratios and RE; a
 singular RE leaves that repetition's RE NaN.  Mean ratios and REs are
 computed per repetition and averaged, with standard deviations across
-repetitions alongside.
+repetitions alongside; a true parameter so small that the ratios
+estimate / truth overflow puts the study out of range.
 """
 
 from __future__ import annotations
@@ -284,7 +285,12 @@ def run_study(config: StudyConfig) -> StudyResult:
             failures[idx] += config.replicates - arr.shape[0]
             if arr.shape[0] < 2:
                 continue
-            ratio_reps[rep, idx] = np.mean(arr / truth, axis=0)
+            try:
+                with np.errstate(over="raise"):
+                    ratio_reps[rep, idx] = np.mean(arr / truth, axis=0)
+            except FloatingPointError:
+                raise ValueError("parameters out of range: the ratios "
+                                 "estimate / truth overflow") from None
             try:
                 re_reps[rep, idx] = finite_re(family, params, arr, n)
             except ValueError:

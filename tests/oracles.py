@@ -1,10 +1,12 @@
 """Test oracles.  For the asymptotic covariance: the empirical-process
 kernel, the (I, Ibar) endpoint integrals, V(i, j) through the closed
 form for a parametrized model, and the brute-force double integral
-that checks it.  For the Frechet MLE: the likelihood score of one
-sample, a bracketing Brent root search on it, and the batch Newton
-kernel written with a fresh array for every block-sized step.  For the
-models: the cdf of each family."""
+that checks it.  For the ARE: the population-level Jacobian and the
+ARE through the full product S_T = D Sigma_T D', the reference for the
+closed-form determinant of `asymptotics.are`.  For the Frechet MLE:
+the likelihood score of one sample, a bracketing Brent root search on
+it, and the batch Newton kernel written with a fresh array for every
+block-sized step.  For the models: the cdf of each family."""
 
 import math
 
@@ -12,7 +14,20 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from trimmoments.asymptotics import _i_lower, _i_upper, _v_pair
+from trimmoments.asymptotics import (
+    AreResult,
+    SingularityError,
+    _i_lower,
+    _i_upper,
+    _in_range,
+    _v_pair,
+    det2,
+    delta_covariance,
+    jacobian_at_moments,
+    s_mle,
+    sigma_T,
+)
+from trimmoments.estimators import Branch
 from trimmoments.models import (
     _MLE_MAX_ITER,
     _MLE_RESIDUAL,
@@ -21,7 +36,11 @@ from trimmoments.models import (
     Family,
     ParameterVector,
 )
-from trimmoments.moments import TrimmingScheme
+from trimmoments.moments import (
+    TrimmingScheme,
+    eta_constants,
+    population_moments,
+)
 from trimmoments.quadrature import integrate
 
 
@@ -33,6 +52,30 @@ def cdf(family: Family, params: ParameterVector, x):
     loc, scale = spec.location_scale(params)
     z = (spec.transform(np.asarray(x, dtype=float)) - loc) / scale
     return np.exp(-np.exp(-z)) if family is Family.FRECHET else ndtr(z)
+
+
+def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,
+                            branch=Branch.PLUS,
+                            family: Family = Family.NORMAL) -> np.ndarray:
+    """Population-level Jacobian for the given branch."""
+    t1, t2 = population_moments(family, params, scheme)
+    return jacobian_at_moments(family, t1, t2, eta_constants(family, scheme),
+                               branch, params.sigma)
+
+
+def are_reference(family: Family, params: ParameterVector,
+                  scheme: TrimmingScheme) -> AreResult:
+    """The ARE through the full delta-method product D Sigma_T D' on the
+    plus-branch Jacobian, singular where the Jacobian's discriminant
+    vanishes."""
+    det_mle = det2(s_mle(family, params))
+    sigma_t = sigma_T(family, params, scheme)
+    try:
+        jac = jacobian_location_scale(params, scheme, Branch.PLUS, family)
+    except SingularityError:
+        return AreResult(0.0, math.inf, True)
+    det_t = _in_range(det2(delta_covariance(sigma_t, jac)), "S_T")
+    return AreResult(math.sqrt(det_mle / det_t), det_t)
 
 
 def kernel(w, v):

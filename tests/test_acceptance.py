@@ -15,7 +15,6 @@ from trimmoments.asymptotics import (
     are,
     delta_covariance,
     jacobian_at_moments,
-    jacobian_location_scale,
     lambda_entries,
     psi_entries,
     s_mle,
@@ -35,7 +34,7 @@ from trimmoments.moments import (
 )
 from trimmoments.simulation import StudyConfig, run_study
 from conftest import random_params, random_scheme
-from oracles import v_entry, v_entry_bruteforce
+from oracles import jacobian_location_scale, v_entry, v_entry_bruteforce
 
 THETAS = (-25.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 25.0)
 BETAS = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0)

@@ -11,7 +11,6 @@ from trimmoments.asymptotics import (
     delta_covariance,
     fit_covariance,
     jacobian_at_moments,
-    jacobian_location_scale,
     lambda_entries,
     psi_entries,
     s_mle,
@@ -28,7 +27,14 @@ from trimmoments.moments import (
 )
 from trimmoments.quadrature import integrate
 from conftest import random_params, random_scheme
-from oracles import i_integrals, kernel, v_entry, v_entry_bruteforce
+from oracles import (
+    are_reference,
+    i_integrals,
+    jacobian_location_scale,
+    kernel,
+    v_entry,
+    v_entry_bruteforce,
+)
 
 
 class TestKernel:
@@ -430,6 +436,64 @@ class TestAre:
         assert r.singular
         assert r.are == 0.0
         assert r.det_s_t == math.inf
+
+
+class TestAreClosedForm:
+    """`are` takes det S_T = det(D)^2 det(Sigma_T) in units of the scale;
+    the oracle forms the full product D Sigma_T D'."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_matches_full_product(self, rng, family):
+        for _ in range(12):
+            s = random_scheme(rng)
+            params = random_params(rng, family)
+            got = are(family, params, s)
+            ref = are_reference(family, params, s)
+            assert got.singular == ref.singular
+            if ref.are > 1e-3:
+                assert got.are == pytest.approx(ref.are, rel=1e-9, abs=0.0)
+            else:
+                assert got.are == pytest.approx(ref.are, rel=0.0, abs=1e-11)
+
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.LOGNORMAL])
+    @pytest.mark.parametrize("quad", [(0.02, 0.02, 0.02, 0.02),
+                                      (0.1, 0.1, 0.1, 0.1),
+                                      (0.05, 0.2, 0.05, 0.2)])
+    def test_equal_scheme_free_of_large_theta(self, family, quad):
+        # The product D Sigma_T D' cancels at a large theta / sigma; the
+        # closed form has no theta terms for equal schemes.
+        s = validate_scheme(*quad)
+        for sigma in (1.0, 3.0):
+            at_zero = are(family, ParameterVector(theta=0.0, sigma=sigma), s)
+            for ratio in (1e6, 1e8, 1e15):
+                r = are(family, ParameterVector(theta=ratio * sigma,
+                                                sigma=sigma), s)
+                assert not r.singular
+                assert r.are == pytest.approx(at_zero.are, rel=0.0,
+                                              abs=1e-12)
+
+    def test_equal_scheme_at_theta_over_sigma_past_sqrt_max(self):
+        # theta / sigma = 1e160: its square overflows, but the vanishing
+        # theta coefficients of an equal scheme multiply it first.
+        s = validate_scheme(0.1, 0.1, 0.1, 0.1)
+        at_zero = are(Family.NORMAL, ParameterVector(theta=0.0, sigma=1e-60), s)
+        r = are(Family.NORMAL, ParameterVector(theta=1e100, sigma=1e-60), s)
+        assert not r.singular
+        assert r.are == pytest.approx(at_zero.are, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("offset, singular", [(1e-9, True), (1e-7, True),
+                                                  (1e-4, False)])
+    def test_singular_relative_to_discriminant_terms(self, offset, singular):
+        # This scheme's discriminant is a square in theta / sigma, with
+        # its double root at the theta of
+        # test_vanishing_discriminant_is_singular; at a relative offset d
+        # from the root it is about d^2 / 2 of the size of its terms.
+        s = validate_scheme(0.05, 0.05, 0.00, 0.10)
+        params = ParameterVector(theta=2.0 * 3.846702307022145 * (1.0 + offset),
+                                 sigma=2.0)
+        r = are(Family.NORMAL, params, s)
+        assert r.singular is singular
+        assert r.singular == are_reference(Family.NORMAL, params, s).singular
 
 
 class TestBreakdownAndFitCovariance:

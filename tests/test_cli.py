@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimmoments import simulation
 from trimmoments.cli import main
@@ -306,6 +309,9 @@ def _assert_one_validation_line(capsys, *argv):
      "--scheme", "0.1,0.1,0,0.2"),
     SIMULATE + ("--n", "20", "--model", "normal", "--sigma", "1",
                 "--theta", "1e200"),
+    # The ratios estimate / theta overflow for a subnormal theta.
+    SIMULATE + ("--n", "20", "--model", "normal", "--sigma", "1",
+                "--theta", "5e-324"),
 ])
 def test_overflow_exit_2(capsys, argv):
     # sigma**2 of the MLE covariance; det S_MLE (sigma**4 / 2 or
@@ -507,3 +513,80 @@ def test_contract_gof_far_low_outlier(capsys, tmp_path):
     fits = _csv_column(out, 4) + _csv_column(out, 9)
     assert all(map(math.isfinite, fits))
     assert _csv_column(out, 10)[1] == math.inf
+
+
+# Property test of the `are` contract: argv from boundary tokens for the
+# three models, run in-process.  Ordinary values are drawn about as often
+# as boundary ones, so that every model reaches exit 0 too.
+ORDINARY_TOKENS = ("0.5", "1", "2")
+PARAMETER_TOKENS = ("0", "1", "-1", "1e-320", "5e-324", "1e-160", "1e60",
+                    "1e77", "1e200", "1e308", "nan", "inf")
+DESCENDING_RANGES = ("1:0.5:0.1", "1e200:-1e200:1e199", "-1:-2:0.5")
+PREFIXES = ("validation error:", "estimation failure:", "I/O error:")
+
+
+@st.composite
+def _lattice_scheme(draw):
+    """a1,b1,a2,b2 on the k/100 lattice: equal windows or either nesting."""
+    k = st.integers(0, 30)
+    a1, b1 = draw(k), draw(k)
+    nesting = draw(st.sampled_from(("equal", "condition8", "condition12")))
+    if nesting == "equal":
+        a2, b2 = a1, b1
+    elif nesting == "condition8":  # a2 <= a1 and b1 <= b2
+        a2, b2 = draw(st.integers(0, a1)), draw(st.integers(b1, 30))
+    else:  # a1 <= a2 and b2 <= b1
+        a2, b2 = draw(st.integers(a1, 30)), draw(st.integers(0, b1))
+    return ",".join(f"{v / 100!r}" for v in (a1, b1, a2, b2))
+
+
+@st.composite
+def _are_argv(draw):
+    model = draw(st.sampled_from(("normal", "lognormal", "frechet")))
+    own = "beta" if model == "frechet" else "theta"
+    other = "theta" if model == "frechet" else "beta"
+    token = st.one_of(st.sampled_from(ORDINARY_TOKENS),
+                      st.sampled_from(PARAMETER_TOKENS))
+    grid = draw(st.one_of(
+        st.lists(token, min_size=1, max_size=3).map(",".join),
+        st.sampled_from(DESCENDING_RANGES)))
+    flags = draw(st.one_of(st.just((own,)),
+                           st.sampled_from(((other,), (own, other)))))
+    argv = ["are", f"--model={model}", f"--sigma={draw(token)}"]
+    argv += [f"--{flag}={grid}" for flag in flags]
+    for scheme in draw(st.lists(_lattice_scheme(), min_size=1, max_size=2)):
+        argv.append(f"--scheme={scheme}")
+    return argv
+
+
+def _run_captured(argv):
+    """(exit code, stdout, stderr, RuntimeWarning messages) of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [
+        str(w.message) for w in caught
+        if issubclass(w.category, RuntimeWarning)]
+
+
+@given(argv=_are_argv())
+@settings(max_examples=100, deadline=None)
+def test_are_contract_property(argv):
+    first = _run_captured(argv)
+    code, out, err, runtime_warnings = first
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert runtime_warnings == []
+    if code == 0:
+        assert err == ""
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2
+        values = [float(v) for row in rows[1:] for v in row[1:]]
+        assert values and all(0.0 <= v <= 1.0 for v in values)
+    else:
+        assert out == ""
+        assert err.startswith(PREFIXES)
+        assert len(err.splitlines()) == 1
+    assert _run_captured(argv) == first
