@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimators import Branch, candidate_scales
+from .estimators import Branch
 from .models import SPECS, Family, ParameterVector
 from .moments import (
     MomentConstants,
@@ -36,8 +36,6 @@ from .moments import (
 __all__ = [
     "SingularityError",
     "AreResult",
-    "lambda_entries",
-    "psi_entries",
     "sigma_T",
     "jacobian_at_moments",
     "delta_covariance",
@@ -161,20 +159,6 @@ def _entries(base, scheme: TrimmingScheme) -> dict:
     }
 
 
-def lambda_entries(scheme: TrimmingScheme) -> dict:
-    """Location-scale covariance constants Lambda_ijk (parameter-free)."""
-    return dict(_entries(SPECS[Family.NORMAL].base_quantile, scheme))
-
-
-def psi_entries(scheme: TrimmingScheme) -> dict:
-    """Frechet covariance constants Psi_ijk (parameter-free), on the
-    paper's Delta = -G base: the entries pairing one base factor with
-    one half-square (k = 2) change sign."""
-    return {k: -v if k[2] == "2" else v
-            for k, v in _entries(SPECS[Family.FRECHET].base_quantile,
-                                 scheme).items()}
-
-
 def _sigma_entries(loc: float, scale: float, lam: dict):
     """(s11, s12, s22) of Sigma_T for the given location and scale;
     ValueError when a power of them overflows."""
@@ -202,18 +186,18 @@ def sigma_T(family: Family, params: ParameterVector,
     return np.array([[s11, s12], [s12, s22]])
 
 
-def jacobian_at_moments(family: Family, t1, t2, constants: MomentConstants,
+def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
                         branch=Branch.PLUS, sigma=None) -> np.ndarray:
-    """Jacobian of the estimator map (g1, g2) at moment values (t1, t2).
+    """Jacobian of the estimator map (g1, g2) at moment values (t1, t2),
+    for the family's constants c (`eta_constants`).
 
     Rows follow the family's reported parameters: (location, scale) for
     the location-scale families, (tail index, scale) for Frechet, whose
     sigma = exp(location) row is the location row times sigma.  branch
-    is a `Branch` or its value; EQUAL_TRIM takes the plus sign.  Pass the
-    true (or fitted) sigma for the Frechet rows, otherwise it is that of
-    the plus candidate of `candidate_scales`."""
+    is a `Branch` or its value; EQUAL_TRIM takes the plus sign.  The
+    Frechet rows need the true (or fitted) sigma; the location-scale
+    rows do not read it."""
     sign = -1.0 if Branch(branch) is Branch.MINUS else 1.0
-    c = constants.c_form()
     disc = t2 - c.eta_r * t1 * t1
     if disc < _SINGULAR_TOL * max(1.0, t1 * t1):
         raise SingularityError(
@@ -222,9 +206,6 @@ def jacobian_at_moments(family: Family, t1, t2, constants: MomentConstants,
     spec = SPECS[family]
     ds1 = sign * (-c.eta_r * t1 / root) + (c.m1_11 - c.m1_22) / c.eta_12
     ds2 = sign / (2.0 * root)
-    if sigma is None:
-        plus = candidate_scales(t1, t2, c).plus
-        sigma = spec.params(t1 - c.m1_11 * plus, plus).sigma
     # The factor goes first so that the Frechet row keeps the rounding
     # of its published form sigma * ds2 * kappa_1.
     f = spec.location_factor(sigma)
@@ -278,20 +259,27 @@ def are(family: Family, params: ParameterVector,
     c = eta_constants(family, scheme)
     m11, eta_r = c.m1_11, c.eta_r
     ell = loc / scale
-    # disc / scale^2.  Each coefficient multiplies l before l does, so a
-    # zero one (equal schemes) stays zero where l * l overflows.
-    quad = (1.0 - eta_r) * ell * ell
-    lin = 2.0 * (c.m1_22 - eta_r * m11) * ell
-    const = c.m2_22 - eta_r * m11 * m11
+    # disc / scale^2 and det(Sigma_T) / (4 scale^6) are quadratics in l,
+    # their l^2, l and 1 terms written with (u * u, v, w).  Each
+    # coefficient multiplies l before l does, so a zero one stays zero
+    # where l * l overflows: an equal scheme's eta_r is exactly 1 and
+    # its l terms vanish.  There a nested scheme divides both quadratics
+    # by l^2, which leaves their ratio.
+    u, v, w = ell, ell, 1.0
+    if eta_r != 1.0 and not math.isfinite(ell * ell):
+        u, v, w = 1.0, 1.0 / ell, 1.0 / ell / ell
+    quad = (1.0 - eta_r) * u * u
+    lin = 2.0 * (c.m1_22 - eta_r * m11) * v
+    const = (c.m2_22 - eta_r * m11 * m11) * w
     disc = quad + lin + const
     if disc < _SINGULAR_TOL * (abs(quad) + abs(lin) + abs(const)):
         return AreResult(0.0, math.inf, True)
     l111, l121, l122 = lam["111"], lam["121"], lam["122"]
     l221, l222, l223 = lam["221"], lam["222"], lam["223"]
     # det(Sigma_T) / (4 scale^6)
-    det_sigma = ((l111 * l221 - l121 * l121) * ell * ell
-                 + 2.0 * (l111 * l222 - l121 * l122) * ell
-                 + (l111 * l223 - l122 * l122))
+    det_sigma = ((l111 * l221 - l121 * l121) * u * u
+                 + 2.0 * (l111 * l222 - l121 * l122) * v
+                 + (l111 * l223 - l122 * l122) * w)
     g = spec.location_factor(params.sigma) * scale * scale
     det_t = _in_range(g * g * det_sigma / (c.eta_12 * disc), "S_T")
     return AreResult(math.sqrt(det_mle / det_t), det_t)

@@ -2,6 +2,7 @@
 
 Every family is fitted by one location-scale estimator on transformed
 data (`models.SPECS`): the Frechet tail index is the scale of log-data.
+The formulas read the family's c-form constants (`moments.eta_constants`).
 The scale solves a quadratic in the trimmed moments, so two candidates
 exist: minus = -FT + ST and plus = FT + ST, where FT is
 the square-root term and ST the linear term.  Equal per-moment trimming
@@ -99,15 +100,15 @@ class FitResult:
         return SPECS[self.family].estimates(self.params)
 
 
-def candidate_scales(t1, t2, constants: MomentConstants) -> CandidatePair:
+def candidate_scales(t1, t2, c: MomentConstants) -> CandidatePair:
     """Build the FT/ST terms of the two scale (tail index) candidates,
-    for one sample or elementwise over arrays of moments.
+    for one sample or elementwise over arrays of moments, from the
+    family's constants c (`eta_constants`).
 
     FT carries an absolute value so it stays real when the sample
     discriminant t2 - eta_r*t1^2 dips negative; the flag records that
     the fallback was engaged (`CandidatePair.discriminant_negative`).
     """
-    c = constants.c_form()
     disc = t2 - c.eta_r * t1 * t1
     ft = np.sqrt(np.abs(disc)) / math.sqrt(c.eta_12)
     st = t1 * (c.m1_11 - c.m1_22) / c.eta_12
@@ -162,7 +163,7 @@ def solve_scale(t1, t2, constants, tag: SchemeTag,
 
 
 def fit_rows(ys, squares, scheme: TrimmingScheme,
-             constants: MomentConstants, mle_scale: Callable[[], np.ndarray]):
+             c: MomentConstants, mle_scale: Callable[[], np.ndarray]):
     """The trimmed-moment fit of each row of ys, sorted samples of
     transformed data (R, n), given their squares ys * ys.
 
@@ -178,7 +179,6 @@ def fit_rows(ys, squares, scheme: TrimmingScheme,
     lo2, hi2 = trim_counts(n, scheme.a2, scheme.b2)
     t1 = ys[:, lo1:n - hi1].mean(axis=1)
     t2 = squares[:, lo2:n - hi2].mean(axis=1)
-    c = constants.c_form()
     scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
     return t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
 
@@ -201,6 +201,11 @@ def fit(data, scheme: TrimmingScheme,
         raise ValueError("need at least two observations")
     if squares_overflow(y, y.size):
         raise ValueError("data out of range: their squares overflow")
+    # Below 2^-970 = 2^-485 squared (min normal / eps) the largest square,
+    # and with it t2, loses bits to gradual underflow; all-zero data stay
+    # an estimation failure.
+    if 0.0 < float(np.max(np.abs(y))) < 2.0 ** -485:
+        raise ValueError("data out of range: their squares underflow")
     ys = np.sort(y).reshape(1, -1)
     loc, scale, minus, pair, t1, t2 = fit_rows(
         ys, ys * ys, scheme, eta_constants(family, scheme),

@@ -11,15 +11,11 @@ data y, and the spec says how a family maps onto it:
 - Frechet: y = log x = log sigma + beta * G with G = -log(-log U) the
   standard Gumbel quantile, so location = log sigma and scale = beta.
 
-quantile, pdf/logpdf and sampling are written once from the spec:
-the base law of Z (normal or standard Gumbel), the transform, its
-inverse and its log-Jacobian.  Phi^{-1} is scipy's `ndtri`, imported
-at its first call (`_ndtri`): importing the package and every Frechet
-path leave scipy unloaded.
-
-The paper writes the Frechet constants with Delta(u) = log(-log u) =
--G(u): its kappa_k are the window averages of Delta^k, so the
-location-scale constants are c_1 = -kappa_1 and c_2 = kappa_2.
+The transformed quantile, the log-density and sampling are written
+once from the spec: the base law of Z (normal or standard Gumbel), the
+transform, its inverse and its log-Jacobian.  Phi^{-1} is scipy's
+`ndtri`, imported at its first call (`_ndtri`): importing the package
+and every Frechet path leave scipy unloaded.
 
 Parameters
 ----------
@@ -43,9 +39,7 @@ __all__ = [
     "FamilySpec",
     "SPECS",
     "EstimationError",
-    "quantile",
     "transformed_quantile",
-    "pdf",
     "logpdf",
     "sample",
     "mle_normal",
@@ -118,11 +112,6 @@ def transformed_quantile(family: Family, params: ParameterVector, u):
     return loc + scale * spec.base_quantile(_check_u(u))
 
 
-def quantile(family: Family, params: ParameterVector, u):
-    """F^{-1}(u): the inverse transform of `transformed_quantile`."""
-    return SPECS[family].inverse(transformed_quantile(family, params, u))
-
-
 def logpdf(family: Family, params: ParameterVector, x):
     """Log-density: the base log-density at the standardised transformed
     data, minus log scale, plus the transform's log-Jacobian."""
@@ -130,10 +119,6 @@ def logpdf(family: Family, params: ParameterVector, x):
     y = spec.transform(np.asarray(x, dtype=float))
     return (spec.base_logpdf((y - loc) / scale) - math.log(scale)
             + spec.log_jacobian(y))
-
-
-def pdf(family: Family, params: ParameterVector, x):
-    return np.exp(logpdf(family, params, x))
 
 
 def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:

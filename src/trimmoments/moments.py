@@ -8,10 +8,13 @@ transformed data (`models.SPECS`) with h_1(y) = y, h_2(y) = y^2, so
 T1 = mu + s c_1 and T2 = mu^2 + 2 mu s c_1 + s^2 c_2 in the window
 averages c_k of powers of the base quantile (Phi^{-1}, or the Gumbel
 G = -log(-log u) for Frechet).  Every window integral, here and in the
-covariances of `asymptotics`, is one cached `window_integral`.  The
-paper's Frechet kappa_k average powers of Delta = -G, so kappa_1 = -c_1
-and kappa_2 = c_2: `zeta_constants` is that signed view of
-`eta_constants(Family.FRECHET, .)`; `MomentConstants.c_form` flips back.
+covariances of `asymptotics`, is one cached `window_integral`.
+
+The c form is the one convention the estimators read.  The paper
+writes the Frechet constants with Delta(u) = log(-log u) = -G(u): its
+kappa_k are the window averages of Delta^k, so kappa_1 = -c_1 and
+kappa_2 = c_2.  `zeta_constants` is that signed view of
+`eta_constants(Family.FRECHET, .)`, for reading against the paper.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ __all__ = [
     "validate_scheme",
     "trim_counts",
     "sample_trimmed_moment",
-    "c_k",
-    "kappa_k",
     "eta_constants",
     "zeta_constants",
     "population_moments",
@@ -151,57 +152,30 @@ def window_integral(a: float, b: float, *factors) -> float:
     return integrate(lambda u: math.prod(g(u) for g in factors), a, b)
 
 
-def c_k(family: Family, a: float, bbar: float, k: int) -> float:
-    """Window-averaged k-th power of the standard normal quantile."""
-    if family is Family.FRECHET:
-        raise ValueError("c_k is defined for the location-scale families; use kappa_k")
-    return _window_mean(SPECS[family].base_quantile, a, bbar, k)
-
-
-def kappa_k(a: float, bbar: float, k: int) -> float:
-    """Window-averaged k-th power of Delta(u) = log(-log u) = -G(u)."""
-    base = SPECS[Family.FRECHET].base_quantile
-    return (-1) ** k * _window_mean(base, a, bbar, k)
-
-
 def _window_mean(base, a: float, bbar: float, k: int) -> float:
-    """Window-averaged k-th power (k = 1, 2) of a base quantile, as a
-    Python float."""
-    if not (0.0 <= a < bbar <= 1.0):
-        raise SchemeError(f"window must satisfy 0 <= a < bbar <= 1, got ({a}, {bbar})")
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k}")
+    """Window-averaged k-th power (k = 1, 2) of a base quantile over a
+    scheme's window a < bbar, as a Python float."""
     return float(window_integral(a, bbar, *(base,) * k) / (bbar - a))
 
 
 @dataclass(frozen=True)
 class MomentConstants:
-    """Scheme-level constants used to invert the moment equations.
+    """Scheme-level constants, in the c form, used to invert the moment
+    equations.
 
     m1_11 is the first-order constant on window 1, m1_22 and m2_22 the
     first and second-order constants on window 2; eta_12 is the
     quadratic form eta(a1, bbar2) (zeta for the Frechet family) and
     eta_r the ratio eta(a2, bbar2) / eta_12.  The eta forms are even in
-    the first-order constants, so they agree between the two kinds.
+    the first-order constants, so the kappa view of `zeta_constants`
+    shares them.
     """
 
-    kind: str  # "c" (base-quantile powers) or "kappa" (Delta powers)
     m1_11: float
     m1_22: float
     m2_22: float
     eta_12: float
     eta_r: float
-
-    def c_form(self) -> "MomentConstants":
-        """These constants with c_1 = -kappa_1 (c_2 = kappa_2) for the
-        Frechet kappa kind; every estimator formula uses this form."""
-        return _flip(self, "c") if self.kind == "kappa" else self
-
-
-def _flip(con: MomentConstants, kind: str) -> MomentConstants:
-    """con with the first-order constants negated, relabelled kind (the
-    eta forms are even in them, so they carry over exactly)."""
-    return replace(con, kind=kind, m1_11=-con.m1_11, m1_22=-con.m1_22)
 
 
 @lru_cache(maxsize=None)
@@ -214,14 +188,16 @@ def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
     m1_22 = _window_mean(base, a2, bbar2, 1)
     m2_22 = _window_mean(base, a2, bbar2, 2)
     eta_12 = m1_11 * m1_11 - 2.0 * m1_11 * m1_22 + m2_22
-    return MomentConstants("c", m1_11, m1_22, m2_22, eta_12,
+    return MomentConstants(m1_11, m1_22, m2_22, eta_12,
                            (m2_22 - m1_22 * m1_22) / eta_12)
 
 
 def zeta_constants(scheme: TrimmingScheme) -> MomentConstants:
     """Frechet constants kappa and the zeta quadratic forms: the signed
-    view of the cached Gumbel constants."""
-    return _flip(eta_constants(Family.FRECHET, scheme), "kappa")
+    view of the cached Gumbel constants, for reading against the paper
+    (the estimators take the c form of `eta_constants`)."""
+    c = eta_constants(Family.FRECHET, scheme)
+    return replace(c, m1_11=-c.m1_11, m1_22=-c.m1_22)
 
 
 def population_moments(family: Family, params: ParameterVector,

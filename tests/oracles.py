@@ -1,12 +1,15 @@
 """Test oracles.  For the asymptotic covariance: the empirical-process
 kernel, the (I, Ibar) endpoint integrals, V(i, j) through the closed
-form for a parametrized model, and the brute-force double integral
-that checks it.  For the ARE: the population-level Jacobian and the
-ARE through the full product S_T = D Sigma_T D', the reference for the
-closed-form determinant of `asymptotics.are`.  For the Frechet MLE:
-the likelihood score of one sample, a bracketing Brent root search on
-it, and the batch Newton kernel written with a fresh array for every
-block-sized step.  For the models: the cdf of each family."""
+form for a parametrized model, the brute-force double integral that
+checks it, and the parameter-free entries Lambda_ijk and Psi_ijk.  For
+the ARE: the population-level Jacobian and the ARE through the full
+product S_T = D Sigma_T D', the reference for the closed-form
+determinant of `asymptotics.are`.  For the Frechet MLE: the likelihood
+score of one sample, a bracketing Brent root search on it, and the
+batch Newton kernel written with a fresh array for every block-sized
+step.  For the models: the quantile, pdf and cdf of each family.  For
+the constants: the window averages c_k and the paper's kappa_k, and
+the sigma of the plus scale candidate."""
 
 import math
 
@@ -18,6 +21,7 @@ from trimmoments.asymptotics import (
     AreResult,
     SingularityError,
     _i_lower,
+    _entries,
     _i_upper,
     _in_range,
     _v_pair,
@@ -27,7 +31,7 @@ from trimmoments.asymptotics import (
     s_mle,
     sigma_T,
 )
-from trimmoments.estimators import Branch
+from trimmoments.estimators import Branch, candidate_scales
 from trimmoments.models import (
     _MLE_MAX_ITER,
     _MLE_RESIDUAL,
@@ -35,13 +39,26 @@ from trimmoments.models import (
     SPECS,
     Family,
     ParameterVector,
+    logpdf,
+    transformed_quantile,
 )
 from trimmoments.moments import (
+    SchemeError,
     TrimmingScheme,
+    _window_mean,
     eta_constants,
     population_moments,
 )
 from trimmoments.quadrature import integrate
+
+
+def quantile(family: Family, params: ParameterVector, u):
+    """F^{-1}(u): the inverse transform of `transformed_quantile`."""
+    return SPECS[family].inverse(transformed_quantile(family, params, u))
+
+
+def pdf(family: Family, params: ParameterVector, x):
+    return np.exp(logpdf(family, params, x))
 
 
 def cdf(family: Family, params: ParameterVector, x):
@@ -52,6 +69,53 @@ def cdf(family: Family, params: ParameterVector, x):
     loc, scale = spec.location_scale(params)
     z = (spec.transform(np.asarray(x, dtype=float)) - loc) / scale
     return np.exp(-np.exp(-z)) if family is Family.FRECHET else ndtr(z)
+
+
+def c_k(family: Family, a: float, bbar: float, k: int) -> float:
+    """Window-averaged k-th power of the standard normal quantile."""
+    if family is Family.FRECHET:
+        raise ValueError("c_k is defined for the location-scale families; "
+                         "use kappa_k")
+    return _checked_window_mean(SPECS[family].base_quantile, a, bbar, k)
+
+
+def kappa_k(a: float, bbar: float, k: int) -> float:
+    """Window-averaged k-th power of Delta(u) = log(-log u) = -G(u)."""
+    base = SPECS[Family.FRECHET].base_quantile
+    return (-1) ** k * _checked_window_mean(base, a, bbar, k)
+
+
+def _checked_window_mean(base, a: float, bbar: float, k: int) -> float:
+    """`moments._window_mean` behind the checks on the window and on k
+    that its callers, which take validated schemes, do not need."""
+    if not (0.0 <= a < bbar <= 1.0):
+        raise SchemeError(
+            f"window must satisfy 0 <= a < bbar <= 1, got ({a}, {bbar})")
+    if k not in (1, 2):
+        raise ValueError(f"k must be 1 or 2, got {k}")
+    return _window_mean(base, a, bbar, k)
+
+
+def plus_sigma(family: Family, t1, t2, scheme: TrimmingScheme):
+    """The reported sigma of the plus scale candidate at moments (t1, t2),
+    the sigma the Frechet Jacobian rows take at population moments."""
+    c = eta_constants(family, scheme)
+    plus = candidate_scales(t1, t2, c).plus
+    return SPECS[family].params(t1 - c.m1_11 * plus, plus).sigma
+
+
+def lambda_entries(scheme: TrimmingScheme) -> dict:
+    """Location-scale covariance constants Lambda_ijk (parameter-free)."""
+    return dict(_entries(SPECS[Family.NORMAL].base_quantile, scheme))
+
+
+def psi_entries(scheme: TrimmingScheme) -> dict:
+    """Frechet covariance constants Psi_ijk (parameter-free), on the
+    paper's Delta = -G base: the entries pairing one base factor with
+    one half-square (k = 2) change sign."""
+    return {k: -v if k[2] == "2" else v
+            for k, v in _entries(SPECS[Family.FRECHET].base_quantile,
+                                 scheme).items()}
 
 
 def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,

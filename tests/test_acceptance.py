@@ -15,8 +15,6 @@ from trimmoments.asymptotics import (
     are,
     delta_covariance,
     jacobian_at_moments,
-    lambda_entries,
-    psi_entries,
     s_mle,
     sigma_T,
 )
@@ -25,16 +23,23 @@ from trimmoments.gof import DATA_SCALE, gof_report, load_dataset, modify_dataset
 from trimmoments.models import Family, ParameterVector
 from trimmoments.moments import (
     SchemeTag,
-    c_k,
     eta_constants,
-    kappa_k,
     population_moments,
     validate_scheme,
     zeta_constants,
 )
 from trimmoments.simulation import StudyConfig, run_study
 from conftest import random_params, random_scheme
-from oracles import jacobian_location_scale, v_entry, v_entry_bruteforce
+from oracles import (
+    c_k,
+    jacobian_location_scale,
+    kappa_k,
+    lambda_entries,
+    plus_sigma,
+    psi_entries,
+    v_entry,
+    v_entry_bruteforce,
+)
 
 THETAS = (-25.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 25.0)
 BETAS = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0)
@@ -138,7 +143,7 @@ def test_criterion_3_note_level_constants_to_0p001():
                          ((0.02, 0.02, 0.00, 0.20), 0.738, 1.262)):
         s = validate_scheme(*quad)
         t1, t2 = population_moments(Family.FRECHET, frechet, s)
-        pair = candidate_scales(t1, t2, zeta_constants(s))
+        pair = candidate_scales(t1, t2, eta_constants(Family.FRECHET, s))
         assert pair.ft == pytest.approx(ft, abs=1e-3)
         assert pair.st == pytest.approx(st, abs=1e-3)
 
@@ -414,8 +419,8 @@ def test_criterion_9_property_suites_over_50_randomized_schemes():
             t1, t2 = population_moments(family, params, s)
             assert t2 - fcon.eta_r * t1 * t1 >= -1e-10
             if family is Family.FRECHET:
-                beta, _, _ = solve_scale(t1, t2, fcon, s.tag,
-                                         lambda: params.beta)
+                beta, _, _ = solve_scale(t1, t2, eta_constants(family, s),
+                                         s.tag, lambda: params.beta)
                 sigma = math.exp(t1 + beta * fcon.m1_11)
                 assert beta == pytest.approx(params.beta, abs=1e-8)
                 assert sigma == pytest.approx(params.sigma, abs=1e-8)
@@ -457,7 +462,8 @@ def test_criterion_9_property_suites_over_50_randomized_schemes():
                 ])
 
             fd = (4.0 * central(eps / 2.0) - central(eps)) / 3.0
-            jac = jacobian_at_moments(family, t1, t2, con, "plus",
+            jac = jacobian_at_moments(family, t1, t2,
+                                      eta_constants(family, s), "plus",
                                       *(() if family is not Family.FRECHET
-                                        else (None,)))
+                                        else (plus_sigma(family, t1, t2, s),)))
             assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8), (family, s)

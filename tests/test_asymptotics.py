@@ -11,15 +11,12 @@ from trimmoments.asymptotics import (
     delta_covariance,
     fit_covariance,
     jacobian_at_moments,
-    lambda_entries,
-    psi_entries,
     s_mle,
     sigma_T,
 )
 from trimmoments.estimators import Branch, fit_frechet, fit_location_scale
 from trimmoments.models import Family, ParameterVector, sample
 from trimmoments.moments import (
-    c_k,
     eta_constants,
     population_moments,
     validate_scheme,
@@ -29,9 +26,13 @@ from trimmoments.quadrature import integrate
 from conftest import random_params, random_scheme
 from oracles import (
     are_reference,
+    c_k,
     i_integrals,
     jacobian_location_scale,
     kernel,
+    lambda_entries,
+    plus_sigma,
+    psi_entries,
     v_entry,
     v_entry_bruteforce,
 )
@@ -261,8 +262,9 @@ class TestJacobians:
             params = random_params(rng, Family.FRECHET)
             con = zeta_constants(s)
             t1, t2 = population_moments(Family.FRECHET, params, s)
-            jac = jacobian_at_moments(Family.FRECHET, t1, t2, con, "plus",
-                                      None)
+            jac = jacobian_at_moments(Family.FRECHET, t1, t2,
+                                      eta_constants(Family.FRECHET, s), "plus",
+                                      plus_sigma(Family.FRECHET, t1, t2, s))
             fd = self._fd_jacobian_fr(t1, t2, con, "plus")
             assert np.allclose(jac, fd, rtol=1e-5, atol=1e-8)
 

@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +375,12 @@ def test_non_finite_data_row_exit_2(capsys, tmp_path, value):
     ("gof", "--scale", "-1"),
     ("fit", "--model", "normal", "--data", "hurricane", "--scale", "1e160",
      "--a1", "0.1", "--b1", "0.1", "--a2", "0", "--b2", "0.2"),
+    # The squares of the data are subnormal (1e-160) or zero (1e-170),
+    # and t2 with them.
+    ("fit", "--model", "normal", "--data", "hurricane", "--scale", "1e-160",
+     "--a1", "0.05", "--b1", "0.05", "--a2", "0", "--b2", "0.1"),
+    ("fit", "--model", "normal", "--data", "hurricane", "--scale", "1e-170",
+     "--a1", "0.05", "--b1", "0.05", "--a2", "0", "--b2", "0.1"),
 ])
 def test_bad_scale_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -465,6 +473,8 @@ SIMULATE_ONE = (*SIMULATE, "--n", "20", "--model", "frechet", "--beta", "0.5",
                 "--sigma")
 SIMULATE_NORMAL = (*SIMULATE, "--n", "20", "--model", "normal", "--sigma", "1",
                    "--theta")
+ARE_NESTED_TINY_SIGMA = ("are", "--model", "normal", "--sigma", "1e-60",
+                         "--scheme", "0.05,0.05,0,0.1")
 
 
 # Contract table: inputs the CLI accepts that once wrote RuntimeWarnings
@@ -494,6 +504,12 @@ SIMULATE_NORMAL = (*SIMULATE, "--n", "20", "--model", "normal", "--sigma", "1",
                  lambda out: [sd / mean for sd, mean in zip(
                      _csv_column(out, 5), _csv_column(out, 2))],
                  id="simulate-tiny-theta-sd"),
+    # A nested scheme's ARE tends to a limit as theta / sigma grows; at
+    # 1e160 its square overflows.
+    pytest.param((*ARE_NESTED_TINY_SIGMA, "--theta=1e100"),
+                 (*ARE_NESTED_TINY_SIGMA, "--theta=1e90"),
+                 lambda out: _csv_column(out, 1),
+                 id="are-large-theta-over-sigma"),
 ])
 def test_contract_matches_neighbour(capsys, argv, reference, values):
     got = values(_clean_run(capsys, *argv))
@@ -590,3 +606,119 @@ def test_are_contract_property(argv):
         assert err.startswith(PREFIXES)
         assert len(err.splitlines()) == 1
     assert _run_captured(argv) == first
+
+
+# Property tests of the `fit`, `simulate` and `gof` contracts, in the
+# style of the `are` one: argv from boundary tokens, data files from
+# ordinary values with boundary rows mixed in, and output to stdout, to
+# '-', to a file or into a missing directory.
+DATA_TOKENS = PARAMETER_TOKENS + ("-inf", "1e-300", "word", "")
+SCALE_TOKENS = ("1", "1e9", "1e-170", "1e-160", "1e-20", "1e150", "1e300",
+                "0", "-1", "nan", "inf")
+TRIM_TOKENS = ("1/30", "1/0", "0.99", "-0.1", "nan")
+
+
+@st.composite
+def _data_text(draw):
+    """A one-column data file: optional header, ordinary positive or
+    signed values and up to two boundary rows."""
+    ordinary = st.one_of(st.floats(0.01, 100.0), st.floats(-10.0, 10.0))
+    values = draw(st.lists(ordinary.map(repr), max_size=30))
+    values += draw(st.lists(st.sampled_from(DATA_TOKENS), max_size=2))
+    header = draw(st.sampled_from(("", "x\n", "value,other\n")))
+    return header + "".join(f"{v}\n" for v in values)
+
+
+@st.composite
+def _data_flags(draw, directory):
+    """--data (the bundled set, a written file or a missing path) and
+    perhaps --scale."""
+    source = draw(st.sampled_from(("hurricane", "file", "missing")))
+    if source == "file":
+        path = directory / "data.csv"
+        path.write_text(draw(_data_text()))
+        flags = ["--data", str(path)]
+    else:
+        flags = ["--data", source if source == "hurricane"
+                 else str(directory / "missing" / "data.csv")]
+    if draw(st.booleans()):
+        flags.append(f"--scale={draw(st.sampled_from(SCALE_TOKENS))}")
+    return flags
+
+
+@st.composite
+def _output_flags(draw, directory):
+    """No -o, '-', a file, or a file in a missing directory."""
+    target = draw(st.sampled_from((None, "-", "file", "missing")))
+    if target is None:
+        return [], None
+    if target == "-":
+        return ["-o", "-"], None
+    path = directory / ("out" if target == "file" else "missing/out")
+    return ["-o", str(path)], path
+
+
+def _fit_argv(draw, directory):
+    model = draw(st.sampled_from(("normal", "lognormal", "frechet")))
+    trims = draw(_lattice_scheme()).split(",")
+    if draw(st.integers(0, 4)) == 0:
+        trims[draw(st.integers(0, 3))] = draw(st.sampled_from(TRIM_TOKENS))
+    argv = ["fit", f"--model={model}", *draw(_data_flags(directory))]
+    argv += [f"--{flag}={v}" for flag, v in zip(("a1", "b1", "a2", "b2"),
+                                                 trims)]
+    return argv
+
+
+def _simulate_argv(draw, directory):
+    model = draw(st.sampled_from(("normal", "lognormal", "frechet")))
+    own = "beta" if model == "frechet" else "theta"
+    token = st.one_of(st.sampled_from(ORDINARY_TOKENS),
+                      st.sampled_from(PARAMETER_TOKENS))
+    argv = ["simulate", f"--model={model}", f"--sigma={draw(token)}",
+            f"--{own}={draw(token)}", "--n=20", "--replicates=100",
+            "--repetitions=1", f"--seed={draw(st.sampled_from((0, 1, -1)))}"]
+    for scheme in draw(st.lists(_lattice_scheme(), min_size=1, max_size=2)):
+        argv.append(f"--scheme={scheme}")
+    return argv
+
+
+def _gof_argv(draw, directory):
+    argv = ["gof", *draw(_data_flags(directory))]
+    for scheme in draw(st.lists(_lattice_scheme(), max_size=2)):
+        argv.append(f"--scheme={scheme}")
+    if draw(st.booleans()):
+        argv.append("--modified")
+    return argv
+
+
+def _run_with_output(argv, path):
+    """_run_captured plus the bytes of the -o file, None if there is none."""
+    result = _run_captured(argv)
+    return (*result, path.read_bytes() if path is not None
+            and path.exists() else None)
+
+
+@pytest.mark.parametrize("command", [_fit_argv, _simulate_argv, _gof_argv],
+                         ids=["fit", "simulate", "gof"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_file_commands_contract_property(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        argv = command(data.draw, directory)
+        out_flags, path = data.draw(_output_flags(directory))
+        argv += out_flags
+        first = _run_with_output(argv, path)
+        code, out, err, runtime_warnings, written = first
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        assert runtime_warnings == []
+        if code == 0:
+            assert err == ""
+            assert (out == "") == (path is not None) == (written is not None)
+        else:
+            assert out == ""
+            assert written is None
+            assert err.startswith(PREFIXES)
+            assert len(err.splitlines()) == 1
+        assert _run_with_output(argv, path) == first

@@ -21,15 +21,13 @@ from trimmoments.estimators import (
 from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeTag,
-    c_k,
     eta_constants,
-    kappa_k,
     population_moments,
     validate_scheme,
     zeta_constants,
 )
 from conftest import random_params, random_scheme
-from oracles import frechet_rows_allocating, mle_frechet_brent
+from oracles import c_k, frechet_rows_allocating, kappa_k, mle_frechet_brent
 from oracles import frechet_score as _xi
 
 
@@ -163,12 +161,12 @@ class TestCandidateScales:
         params = ParameterVector(sigma=3.0, beta=2.0)
         s = validate_scheme(0.02, 0.02, 0.00, 0.03)
         t1, t2 = population_moments(Family.FRECHET, params, s)
-        pair = candidate_scales(t1, t2, zeta_constants(s))
+        pair = candidate_scales(t1, t2, eta_constants(Family.FRECHET, s))
         assert pair.ft == pytest.approx(1.860, abs=1e-3)
         assert pair.st == pytest.approx(0.139, abs=1e-3)
         s = validate_scheme(0.02, 0.02, 0.00, 0.20)
         t1, t2 = population_moments(Family.FRECHET, params, s)
-        pair = candidate_scales(t1, t2, zeta_constants(s))
+        pair = candidate_scales(t1, t2, eta_constants(Family.FRECHET, s))
         assert pair.ft == pytest.approx(0.738, abs=1e-3)
         assert pair.st == pytest.approx(1.262, abs=1e-3)
         assert pair.plus == pytest.approx(2.0, abs=1e-3)
@@ -267,7 +265,8 @@ class TestFitLocationScale:
             params = random_params(rng, Family.FRECHET)
             con = zeta_constants(s)
             t1, t2 = population_moments(Family.FRECHET, params, s)
-            beta, _, _ = solve_scale(t1, t2, con, s.tag, lambda: params.beta)
+            beta, _, _ = solve_scale(t1, t2, eta_constants(Family.FRECHET, s),
+                                     s.tag, lambda: params.beta)
             sigma = math.exp(t1 + beta * con.m1_11)
             assert beta == pytest.approx(params.beta, abs=1e-8)
             assert sigma == pytest.approx(params.sigma, abs=1e-8)

@@ -12,8 +12,9 @@ from trimmoments.gof import (
     log_likelihood,
     modify_dataset,
 )
-from trimmoments.models import Family, ParameterVector, quantile
+from trimmoments.models import Family, ParameterVector
 from trimmoments.moments import validate_scheme
+from oracles import quantile
 
 T3 = validate_scheme(1 / 30, 1 / 30, 1 / 30, 1 / 30)
 

@@ -11,11 +11,9 @@ from trimmoments.models import (
     SPECS,
     Family,
     ParameterVector,
-    pdf,
-    quantile,
     sample,
 )
-from oracles import cdf
+from oracles import cdf, pdf, quantile
 
 PARAMS = {
     Family.NORMAL: ParameterVector(theta=1.5, sigma=2.0),

@@ -10,15 +10,14 @@ from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeError,
     SchemeTag,
-    c_k,
     eta_constants,
-    kappa_k,
     population_moments,
     sample_trimmed_moment,
     validate_scheme,
     zeta_constants,
 )
 from conftest import random_params, random_scheme
+from oracles import c_k, kappa_k
 
 GAMMA = 0.57721566490153286
 
