@@ -13,14 +13,17 @@ branch-aware Jacobian, and the ARE versus maximum likelihood is
 (det S_MLE / det S_T)^(1/2), each rejected when it over- or underflows.
 The ARE needs only det S_T = det(D)^2 det(Sigma_T), which `are` writes
 in closed form in units of the scale, on the ratio location / scale.
+What does not depend on the point is one cached record per family and
+scheme (`_are_form`), and S_MLE comes as rows of Python floats
+(`FamilySpec.s_mle`), so a warm ARE point touches no numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,16 +57,16 @@ class SingularityError(Exception):
     """The scale discriminant T2 - r*T1^2 vanished (or went negative)."""
 
 
-@dataclass(frozen=True)
-class AreResult:
+class AreResult(NamedTuple):
     are: float
     det_s_t: float
     singular: bool = False
 
 
 def det2(m) -> float:
-    """Determinant of a 2x2 matrix in Python floats (no numpy warning)."""
-    (a, b), (c, d) = m.tolist()
+    """Determinant of a 2x2 matrix, an ndarray or two rows of Python
+    floats, in Python floats (no numpy warning)."""
+    (a, b), (c, d) = m.tolist() if isinstance(m, np.ndarray) else m
     return a * d - b * c
 
 
@@ -221,17 +224,42 @@ def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def s_mle(family: Family, params: ParameterVector) -> np.ndarray:
-    """Asymptotic covariance of the MLE, the inverse Fisher information
-    (`FamilySpec.s_mle`); ValueError when it or its determinant is out of
-    range."""
+def _s_mle_rows(family: Family, params: ParameterVector):
+    """S_MLE as the rows of Python floats of `FamilySpec.s_mle`, and its
+    determinant; ValueError when either is out of range."""
     params.validate(family)
     try:
-        m = SPECS[family].s_mle(params)
+        rows = SPECS[family].s_mle(params)
     except OverflowError:
         raise ValueError("parameters out of range: S_MLE overflows") from None
-    _in_range(det2(m), "S_MLE")
-    return m
+    return rows, _in_range(det2(rows), "S_MLE")
+
+
+def s_mle(family: Family, params: ParameterVector) -> np.ndarray:
+    """Asymptotic covariance of the MLE, the inverse Fisher information
+    (`FamilySpec.s_mle`), as an array; ValueError when it or its
+    determinant is out of range."""
+    return np.array(_s_mle_rows(family, params)[0])
+
+
+@lru_cache(maxsize=None)
+def _are_form(family: Family, scheme: TrimmingScheme) -> tuple:
+    """What an `are` point of the family and scheme needs besides the
+    point, computed once: the l^2, l and 1 coefficients of disc / scale^2
+    and of det(Sigma_T) / (4 scale^6), eta_12, eta_r and the Lambda
+    entries, which the Sigma_T overflow check reads."""
+    lam = _entries(SPECS[family].base_quantile, scheme)
+    c = eta_constants(family, scheme)
+    m11, eta_r = c.m1_11, c.eta_r
+    l111, l121, l122 = lam["111"], lam["121"], lam["122"]
+    l221, l222, l223 = lam["221"], lam["222"], lam["223"]
+    return (1.0 - eta_r,
+            2.0 * (c.m1_22 - eta_r * m11),
+            c.m2_22 - eta_r * m11 * m11,
+            l111 * l221 - l121 * l121,
+            2.0 * (l111 * l222 - l121 * l122),
+            l111 * l223 - l122 * l122,
+            c.eta_12, eta_r, lam)
 
 
 def are(family: Family, params: ParameterVector,
@@ -246,18 +274,18 @@ def are(family: Family, params: ParameterVector,
     taken in units of the scale, so neither cancels at a large |l|; for
     equal schemes their l terms vanish exactly and the ARE does not
     depend on l.  The discriminant is singular below _SINGULAR_TOL of
-    the size of its terms.
+    the size of its terms.  Everything but the point comes from one
+    cached record per family and scheme (`_are_form`), so a warm point
+    is arithmetic on Python floats.
     """
-    det_mle = det2(s_mle(family, params))
+    det_mle = _s_mle_rows(family, params)[1]
     spec = SPECS[family]
     loc, scale = spec.location_scale(params)
-    lam = _entries(spec.base_quantile, scheme)
+    q2, q1, q0, d2, d1, d0, eta_12, eta_r, lam = _are_form(family, scheme)
     # The largest entry of Sigma_T in data units, the variance of T2,
     # must be finite, though the ARE does not depend on the scale.
     if not math.isfinite(_sigma_entries(loc, scale, lam)[2]):
         raise ValueError("parameters out of range: Sigma_T overflows")
-    c = eta_constants(family, scheme)
-    m11, eta_r = c.m1_11, c.eta_r
     ell = loc / scale
     # disc / scale^2 and det(Sigma_T) / (4 scale^6) are quadratics in l,
     # their l^2, l and 1 terms written with (u * u, v, w).  Each
@@ -268,20 +296,15 @@ def are(family: Family, params: ParameterVector,
     u, v, w = ell, ell, 1.0
     if eta_r != 1.0 and not math.isfinite(ell * ell):
         u, v, w = 1.0, 1.0 / ell, 1.0 / ell / ell
-    quad = (1.0 - eta_r) * u * u
-    lin = 2.0 * (c.m1_22 - eta_r * m11) * v
-    const = (c.m2_22 - eta_r * m11 * m11) * w
+    quad = q2 * u * u
+    lin = q1 * v
+    const = q0 * w
     disc = quad + lin + const
     if disc < _SINGULAR_TOL * (abs(quad) + abs(lin) + abs(const)):
         return AreResult(0.0, math.inf, True)
-    l111, l121, l122 = lam["111"], lam["121"], lam["122"]
-    l221, l222, l223 = lam["221"], lam["222"], lam["223"]
-    # det(Sigma_T) / (4 scale^6)
-    det_sigma = ((l111 * l221 - l121 * l121) * u * u
-                 + 2.0 * (l111 * l222 - l121 * l122) * v
-                 + (l111 * l223 - l122 * l122) * w)
+    det_sigma = d2 * u * u + d1 * v + d0 * w
     g = spec.location_factor(params.sigma) * scale * scale
-    det_t = _in_range(g * g * det_sigma / (c.eta_12 * disc), "S_T")
+    det_t = _in_range(g * g * det_sigma / (eta_12 * disc), "S_T")
     return AreResult(math.sqrt(det_mle / det_t), det_t)
 
 

@@ -7,8 +7,9 @@ are       asymptotic relative efficiency grids, CSV output
 simulate  Monte Carlo study (mean ratios and finite-sample REs), CSV
 gof       goodness-of-fit table for a damages dataset, CSV
 
-Exit codes: 0 success, 1 I/O error, 2 validation error, 3 estimation
-failure.
+Exit codes: 0 success, 1 I/O error, 2 validation error (argparse's own
+rejections included), 3 estimation failure.  A failure writes one
+prefixed line to stderr and nothing to stdout; --help exits 0.
 """
 
 from __future__ import annotations
@@ -209,8 +210,17 @@ def _cmd_gof(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections raise ValueError, which `main`
+    reports as one validation-error line, instead of printing a usage
+    block and exiting; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="trimmoments",
         description="Method of trimmed moments estimation and diagnostics.")
     sub = p.add_subparsers(dest="command", required=True)
@@ -273,9 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except EstimationError as exc:
         print(f"estimation failure: {exc}", file=sys.stderr)

@@ -150,6 +150,16 @@ def mle_normal(data):
     return float(theta[0]), float(sigma[0])
 
 
+def _normal_mle(y) -> ParameterVector:
+    """`mle_normal` of transformed data as parameters; constant data,
+    whose 1/n spread is zero, have no likelihood maximum and raise
+    EstimationError, as they do for `mle_frechet`."""
+    theta, sigma = mle_normal(y)
+    if sigma == 0.0:
+        raise EstimationError("no normal likelihood maximum: constant data")
+    return ParameterVector(theta, sigma)
+
+
 # Once a Newton step is below _MLE_RTOL of beta, the next iterate is within
 # rounding of the root (convergence is quadratic) and is the row's last.
 _MLE_RTOL, _MLE_MAX_ITER, _MLE_RESIDUAL = 1e-9, 100, 1e-10
@@ -266,15 +276,18 @@ def _log_data(label):
     return dict(transform=transform, inverse=np.exp, log_jacobian=np.negative)
 
 
+# The point-free factors of the Frechet S_MLE, computed once.
+_SIX_OVER_PI2 = 6.0 / math.pi ** 2
+_GUMBEL_SCALE_INFO = (np.euler_gamma - 1.0) ** 2 + math.pi ** 2 / 6.0
+
+
 def _s_mle_frechet(p):
-    """Inverse Frechet Fisher information in (beta, sigma); its
-    determinant is 6 beta^4 sigma^2 / pi^2."""
-    beta, sigma, g = p.beta, p.sigma, np.euler_gamma
-    off = (1.0 - g) * sigma * beta ** 2
-    return (6.0 / math.pi ** 2) * np.array([
-        [beta ** 2, off],
-        [off, (sigma * beta) ** 2 * ((g - 1.0) ** 2 + math.pi ** 2 / 6.0)],
-    ])
+    """Inverse Frechet Fisher information in (beta, sigma), as rows of
+    Python floats; its determinant is 6 beta^4 sigma^2 / pi^2."""
+    beta, sigma, k = p.beta, p.sigma, _SIX_OVER_PI2
+    off = k * ((1.0 - np.euler_gamma) * sigma * beta ** 2)
+    return ((k * beta ** 2, off),
+            (off, k * ((sigma * beta) ** 2 * _GUMBEL_SCALE_INFO)))
 
 
 def _frechet(beta, sigma):
@@ -299,9 +312,12 @@ class FamilySpec:
     estimator Jacobians: Frechet reports (scale, exp(location)), so
     `scale_first` is set and the location row carries d sigma / d
     location = sigma (`location_factor`).  `params` takes floats or
-    arrays.  `mle` fits the raw data, `mle_rows` each row of transformed
-    data (R, n), as (location, scale) arrays that are NaN where no
-    estimate exists, and `scaled` names the parameters in data units.
+    arrays.  `mle` fits the raw data (EstimationError for constant
+    data), `mle_rows` each row of transformed data (R, n), as (location,
+    scale) arrays that are NaN where no estimate exists, `s_mle` gives
+    the MLE's asymptotic covariance (the inverse Fisher information) as
+    two rows of Python floats, and `scaled` names the parameters in data
+    units.
     The `mle` lambdas look the estimators up at call time, so rebinding
     the module-level names (as bench/spans.py does) reaches them.
     """
@@ -318,7 +334,7 @@ class FamilySpec:
     scale_first: bool
     mle: Callable[[np.ndarray], ParameterVector]
     mle_rows: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    s_mle: Callable[[ParameterVector], np.ndarray]
+    s_mle: Callable[[ParameterVector], Tuple[Tuple[float, float], ...]]
     scaled: Tuple[str, ...] = ()
 
     def estimates(self, p: ParameterVector) -> tuple:
@@ -344,20 +360,18 @@ _NORMAL_MAPS = dict(
     location_factor=lambda sigma: 1.0,
     scale_first=False,
     mle_rows=_normal_rows,
-    s_mle=lambda p: np.array([[p.sigma ** 2, 0.0],
-                              [0.0, p.sigma ** 2 / 2.0]]),
+    s_mle=lambda p: ((p.sigma ** 2, 0.0), (0.0, p.sigma ** 2 / 2.0)),
 )
 
 SPECS = {
     Family.NORMAL: FamilySpec(
         transform=lambda x: x, inverse=lambda y: y,
         log_jacobian=lambda y: 0.0,
-        mle=lambda x: ParameterVector(*mle_normal(x)),
+        mle=_normal_mle,
         **_NORMAL_MAPS),
     Family.LOGNORMAL: FamilySpec(
         **_log_data("lognormal"),
-        mle=lambda x: ParameterVector(
-            *mle_normal(SPECS[Family.LOGNORMAL].transform(x))),
+        mle=lambda x: _normal_mle(SPECS[Family.LOGNORMAL].transform(x)),
         **_NORMAL_MAPS),
     Family.FRECHET: FamilySpec(
         names=("beta", "sigma"),

@@ -1,8 +1,20 @@
+import sys
+
 import numpy as np
 import pytest
 
 from trimmoments.models import Family, ParameterVector
 from trimmoments.moments import validate_scheme
+
+
+def clear_caches():
+    """Empty every functools cache of the trimmoments modules, so that
+    the next call computes from scratch."""
+    for name, module in list(sys.modules.items()):
+        if name == "trimmoments" or name.startswith("trimmoments."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 def scheme(a1, b1, a2, b2):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trimmoments import asymptotics, moments
+from trimmoments import moments
 from trimmoments.asymptotics import (
     SingularityError,
     are,
@@ -15,7 +15,7 @@ from trimmoments.asymptotics import (
     sigma_T,
 )
 from trimmoments.estimators import Branch, fit_frechet, fit_location_scale
-from trimmoments.models import Family, ParameterVector, sample
+from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     eta_constants,
     population_moments,
@@ -23,7 +23,7 @@ from trimmoments.moments import (
     zeta_constants,
 )
 from trimmoments.quadrature import integrate
-from conftest import random_params, random_scheme
+from conftest import clear_caches, random_params, random_scheme
 from oracles import (
     are_reference,
     c_k,
@@ -422,9 +422,7 @@ class TestAre:
             return integrate(f, a, b)
 
         monkeypatch.setattr(moments, "integrate", counted)
-        for cached in (moments.window_integral, eta_constants,
-                       asymptotics._entries):
-            cached.cache_clear()
+        clear_caches()
         are(Family.NORMAL, ParameterVector(theta=1.0, sigma=1.0),
             validate_scheme(*quad))
         assert len(calls) == distinct
@@ -496,6 +494,57 @@ class TestAreClosedForm:
         r = are(Family.NORMAL, params, s)
         assert r.singular is singular
         assert r.singular == are_reference(Family.NORMAL, params, s).singular
+
+
+# The published schemes of the ARE tables: four equal, four nested.
+REFERENCE_SCHEMES = [(0.02, 0.02, 0.02, 0.02), (0.05, 0.05, 0.05, 0.05),
+                     (0.1, 0.1, 0.1, 0.1), (0.15, 0.15, 0.15, 0.15),
+                     (0.02, 0.02, 0.00, 0.04), (0.05, 0.05, 0.00, 0.10),
+                     (0.1, 0.1, 0.00, 0.20), (0.15, 0.15, 0.00, 0.30)]
+
+
+class TestWarmAre:
+    """A warm `are` point is Python-float arithmetic on one cached record
+    per family and scheme, with S_MLE as rows of Python floats."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_warm_point_equals_cold_point(self, monkeypatch, family):
+        own = SPECS[family].names[0]
+        points = [(ParameterVector(**{own: v, "sigma": 2.0}),
+                   validate_scheme(*quad))
+                  for quad in REFERENCE_SCHEMES for v in (0.5, 1.0, 2.5)]
+        if family is not Family.FRECHET:
+            # theta / sigma = 1e160, past sqrt(max): an equal scheme, and
+            # a nested one whose l^2 overflows.
+            far = ParameterVector(theta=1e100, sigma=1e-60)
+            points += [(far, validate_scheme(0.1, 0.1, 0.1, 0.1)),
+                       (far, validate_scheme(0.05, 0.05, 0.00, 0.10))]
+        for params, s in points:
+            are(family, params, s)
+        calls = []
+
+        def counted(f, a, b):
+            calls.append((a, b))
+            return integrate(f, a, b)
+
+        monkeypatch.setattr(moments, "integrate", counted)
+        warm = [are(family, params, s) for params, s in points]
+        assert calls == []
+        for (params, s), got in zip(points, warm):
+            clear_caches()
+            assert are(family, params, s) == got
+        assert calls
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_s_mle_array_holds_the_spec_rows(self, rng, family):
+        for _ in range(5):
+            params = random_params(rng, family)
+            rows = SPECS[family].s_mle(params)
+            assert type(rows) is tuple
+            assert all(type(v) is float for row in rows for v in row)
+            got = s_mle(family, params)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == [list(row) for row in rows]
 
 
 class TestBreakdownAndFitCovariance:

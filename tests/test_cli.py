@@ -454,6 +454,54 @@ def test_constant_data_exit_3(capsys, tmp_path):
     assert err.startswith("estimation failure:")
 
 
+@pytest.mark.parametrize("scheme", [(), ("--scheme", "0.1,0.1,0.1,0.1")],
+                         ids=["mle", "scheme"])
+def test_gof_constant_data_exit_3(capsys, tmp_path, scheme):
+    # Constant data have no MLE for either case-study family.
+    path = tmp_path / "data.csv"
+    path.write_text("4\n" * 5)
+    code, out, err = run(capsys, "gof", "--data", str(path), "--scale", "1",
+                         *scheme)
+    assert (code, out) == (3, "")
+    assert err.startswith("estimation failure:")
+    assert len(err.splitlines()) == 1
+
+
+ARE_ONE_POINT = ("are", "--model", "normal", "--theta", "1",
+                 "--scheme", "0.05,0.05,0,0.10")
+
+
+# argparse's own rejections keep the contract: exit 2 with one prefixed
+# line on stderr and nothing on stdout.
+@pytest.mark.parametrize("argv", [
+    pytest.param((*ARE_ONE_POINT, "--sigma", "abc"), id="sigma-abc"),
+    pytest.param(ARE_ONE_POINT, id="missing-sigma"),
+    pytest.param(("are", "--model", "gamma", "--sigma", "1", "--theta", "1",
+                  "--scheme", "0,0,0,0"), id="model-gamma"),
+    pytest.param(("estimate", "--model", "normal"), id="unknown-subcommand"),
+    pytest.param((), id="empty-argv"),
+])
+def test_argparse_rejection_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error:")
+    assert len(err.splitlines()) == 1
+
+
+def test_duplicate_flag_takes_last_value(capsys):
+    out = _clean_run(capsys, *ARE_ONE_POINT, "--sigma", "1", "--sigma", "3")
+    assert out == _clean_run(capsys, *ARE_ONE_POINT, "--sigma", "3")
+    assert out != _clean_run(capsys, *ARE_ONE_POINT, "--sigma", "1")
+
+
+def test_help_exits_0_on_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["are", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: trimmoments are") and out.err == ""
+
+
 def _clean_run(capsys, *argv):
     """stdout of a run that must exit 0 with nothing on stderr."""
     code, out, err = run(capsys, *argv)
