@@ -8,8 +8,9 @@ exist: minus = -FT + ST and plus = FT + ST, where FT is
 the square-root term and ST the linear term.  Equal per-moment trimming
 forces ST = 0 and the plus candidate is taken directly; otherwise the
 sign is resolved by positivity and, when both candidates are positive,
-by proximity to the full-sample MLE.  The reference maximum likelihood
-estimators live with the families in `models` and are re-exported here.
+by proximity to the full-sample MLE, one row of `FamilySpec.mle_rows`.
+`mle_normal` and `mle_frechet` are re-exported here only for the span
+tracer of bench/spans.py.
 """
 
 from __future__ import annotations
@@ -187,7 +188,8 @@ def fit(data, scheme: TrimmingScheme,
         family: Family = Family.NORMAL) -> FitResult:
     """Fit the family's parameters by the location-scale trimmed-moment
     estimator on transformed data (see `models.SPECS`), as the one-row
-    case of `fit_rows`; the reference MLE is computed only if needed.
+    case of `fit_rows`; the reference MLE, computed only if needed, is
+    the one-row case of `mle_rows`, as in `simulation.run_study`.
 
     Normal data are fitted as they are; lognormal data are
     log-transformed and (theta, sigma) reported on the log scale;
@@ -195,8 +197,7 @@ def fit(data, scheme: TrimmingScheme,
     scale beta reported as (beta, sigma).
     """
     spec = SPECS[family]
-    x = np.asarray(data, dtype=float)
-    y = spec.transform(x)
+    y = spec.transform(np.asarray(data, dtype=float))
     if y.size < 2:
         raise ValueError("need at least two observations")
     if squares_overflow(y, y.size):
@@ -207,9 +208,13 @@ def fit(data, scheme: TrimmingScheme,
     if 0.0 < float(np.max(np.abs(y))) < 2.0 ** -485:
         raise ValueError("data out of range: their squares underflow")
     ys = np.sort(y).reshape(1, -1)
+    # Constant data have no scale, yet a nested scheme's plus root is
+    # positive on them, and a zero normal MLE spread would pick a root.
+    if ys[0, 0] == ys[0, -1]:
+        raise EstimationError("constant data: no scale to estimate")
     loc, scale, minus, pair, t1, t2 = fit_rows(
         ys, ys * ys, scheme, eta_constants(family, scheme),
-        lambda: spec.location_scale(spec.mle(x))[1])
+        lambda: spec.mle_rows(y.reshape(1, -1))[1])
     if not scale[0] > 0.0:
         raise EstimationError(
             "no admissible scale candidate; update trimming proportions")

@@ -150,24 +150,24 @@ def mle_normal(data):
     return float(theta[0]), float(sigma[0])
 
 
-def _normal_mle(y) -> ParameterVector:
-    """`mle_normal` of transformed data as parameters; constant data,
-    whose 1/n spread is zero, have no likelihood maximum and raise
-    EstimationError, as they do for `mle_frechet`."""
-    theta, sigma = mle_normal(y)
-    if sigma == 0.0:
-        raise EstimationError("no normal likelihood maximum: constant data")
-    return ParameterVector(theta, sigma)
-
-
 # Once a Newton step is below _MLE_RTOL of beta, the next iterate is within
 # rounding of the root (convergence is quadratic) and is the row's last.
 _MLE_RTOL, _MLE_MAX_ITER, _MLE_RESIDUAL = 1e-9, 100, 1e-10
 
 
 def _frechet_rows(logx):
-    """Frechet MLE of each row of log-data (R, n) as (log sigma, beta),
-    NaN on rows without a likelihood root; see `mle_frechet`."""
+    """Frechet MLE of each row of log-data (R, n) as (log sigma, beta).
+
+    beta solves the score xi(b) = b + E_w[l] - mean(l) = 0, E_w the mean
+    of l = log x under weights exp(-l / b).  xi has slope
+    1 + Var_w(l) / b^2 >= 1 and rises from min(l) - mean(l) < 0 at 0+ to
+    >= 0 at mean(l) - min(l), which brackets the root.  Newton steps
+    start from the log-moment estimate sqrt(6) / pi * sd(l) and fall back
+    to bisection when they leave the bracket unconverged; only unconverged
+    rows are iterated.  Constant rows (no root), no convergence within
+    _MLE_MAX_ITER steps and a residual |xi| > 1e-10 leave the row NaN.
+    sigma follows in closed form.
+    """
     n = logx.shape[1]
     lmin = logx.min(axis=1)
     # xi is shift invariant; d >= 0 keeps the weights exp(-d / b) <= 1.
@@ -210,29 +210,9 @@ def _frechet_rows(logx):
 
 
 def mle_frechet(data):
-    """Frechet MLE (beta, sigma) of one sample, the one-row case of
-    `_frechet_rows`.
-
-    beta solves the score xi(b) = b + E_w[l] - mean(l) = 0, E_w the mean
-    of l = log x under weights exp(-l / b).  xi has slope
-    1 + Var_w(l) / b^2 >= 1 and rises from min(l) - mean(l) < 0 at 0+ to
-    >= 0 at mean(l) - min(l), which brackets the root.  Newton steps
-    start from the log-moment estimate sqrt(6) / pi * sd(l) and fall back
-    to bisection when they leave the bracket unconverged; only unconverged
-    rows are iterated.  Constant data (no root), no convergence within
-    _MLE_MAX_ITER steps and a residual |xi| > 1e-10 raise EstimationError
-    (NaN in the rows).  sigma follows in closed form.
-    """
-    x = np.asarray(data, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two observations")
-    if np.any(x <= 0.0):
-        raise ValueError("Frechet data must be positive")
-    loc, beta = _frechet_rows(np.log(x).reshape(1, -1))
-    if np.isnan(beta[0]):
-        raise EstimationError("no Frechet likelihood root: constant data "
-                              "or no convergence")
-    return float(beta[0]), math.exp(loc[0])
+    """Frechet MLE (beta, sigma) of one sample: `FamilySpec.mle`."""
+    p = SPECS[Family.FRECHET].mle(data)
+    return p.beta, p.sigma
 
 
 def _gumbel_quantile(u, out=None):
@@ -290,10 +270,6 @@ def _s_mle_frechet(p):
             (off, k * ((sigma * beta) ** 2 * _GUMBEL_SCALE_INFO)))
 
 
-def _frechet(beta, sigma):
-    return ParameterVector(sigma=sigma, beta=beta)
-
-
 # math.exp, also elementwise over arrays: np.exp may round differently, and
 # each row of a batch fit must equal the fit of that sample alone.
 _exp = np.frompyfunc(math.exp, 1, 1)
@@ -312,14 +288,11 @@ class FamilySpec:
     estimator Jacobians: Frechet reports (scale, exp(location)), so
     `scale_first` is set and the location row carries d sigma / d
     location = sigma (`location_factor`).  `params` takes floats or
-    arrays.  `mle` fits the raw data (EstimationError for constant
-    data), `mle_rows` each row of transformed data (R, n), as (location,
-    scale) arrays that are NaN where no estimate exists, `s_mle` gives
-    the MLE's asymptotic covariance (the inverse Fisher information) as
-    two rows of Python floats, and `scaled` names the parameters in data
-    units.
-    The `mle` lambdas look the estimators up at call time, so rebinding
-    the module-level names (as bench/spans.py does) reaches them.
+    arrays.  `mle_rows` fits each row of transformed data (R, n), as
+    (location, scale) arrays that are NaN where no estimate exists,
+    `s_mle` gives the MLE's asymptotic covariance (the inverse Fisher
+    information) as two rows of Python floats, and `scaled` names the
+    parameters in data units.
     """
 
     names: Tuple[str, str]
@@ -332,7 +305,6 @@ class FamilySpec:
     params: Callable[[float, float], ParameterVector]
     location_factor: Callable[[float], float]
     scale_first: bool
-    mle: Callable[[np.ndarray], ParameterVector]
     mle_rows: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     s_mle: Callable[[ParameterVector], Tuple[Tuple[float, float], ...]]
     scaled: Tuple[str, ...] = ()
@@ -340,6 +312,20 @@ class FamilySpec:
     def estimates(self, p: ParameterVector) -> tuple:
         """The reported parameters of p, in `names` order."""
         return (getattr(p, self.names[0]), getattr(p, self.names[1]))
+
+    def mle(self, x) -> ParameterVector:
+        """The MLE of one raw sample x: row 0 of `mle_rows` on its
+        transformed values.  A row without a positive scale (no
+        likelihood root, or the zero spread of constant normal data)
+        raises EstimationError."""
+        y = self.transform(np.asarray(x, dtype=float))
+        if y.size < 2:
+            raise ValueError("need at least two observations")
+        loc, scale = self.mle_rows(y.reshape(1, -1))
+        if not scale[0] > 0.0:
+            raise EstimationError("no likelihood maximum: constant data "
+                                  "or no convergence")
+        return self.params(float(loc[0]), float(scale[0]))
 
     def draw(self, p: ParameterVector, u: np.ndarray) -> np.ndarray:
         """Transformed data loc + scale * base_quantile(u) from a float
@@ -367,11 +353,9 @@ SPECS = {
     Family.NORMAL: FamilySpec(
         transform=lambda x: x, inverse=lambda y: y,
         log_jacobian=lambda y: 0.0,
-        mle=_normal_mle,
         **_NORMAL_MAPS),
     Family.LOGNORMAL: FamilySpec(
         **_log_data("lognormal"),
-        mle=lambda x: _normal_mle(SPECS[Family.LOGNORMAL].transform(x)),
         **_NORMAL_MAPS),
     Family.FRECHET: FamilySpec(
         names=("beta", "sigma"),
@@ -379,10 +363,10 @@ SPECS = {
         base_quantile=_gumbel_quantile,
         base_logpdf=lambda z: -z - np.exp(-z),
         location_scale=lambda p: (math.log(p.sigma), p.beta),
-        params=lambda loc, scale: _frechet(scale, _exp(loc)),
+        params=lambda loc, scale: ParameterVector(sigma=_exp(loc),
+                                                  beta=scale),
         location_factor=lambda sigma: sigma,
         scale_first=True,
-        mle=lambda x: _frechet(*mle_frechet(x)),
         mle_rows=_frechet_rows,
         s_mle=_s_mle_frechet,
         scaled=("sigma",)),

@@ -444,14 +444,23 @@ def test_singular_covariance_reported_as_null(capsys, tmp_path):
     assert doc["covariance"] is None
 
 
-def test_constant_data_exit_3(capsys, tmp_path):
+@pytest.mark.parametrize("trim", [
+    pytest.param(FIT_ZERO, id="zero"),
+    pytest.param(("--a1", "0.05", "--b1", "0.05", "--a2", "0", "--b2", "0.1"),
+                 id="nested-0.05"),
+    pytest.param(("--a1", "0.2", "--b1", "0.2", "--a2", "0", "--b2", "0.4"),
+                 id="nested-0.2")])
+@pytest.mark.parametrize("model", ["normal", "lognormal", "frechet"])
+def test_constant_data_exit_3(capsys, tmp_path, model, trim):
+    # Constant data have no scale, on every scheme: a nested scheme's
+    # positive plus root is not an estimate of one.
     path = tmp_path / "data.csv"
     path.write_text("x\n" + "4\n" * 10)
-    code, out, err = run(capsys, "fit", "--model", "normal",
-                         "--data", str(path), *FIT_ZERO)
-    assert code == 3
-    assert out == ""
+    code, out, err = run(capsys, "fit", "--model", model,
+                         "--data", str(path), *trim)
+    assert (code, out) == (3, "")
     assert err.startswith("estimation failure:")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("scheme", [(), ("--scheme", "0.1,0.1,0.1,0.1")],

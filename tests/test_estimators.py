@@ -365,7 +365,7 @@ class TestFitRows:
                 s = random_scheme(rng, lo=0.0)
                 con = eta_constants(family, s)
                 ys = np.sort(y, axis=1)
-                loc, scale, _, _, t1, t2 = fit_rows(
+                loc, scale, minus, pair, t1, t2 = fit_rows(
                     ys, ys * ys, s, con, lambda: mle[1])
                 for i, row in enumerate(x):
                     if not scale[i] > 0.0:
@@ -375,6 +375,12 @@ class TestFitRows:
                     one = fit(row, s, family)
                     assert (one.t1, one.t2) == (t1[i], t2[i])
                     assert one.params == spec.params(loc[i], scale[i])
+                    # ... and takes the row's branch.
+                    assert one.branch is (
+                        Branch.EQUAL_TRIM if s.tag is SchemeTag.EQUAL
+                        else Branch.MINUS if minus[i] else Branch.PLUS)
+                    assert (one.discriminant_negative
+                            == pair.discriminant_negative[i])
 
 
 PROPORTIONS = (0.0, 0.02, 1 / 30, 0.05, 0.1, 0.15, 0.2)

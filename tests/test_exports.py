@@ -1,6 +1,7 @@
 """Every name a module of the package exports resolves and has a caller."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import trimmoments
+from trimmoments.models import FamilySpec
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trimmoments"
 MODULES = ["trimmoments"] + [
     f"trimmoments.{m.name}" for m in pkgutil.iter_modules(trimmoments.__path__)]
 
@@ -63,8 +66,7 @@ def _referenced_names(paths):
 
 def test_every_export_has_a_caller():
     # A name exported for the tests alone belongs in tests/oracles.py.
-    package = ROOT / "src" / "trimmoments"
-    used = _referenced_names([*package.rglob("*.py"),
+    used = _referenced_names([*PACKAGE.rglob("*.py"),
                               *(ROOT / "bench").rglob("*.py")])
     # The traced layers call their functions by name.
     used.update(f for targets in _bench_layers().values() for _, f in targets)
@@ -72,3 +74,14 @@ def test_every_export_has_a_caller():
               for attr in importlib.import_module(name).__all__
               if attr not in used]
     assert unused == []
+
+
+def test_every_family_spec_field_is_read():
+    # A field that no code in the package reads is dead weight in every
+    # family's spec.
+    read = {node.attr for path in PACKAGE.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = [f.name for f in dataclasses.fields(FamilySpec)]
+    assert [f for f in fields if f not in read] == []
