@@ -3,19 +3,21 @@
 The covariance of the sample trimmed-moment vector has entries
 sigma2_ij = Gamma(i,j) * V(i,j) where V is a double integral of the
 kernel K(w,v) = min(w,v) - wv against the derivatives of the population
-moment functions H_i.  V reduces to endpoint evaluations and the window
-integrals the moment constants share (`moments.window_integral`); the
-raw double integral is a brute-force oracle in the tests.  Every family
-is a location-scale model on transformed data, so Sigma_T and the
-Jacobian are written once in (location, scale) and mapped to the
-reported parameters through `models.SPECS`.  S_T = D Sigma_T D' uses the
-branch-aware Jacobian, and the ARE versus maximum likelihood is
-(det S_MLE / det S_T)^(1/2), each rejected when it over- or underflows.
-The ARE needs only det S_T = det(D)^2 det(Sigma_T), which `are` writes
-in closed form in units of the scale, on the ratio location / scale.
-What does not depend on the point is one cached record per family and
-scheme (`_are_form`), and S_MLE comes as rows of Python floats
-(`FamilySpec.s_mle`), so a warm ARE point touches no numpy.
+moment functions H_i.  Both are c * base^p (the base quantile and half
+its square), so V reduces to base values at the scheme's breakpoints
+and to integrals of base^k, k = 1..4, from the segment table the moment
+constants share (`moments.window_moments`); the raw double integral is
+a brute-force oracle in the tests.  Every family is a location-scale
+model on transformed data, so Sigma_T and the Jacobian are written once
+in (location, scale) and mapped to the reported parameters through
+`models.SPECS`.  S_T = D Sigma_T D' uses the branch-aware Jacobian, and
+the ARE versus maximum likelihood is (det S_MLE / det S_T)^(1/2), each
+rejected when it over- or underflows.  The ARE needs only det S_T =
+det(D)^2 det(Sigma_T), which `are` writes in closed form in units of
+the scale, on the ratio location / scale.  What does not depend on the
+point is one cached record per family and scheme (`_are_form`), and
+S_MLE comes as rows of Python floats (`FamilySpec.s_mle`), so a warm
+ARE point touches no numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .moments import (
     MomentConstants,
     TrimmingScheme,
     eta_constants,
-    window_integral,
+    window_moments,
 )
 
 __all__ = [
@@ -78,65 +80,39 @@ def _in_range(det: float, name: str) -> float:
     return det
 
 
-def _guarded(coef, H, u):
-    """coef * H(u), skipping the evaluation when coef is exactly zero
-    (H may diverge at u in {0, 1})."""
-    if coef == 0.0:
-        return 0.0
-    return coef * float(H(u))
-
-
-def _i_lower(H, a, b, s):
-    """I(a, b) given the precomputed integral s of H over [a, b]."""
-    return _guarded(b, H, b) - _guarded(a, H, a) - s
-
-
-def _i_upper(H, a, b, s):
-    """Ibar(a, b) given the precomputed integral s of H over [a, b]."""
-    return _guarded(1.0 - b, H, b) - _guarded(1.0 - a, H, a) + s
-
-
-def _v_pair(HA, winA, HB, winB):
+def _v_pair(moment, z, A, winA, B, winB):
     """The closed-form double integral of K against HA', HB' over the
-    windows winA x winB of a scheme, the roles normalized so that the
-    inner window (j) starts and ends no later than the outer one (i);
-    K's symmetry makes the swap harmless."""
+    windows winA x winB of a scheme, for H = c * base^p given as (p, c):
+    the integral of H (of a product) over a window is c (c_i c_j) times
+    the `window_moments` entry of power p (p_i + p_j), and H(u) is
+    c * z[u]^p.  The roles are normalized so that the inner window (j)
+    starts and ends no later than the outer one (i); K's symmetry makes
+    the swap harmless."""
     if winB[0] <= winA[0] and winB[1] <= winA[1]:
-        Hi, (ai, bbari), Hj, (aj, bbarj) = HA, winA, HB, winB
+        (pi, ci), (ai, bbari), (pj, cj), (aj, bbarj) = A, winA, B, winB
     else:
-        Hi, (ai, bbari), Hj, (aj, bbarj) = HB, winB, HA, winA
+        (pi, ci), (ai, bbari), (pj, cj), (aj, bbarj) = B, winB, A, winA
     bi = 1.0 - bbari
     bj = 1.0 - bbarj
-    int_hi_mid = window_integral(ai, bbarj, Hi)
-    int_hj_mid = window_integral(ai, bbarj, Hj)
-    int_hihj_mid = window_integral(ai, bbarj, Hi, Hj)
-    int_hi_right = window_integral(bbarj, bbari, Hi)
-
-    # The [aj, ai] strip is empty when aj == ai, in which case Ibar_i
-    # (which diverges at ai == 0) must not be touched at all.
-    total = 0.0
-    if aj < ai:
-        total = (_i_lower(Hj, aj, ai, window_integral(aj, ai, Hj))
-                 * _i_upper(Hi, ai, bbari, int_hi_mid + int_hi_right))
-    if bi != 0.0:
-        i_j_mid = _i_lower(Hj, ai, bbarj, int_hj_mid)
-        total += bi * float(Hi(bbari)) * i_j_mid
-    if ai != 0.0:
-        ibar_j_mid = _i_upper(Hj, ai, bbarj, int_hj_mid)
-        total -= ai * float(Hi(ai)) * ibar_j_mid
-    total += int_hihj_mid
-    if int_hi_right != 0.0:
-        total += (_guarded(bbarj, Hj, bbarj) - _guarded(ai, Hj, ai)) * int_hi_right
-    total -= (_guarded(ai, Hj, ai) + _guarded(bj, Hj, bbarj)) * int_hi_mid
+    hi = {u: ci * v ** pi for u, v in z.items()}
+    hj = {u: cj * v ** pj for u, v in z.items()}
+    int_hi_mid = ci * moment(ai, bbarj, pi)
+    int_hj_mid = cj * moment(ai, bbarj, pj)
+    int_hi_right = ci * moment(bbarj, bbari, pi)
+    # The endpoint integrals I(a, b) = b H(b) - a H(a) - int_a^b H and
+    # Ibar(a, b) = (1-b) H(b) - (1-a) H(a) + int_a^b H: first those of
+    # the [aj, ai] strip and of window i, then of [ai, bbarj].
+    total = ((ai * hj[ai] - aj * hj[aj] - cj * moment(aj, ai, pj))
+             * (bi * hi[bbari] - (1.0 - ai) * hi[ai]
+                + (int_hi_mid + int_hi_right)))
+    total += bi * hi[bbari] * (bbarj * hj[bbarj] - ai * hj[ai] - int_hj_mid)
+    total -= ai * hi[ai] * (bj * hj[bbarj] - (1.0 - ai) * hj[ai] + int_hj_mid)
+    total += ci * cj * moment(ai, bbarj, pi + pj)
+    total += (bbarj * hj[bbarj] - ai * hj[ai]) * int_hi_right
+    total -= (ai * hj[ai] + bj * hj[bbarj]) * int_hi_mid
     total -= int_hj_mid * int_hi_mid
     total -= int_hj_mid * int_hi_right
-    return float(total)
-
-
-@lru_cache(maxsize=None)
-def _half_square(base):
-    """base^2 / 2, one function per base: schemes share its integrals."""
-    return lambda u: 0.5 * base(u) ** 2
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -144,21 +120,28 @@ def _entries(base, scheme: TrimmingScheme) -> dict:
     """The six parameter-free covariance building blocks for one model,
     evaluated through the closed-form V routine and cached per scheme.
 
-    base is the family's base quantile (Phi^{-1} or the Gumbel G) and
-    half_sq its squared half, whose derivative weight is base itself.
+    base is the family's base quantile (Phi^{-1} or the Gumbel G), read
+    once at the scheme's breakpoints, and half its square, whose
+    derivative weight is base itself, is H = (power 2, weight 1/2).
     """
-    half_sq = _half_square(base)
     w1 = scheme.window(1)
     w2 = scheme.window(2)
+    moment = window_moments(base, *w1, *w2)
+    inner = [u for u in set(w1 + w2) if 0.0 < u < 1.0]
+    # The base diverges at 0 and 1; every term of V that holds it there
+    # has a zero factor (u, 1 - u or an empty window), so 0.0 stands in.
+    z = {0.0: 0.0, 1.0: 0.0}
+    z.update(zip(inner, base(np.array(inner)).tolist()))
     g1 = 1.0 / (1.0 - scheme.a1 - scheme.b1)
     g2 = 1.0 / (1.0 - scheme.a2 - scheme.b2)
+    lin, half_sq = (1, 1.0), (2, 0.5)
     return {
-        "111": g1 * g1 * _v_pair(base, w1, base, w1),
-        "121": g1 * g2 * _v_pair(base, w1, base, w2),
-        "122": g1 * g2 * _v_pair(base, w1, half_sq, w2),
-        "221": g2 * g2 * _v_pair(base, w2, base, w2),
-        "222": g2 * g2 * _v_pair(base, w2, half_sq, w2),
-        "223": g2 * g2 * _v_pair(half_sq, w2, half_sq, w2),
+        "111": g1 * g1 * _v_pair(moment, z, lin, w1, lin, w1),
+        "121": g1 * g2 * _v_pair(moment, z, lin, w1, lin, w2),
+        "122": g1 * g2 * _v_pair(moment, z, lin, w1, half_sq, w2),
+        "221": g2 * g2 * _v_pair(moment, z, lin, w2, lin, w2),
+        "222": g2 * g2 * _v_pair(moment, z, lin, w2, half_sq, w2),
+        "223": g2 * g2 * _v_pair(moment, z, half_sq, w2, half_sq, w2),
     }
 
 

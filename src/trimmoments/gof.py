@@ -75,11 +75,15 @@ def information_criteria(family: Family, params: ParameterVector, data):
 
 
 def modify_dataset(data):
-    """Copy of the data with the maximum multiplied by 10."""
+    """Copy of the data with the maximum multiplied by 10, if finite."""
     x = np.asarray(data, dtype=float).copy()
     if x.size == 0:
         raise ValueError("data must be nonempty")
-    x[np.argmax(x)] *= 10.0
+    top = np.argmax(x)
+    x[top] = float(x[top]) * 10.0
+    if not math.isfinite(x[top]):
+        raise ValueError("the modified maximum (10 times the largest "
+                         "value) overflows")
     return x
 
 

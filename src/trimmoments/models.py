@@ -220,7 +220,7 @@ def _gumbel_quantile(u, out=None):
     Frechet model, written into `out` when given (a ufunc's `out`).
 
     Without `out` the operators are kept: the quadrature calls this on
-    scalars, where -x is several times faster than np.negative(x) and an
+    15 nodes at a time, where -x is faster than np.negative(x) and an
     explicit out=None slows np.log too.
     """
     if out is None:

@@ -7,8 +7,11 @@ window [a_j, 1-b_j].  Every family is a location-scale model on
 transformed data (`models.SPECS`) with h_1(y) = y, h_2(y) = y^2, so
 T1 = mu + s c_1 and T2 = mu^2 + 2 mu s c_1 + s^2 c_2 in the window
 averages c_k of powers of the base quantile (Phi^{-1}, or the Gumbel
-G = -log(-log u) for Frechet).  Every window integral, here and in the
-covariances of `asymptotics`, is one cached `window_integral`.
+G = -log(-log u) for Frechet).  Every integral, here and in the
+covariances of `asymptotics`, is of base^k (k = 1..4) over a window
+between two of a scheme's breakpoints a_j, 1-b_j: the sum of the entries
+of its segments in one table of (M1, M2, M3, M4) per (base, segment),
+each from one quadrature pass (`window_moments`).
 
 The c form is the one convention the estimators read.  The paper
 writes the Frechet constants with Delta(u) = log(-log u) = -G(u): its
@@ -40,7 +43,7 @@ __all__ = [
     "eta_constants",
     "zeta_constants",
     "population_moments",
-    "window_integral",
+    "window_moments",
 ]
 
 
@@ -144,18 +147,26 @@ def sample_trimmed_moment(data, a, b, h):
 
 
 @lru_cache(maxsize=None)
-def window_integral(a: float, b: float, *factors) -> float:
-    """Integral over [a, b] of the product of the factor functions (0.0
-    if a == b), computed once: constants and covariances share it."""
-    if a == b:
-        return 0.0
-    return integrate(lambda u: math.prod(g(u) for g in factors), a, b)
+def _segment(base, lo: float, hi: float) -> tuple:
+    """(M1, M2, M3, M4), the integrals of base^k over the segment
+    [lo, hi], from one quadrature pass with one base call per node."""
+    def powers(u):
+        z = base(u)
+        z2 = z * z
+        return z, z2, z2 * z, z2 * z2
+    return tuple(integrate(powers, lo, hi).tolist())
 
 
-def _window_mean(base, a: float, bbar: float, k: int) -> float:
-    """Window-averaged k-th power (k = 1, 2) of a base quantile over a
-    scheme's window a < bbar, as a Python float."""
-    return float(window_integral(a, bbar, *(base,) * k) / (bbar - a))
+def window_moments(base, *points):
+    """M(lo, hi, k): the integral of base^k (k = 1..4) over a window
+    [lo, hi] between two of the points, the sum over the segments
+    between the sorted points that the window covers (0.0 if lo == hi)."""
+    pts = sorted(set(points))
+    table = {lo: _segment(base, lo, hi) for lo, hi in zip(pts, pts[1:])}
+
+    def moment(lo: float, hi: float, k: int) -> float:
+        return sum((m[k - 1] for s, m in table.items() if lo <= s < hi), 0.0)
+    return moment
 
 
 @dataclass(frozen=True)
@@ -182,11 +193,11 @@ class MomentConstants:
 def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
     """Location-scale constants c and the eta quadratic forms (for
     Frechet, c of the Gumbel base), cached per scheme."""
-    base = SPECS[family].base_quantile
     (a1, bbar1), (a2, bbar2) = scheme.window(1), scheme.window(2)
-    m1_11 = _window_mean(base, a1, bbar1, 1)
-    m1_22 = _window_mean(base, a2, bbar2, 1)
-    m2_22 = _window_mean(base, a2, bbar2, 2)
+    moment = window_moments(SPECS[family].base_quantile, a1, bbar1, a2, bbar2)
+    m1_11 = moment(a1, bbar1, 1) / (bbar1 - a1)
+    m1_22 = moment(a2, bbar2, 1) / (bbar2 - a2)
+    m2_22 = moment(a2, bbar2, 2) / (bbar2 - a2)
     eta_12 = m1_11 * m1_11 - 2.0 * m1_11 * m1_22 + m2_22
     return MomentConstants(m1_11, m1_22, m2_22, eta_12,
                            (m2_22 - m1_22 * m1_22) / eta_12)

@@ -1,15 +1,16 @@
 """Test oracles.  For the asymptotic covariance: the empirical-process
 kernel, the (I, Ibar) endpoint integrals, V(i, j) through the closed
-form for a parametrized model, the brute-force double integral that
-checks it, and the parameter-free entries Lambda_ijk and Psi_ijk.  For
-the ARE: the population-level Jacobian and the ARE through the full
-product S_T = D Sigma_T D', the reference for the closed-form
-determinant of `asymptotics.are`.  For the Frechet MLE: the likelihood
-score of one sample, a bracketing Brent root search on it, and the
-batch Newton kernel written with a fresh array for every block-sized
-step.  For the models: the quantile, pdf and cdf of each family.  For
-the constants: the window averages c_k and the paper's kappa_k, and
-the sigma of the plus scale candidate."""
+form for a parametrized model (the routine of `asymptotics._v_pair` on
+any moment functions, each integral its own quadrature), the
+brute-force double integral that checks it, and the parameter-free
+entries Lambda_ijk and Psi_ijk.  For the ARE: the population-level
+Jacobian and the ARE through the full product S_T = D Sigma_T D', the
+reference for the closed-form determinant of `asymptotics.are`.  For
+the Frechet MLE: the likelihood score of one sample, a bracketing Brent
+root search on it, and the batch Newton kernel written with a fresh
+array for every block-sized step.  For the models: the quantile, pdf
+and cdf of each family.  For the constants: the window averages c_k and
+the paper's kappa_k, and the sigma of the plus scale candidate."""
 
 import math
 
@@ -20,11 +21,8 @@ from scipy.special import ndtr, ndtri
 from trimmoments.asymptotics import (
     AreResult,
     SingularityError,
-    _i_lower,
     _entries,
-    _i_upper,
     _in_range,
-    _v_pair,
     det2,
     delta_covariance,
     jacobian_at_moments,
@@ -45,9 +43,9 @@ from trimmoments.models import (
 from trimmoments.moments import (
     SchemeError,
     TrimmingScheme,
-    _window_mean,
     eta_constants,
     population_moments,
+    window_moments,
 )
 from trimmoments.quadrature import integrate
 
@@ -86,14 +84,15 @@ def kappa_k(a: float, bbar: float, k: int) -> float:
 
 
 def _checked_window_mean(base, a: float, bbar: float, k: int) -> float:
-    """`moments._window_mean` behind the checks on the window and on k
-    that its callers, which take validated schemes, do not need."""
+    """The window average of base^k from the segment table, behind the
+    checks on the window and on k that `eta_constants`, which takes
+    validated schemes, does not need."""
     if not (0.0 <= a < bbar <= 1.0):
         raise SchemeError(
             f"window must satisfy 0 <= a < bbar <= 1, got ({a}, {bbar})")
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
-    return _window_mean(base, a, bbar, k)
+    return window_moments(base, a, bbar)(a, bbar, k) / (bbar - a)
 
 
 def plus_sigma(family: Family, t1, t2, scheme: TrimmingScheme):
@@ -145,6 +144,69 @@ def are_reference(family: Family, params: ParameterVector,
 def kernel(w, v):
     """Covariance kernel of the uniform empirical process."""
     return np.minimum(w, v) - np.asarray(w) * np.asarray(v)
+
+
+def _guarded(coef, H, u):
+    """coef * H(u), skipping the evaluation when coef is exactly zero
+    (H may diverge at u in {0, 1})."""
+    if coef == 0.0:
+        return 0.0
+    return coef * float(H(u))
+
+
+def _i_lower(H, a, b, s):
+    """I(a, b) given the precomputed integral s of H over [a, b]."""
+    return _guarded(b, H, b) - _guarded(a, H, a) - s
+
+
+def _i_upper(H, a, b, s):
+    """Ibar(a, b) given the precomputed integral s of H over [a, b]."""
+    return _guarded(1.0 - b, H, b) - _guarded(1.0 - a, H, a) + s
+
+
+def _window_integral(a, b, *factors):
+    """Integral over [a, b] of the product of the factor functions (0.0
+    if a == b)."""
+    if a == b:
+        return 0.0
+    return float(integrate(lambda u: math.prod(g(u) for g in factors), a, b))
+
+
+def v_pair(HA, winA, HB, winB):
+    """The closed-form double integral of K against HA', HB' over the
+    windows winA x winB, for any moment functions H: the routine of
+    `asymptotics._v_pair` on callables, with every integral its own
+    quadrature.  The roles are normalized so that the inner window (j)
+    starts and ends no later than the outer one (i); K's symmetry makes
+    the swap harmless."""
+    if winB[0] <= winA[0] and winB[1] <= winA[1]:
+        Hi, (ai, bbari), Hj, (aj, bbarj) = HA, winA, HB, winB
+    else:
+        Hi, (ai, bbari), Hj, (aj, bbarj) = HB, winB, HA, winA
+    bi = 1.0 - bbari
+    bj = 1.0 - bbarj
+    int_hi_mid = _window_integral(ai, bbarj, Hi)
+    int_hj_mid = _window_integral(ai, bbarj, Hj)
+    int_hihj_mid = _window_integral(ai, bbarj, Hi, Hj)
+    int_hi_right = _window_integral(bbarj, bbari, Hi)
+
+    total = 0.0
+    if aj < ai:
+        total = (_i_lower(Hj, aj, ai, _window_integral(aj, ai, Hj))
+                 * _i_upper(Hi, ai, bbari, int_hi_mid + int_hi_right))
+    if bi != 0.0:
+        i_j_mid = _i_lower(Hj, ai, bbarj, int_hj_mid)
+        total += bi * float(Hi(bbari)) * i_j_mid
+    if ai != 0.0:
+        ibar_j_mid = _i_upper(Hj, ai, bbarj, int_hj_mid)
+        total -= ai * float(Hi(ai)) * ibar_j_mid
+    total += int_hihj_mid
+    if int_hi_right != 0.0:
+        total += (_guarded(bbarj, Hj, bbarj) - _guarded(ai, Hj, ai)) * int_hi_right
+    total -= (_guarded(ai, Hj, ai) + _guarded(bj, Hj, bbarj)) * int_hi_mid
+    total -= int_hj_mid * int_hi_mid
+    total -= int_hj_mid * int_hi_right
+    return float(total)
 
 
 def i_integrals(H, a, b):
@@ -210,7 +272,7 @@ def v_entry(family: Family, params: ParameterVector, i: int, j: int,
     params.validate(family)
     h1, h2 = _h_population(family, params)
     hs = {1: h1, 2: h2}
-    return _v_pair(hs[i], scheme.window(i), hs[j], scheme.window(j))
+    return v_pair(hs[i], scheme.window(i), hs[j], scheme.window(j))
 
 
 def v_entry_bruteforce(family: Family, params: ParameterVector, i: int, j: int,

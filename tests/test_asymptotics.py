@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trimmoments import moments
+from trimmoments import models, moments
 from trimmoments.asymptotics import (
     SingularityError,
     are,
@@ -116,6 +116,25 @@ class TestVEntryOracle:
         target = v_entry(Family.NORMAL, params, 1, 2, s)
         errs = [abs(v - target) for v in vals]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.FRECHET])
+    def test_sigma_t_is_the_closed_form_on_callables(self, rng, family):
+        # sigma_T reads the segment table and the base at the
+        # breakpoints; the oracle integrates each H on its own.
+        schemes = [random_scheme(rng) for _ in range(4)] + [
+            validate_scheme(*quad) for quad in (
+                (0.0, 0.0, 0.0, 0.0), (0.05, 0.05, 0.00, 0.10),
+                (0.05, 0.05, 0.10, 0.00), (0.25, 0.50, 0.50, 0.25))]
+        for s in schemes:
+            params = random_params(rng, family)
+            st = sigma_T(family, params, s)
+            for i, j in ((1, 1), (1, 2), (2, 2)):
+                gamma = 1.0 / ((1.0 - s.a1 - s.b1) if i == 1
+                               else (1.0 - s.a2 - s.b2))
+                gamma /= (1.0 - s.a1 - s.b1) if j == 1 else (1.0 - s.a2 - s.b2)
+                assert st[i - 1, j - 1] == pytest.approx(
+                    gamma * v_entry(family, params, i, j, s),
+                    rel=1e-8, abs=1e-10), (s, i, j)
 
     def test_bruteforce_rejects_small_grid(self):
         s = validate_scheme(0.1, 0.1, 0.1, 0.1)
@@ -409,12 +428,13 @@ class TestAre:
         assert not r.singular
         assert r.are == pytest.approx(0.004, abs=2e-3)
 
-    @pytest.mark.parametrize("quad, distinct", [((0.1, 0.1, 0.1, 0.1), 5),
-                                                ((0.05, 0.1, 0.05, 0.2), 8)])
+    @pytest.mark.parametrize("quad, distinct", [((0.1, 0.1, 0.1, 0.1), 1),
+                                                ((0.05, 0.1, 0.05, 0.2), 2)])
     def test_cold_point_computes_each_window_integral_once(
             self, monkeypatch, quad, distinct):
-        # The constants and the covariance entries share their window
-        # integrals, so a cold point integrates each distinct one once.
+        # The constants and the covariance entries read every window
+        # integral from the segment table, so a cold point integrates
+        # each segment between the scheme's breakpoints once.
         calls = []
 
         def counted(f, a, b):
@@ -426,6 +446,30 @@ class TestAre:
         are(Family.NORMAL, ParameterVector(theta=1.0, sigma=1.0),
             validate_scheme(*quad))
         assert len(calls) == distinct
+
+    def test_cold_point_reads_the_base_once_per_node(self, monkeypatch):
+        # Every power of the base comes from one base call per node, and
+        # the covariance entries read it at the scheme's breakpoints.
+        models._ndtri(0.5)
+        ndtri, base_points, visited = models._scipy_ndtri, [], []
+
+        def counted_ndtri(u, *args, **kwargs):
+            base_points.append(np.size(u))
+            return ndtri(u, *args, **kwargs)
+
+        def counted(f, a, b):
+            def g(x):
+                visited.append(np.size(x))
+                return f(x)
+            return integrate(g, a, b)
+
+        monkeypatch.setattr(models, "_scipy_ndtri", counted_ndtri)
+        monkeypatch.setattr(moments, "integrate", counted)
+        clear_caches()
+        are(Family.NORMAL, ParameterVector(theta=1.0, sigma=1.0),
+            validate_scheme(0.1, 0.1, 0.1, 0.1))
+        assert sum(visited) > 0
+        assert sum(base_points) <= sum(visited) + 4
 
     def test_vanishing_discriminant_is_singular(self):
         # At this theta the plus-branch discriminant of the scheme falls

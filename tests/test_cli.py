@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimmoments import simulation
+from trimmoments import gof, simulation
 from trimmoments.cli import main
+from trimmoments.estimators import mle_normal
 
 
 def run(capsys, *argv):
@@ -33,6 +34,18 @@ class TestFit:
         assert doc["estimates"]["sigma"] == pytest.approx(0.83, abs=0.01)
         assert doc["branch"] == "equal-trim"
         assert doc["breakdown_points"] == {"lower": 0.0, "upper": 0.0}
+
+    def test_lognormal_untrimmed_sigma_is_the_mle_sigma(self, capsys):
+        # Untrimmed, c_1 = 0 and c_2 = E Z^2 = 1, so sigma is the SD of
+        # the log data with the 1/n variance, the normal MLE's sigma.
+        code, out, _ = run(capsys, "fit", "--model", "lognormal",
+                           "--data", "hurricane",
+                           "--a1", "0", "--b1", "0", "--a2", "0", "--b2", "0")
+        assert code == 0
+        x = gof.load_dataset() * gof.DATA_SCALE
+        mle_sigma = mle_normal(np.log(x))[1]
+        assert json.loads(out)["estimates"]["sigma"] == pytest.approx(
+            mle_sigma, rel=1e-12, abs=0.0)
 
     def test_frechet_t3_scheme(self, capsys):
         args = ["fit", "--model", "frechet", "--data", "hurricane"]
@@ -271,6 +284,15 @@ class TestGof:
         t3_orig, t3_mod = rows[2], rows[4]
         assert t3_orig[2:4] == t3_mod[2:4]
         assert t3_orig[7:9] == t3_mod[7:9]
+
+
+    def test_modified_maximum_overflow_exit_2(self, capsys, tmp_path):
+        # Ten times 1e308 is beyond the float range.
+        path = tmp_path / "data.csv"
+        path.write_text("1\n1e308\n")
+        err = _assert_one_validation_line(capsys, "gof", "--data", str(path),
+                                          "--scale=1", "--modified")
+        assert "overflows" in err
 
 
 FIT_ZERO = ("--a1", "0", "--b1", "0", "--a2", "0", "--b2", "0")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
@@ -14,6 +15,7 @@ from trimmoments.moments import (
     population_moments,
     sample_trimmed_moment,
     validate_scheme,
+    window_moments,
     zeta_constants,
 )
 from conftest import random_params, random_scheme
@@ -190,6 +192,64 @@ class TestConstants:
             c_k(Family.NORMAL, 0.5, 0.5, 1)
         with pytest.raises(ValueError):
             kappa_k(0.0, 1.0, 5)
+
+
+ZETA3 = 1.2020569031595943
+
+
+def _phi(z):
+    """Standard normal density; 0 at z = +-inf."""
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _z_phi(z):
+    """z * phi(z), which vanishes at z = +-inf."""
+    return 0.0 if math.isinf(z) else z * _phi(z)
+
+
+class TestSegmentTable:
+    """Integrals of base^k from `window_moments` against closed forms,
+    to the quadrature's 1e-10 in each power."""
+
+    WINDOWS = [(0.1, 0.9), (0.02, 0.75), (0.3, 0.31), (0.0, 0.05),
+               (0.0, 0.5), (0.95, 1.0), (0.4, 1.0), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("a, b", WINDOWS)
+    def test_normal_first_and_second_powers(self, a, b):
+        moment = window_moments(SPECS[Family.NORMAL].base_quantile, a, b)
+        za, zb = ndtri(a), ndtri(b)
+        assert moment(a, b, 1) == pytest.approx(_phi(za) - _phi(zb),
+                                                rel=0.0, abs=1e-10)
+        assert moment(a, b, 2) == pytest.approx(
+            (b - a) + _z_phi(za) - _z_phi(zb), rel=0.0, abs=1e-10)
+
+    def test_normal_moments_on_the_unit_interval(self):
+        moment = window_moments(SPECS[Family.NORMAL].base_quantile, 0.0, 1.0)
+        for k, expected in zip((1, 2, 3, 4), (0.0, 1.0, 0.0, 3.0)):
+            assert moment(0.0, 1.0, k) == pytest.approx(expected, rel=0.0,
+                                                        abs=1e-10)
+
+    def test_gumbel_moments_on_the_unit_interval(self):
+        g, p2 = GAMMA, math.pi ** 2
+        expected = (g, g * g + p2 / 6.0,
+                    g ** 3 + g * p2 / 2.0 + 2.0 * ZETA3,
+                    g ** 4 + g * g * p2 + 8.0 * g * ZETA3
+                    + 3.0 * p2 * p2 / 20.0)
+        moment = window_moments(SPECS[Family.FRECHET].base_quantile, 0.0, 1.0)
+        for k, value in zip((1, 2, 3, 4), expected):
+            assert moment(0.0, 1.0, k) == pytest.approx(value, rel=0.0,
+                                                        abs=1e-10)
+
+    def test_window_is_the_sum_of_its_segments(self):
+        base = SPECS[Family.FRECHET].base_quantile
+        points = (0.0, 0.05, 0.9, 1.0)
+        moment = window_moments(base, *points)
+        for k in (1, 2, 3, 4):
+            parts = [window_moments(base, lo, hi)(lo, hi, k)
+                     for lo, hi in zip(points, points[1:])]
+            assert moment(0.0, 1.0, k) == sum(parts)
+            assert moment(0.05, 1.0, k) == parts[1] + parts[2]
+            assert moment(0.05, 0.05, k) == 0.0
 
 
 class TestEtaConstants:
