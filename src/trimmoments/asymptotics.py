@@ -10,11 +10,13 @@ constants share (`moments.window_moments`); the raw double integral is
 a brute-force oracle in the tests.  Every family is a location-scale
 model on transformed data, so Sigma_T and the Jacobian are written once
 in (location, scale) and mapped to the reported parameters through
-`models.SPECS`.  S_T = D Sigma_T D' uses the branch-aware Jacobian, and
-the ARE versus maximum likelihood is (det S_MLE / det S_T)^(1/2), each
-rejected when it over- or underflows.  The ARE needs only det S_T =
-det(D)^2 det(Sigma_T), which `are` writes in closed form in units of
-the scale, on the ratio location / scale.  What does not depend on the
+`models.SPECS`.  S_T = D Sigma_T D', on the branch-aware Jacobian, is
+equivariant in the scale: `fit_covariance` forms S_T / scale^2 on the
+ratio location / scale and multiplies by scale^2 once, and `are` takes
+det S_T = det(D)^2 det(Sigma_T) in closed form in the same units, for
+the ARE versus maximum likelihood, (det S_MLE / det S_T)^(1/2); each
+det is rejected when it over- or underflows.  Both share one singular
+rule, relative to the discriminant's terms.  What does not depend on the
 point is one cached record per family and scheme (`_are_form`), and
 S_MLE comes as rows of Python floats (`FamilySpec.s_mle`), so a warm
 ARE point touches no numpy.
@@ -185,7 +187,7 @@ def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
     rows do not read it."""
     sign = -1.0 if Branch(branch) is Branch.MINUS else 1.0
     disc = t2 - c.eta_r * t1 * t1
-    if disc < _SINGULAR_TOL * max(1.0, t1 * t1):
+    if disc < _SINGULAR_TOL * (abs(t2) + abs(c.eta_r * t1 * t1)):
         raise SingularityError(
             f"scale discriminant {disc:.4e} is vanishing or negative")
     root = math.sqrt(c.eta_12) * math.sqrt(disc)
@@ -298,15 +300,20 @@ def breakdown_points(scheme: TrimmingScheme):
 
 def fit_covariance(fit) -> np.ndarray:
     """Delta-method covariance S_T at the fitted values, on the `Branch`
-    the fit took; divide by n for standard errors.  ValueError when it
-    overflows, as it can for data on an extreme scale."""
-    jac = jacobian_at_moments(fit.family, fit.t1, fit.t2,
+    the fit took; divide by n for standard errors.  D and Sigma_T are
+    taken in units of the fitted scale s, like `are`'s, and S_T / s^2 is
+    multiplied by s^2 once.  ValueError when that overflows."""
+    spec = SPECS[fit.family]
+    loc, s = spec.location_scale(fit.params)
+    jac = jacobian_at_moments(fit.family, fit.t1 / s, fit.t2 / s / s,
                               eta_constants(fit.family, fit.scheme),
                               fit.branch, fit.params.sigma)
-    sigma_t = sigma_T(fit.family, fit.params, fit.scheme)
+    s11, s12, s22 = _sigma_entries(loc / s, 1.0,
+                                   _entries(spec.base_quantile, fit.scheme))
     try:
         with np.errstate(over="raise"):
-            return delta_covariance(sigma_t, jac)
+            return delta_covariance(np.array([[s11, s12], [s12, s22]]),
+                                    jac) * s * s
     except FloatingPointError:
         raise ValueError("parameters out of range: the delta-method "
                          "covariance overflows") from None

@@ -224,10 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="trimmoments",
         description="Method of trimmed moments estimation and diagnostics.")
     sub = p.add_subparsers(dest="command", required=True)
+    families = [family.value for family in Family]
 
     f = sub.add_parser("fit", help="fit one dataset with one scheme")
-    f.add_argument("--model", required=True,
-                   choices=["normal", "lognormal", "frechet"])
+    f.add_argument("--model", required=True, choices=families)
     f.add_argument("--data", required=True,
                    help="one-column CSV path, or 'hurricane' for the bundled dataset")
     f.add_argument("--a1", required=True)
@@ -241,8 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=_cmd_fit)
 
     a = sub.add_parser("are", help="asymptotic relative efficiency grid")
-    a.add_argument("--model", required=True,
-                   choices=["normal", "lognormal", "frechet"])
+    a.add_argument("--model", required=True, choices=families)
     a.add_argument("--sigma", type=float, required=True)
     a.add_argument("--theta", default=None,
                    help="grid 'start:stop:step' or comma list (location-scale)")
@@ -254,8 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=_cmd_are)
 
     s = sub.add_parser("simulate", help="Monte Carlo efficiency study")
-    s.add_argument("--model", required=True,
-                   choices=["normal", "lognormal", "frechet"])
+    s.add_argument("--model", required=True, choices=families)
     s.add_argument("--sigma", type=float, required=True)
     s.add_argument("--theta", type=float, default=None,
                    help="true location (location-scale models)")
@@ -289,8 +287,7 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"estimation failure: {exc}", file=sys.stderr)
         return 3
-    except (SchemeError, ValueError, OverflowError,
-            asymptotics.SingularityError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -5,7 +5,8 @@ any moment functions, each integral its own quadrature), the
 brute-force double integral that checks it, and the parameter-free
 entries Lambda_ijk and Psi_ijk.  For the ARE: the population-level
 Jacobian and the ARE through the full product S_T = D Sigma_T D', the
-reference for the closed-form determinant of `asymptotics.are`.  For
+reference for the closed-form determinant of `asymptotics.are`, and the
+correlation-scaled gap between two covariances.  For
 the Frechet MLE: the likelihood score of one sample, a bracketing Brent
 root search on it, and the batch Newton kernel written with a fresh
 array for every block-sized step.  For the models: the quantile, pdf
@@ -139,6 +140,14 @@ def are_reference(family: Family, params: ParameterVector,
         return AreResult(0.0, math.inf, True)
     det_t = _in_range(det2(delta_covariance(sigma_t, jac)), "S_T")
     return AreResult(math.sqrt(det_mle / det_t), det_t)
+
+
+def correlation_gap(got, ref) -> float:
+    """max |got_ij - ref_ij| / sqrt(ref_ii ref_jj) of two covariances:
+    the entrywise gap in units of the reference's standard deviations,
+    so a cross term near zero is held to the scale of the diagonal."""
+    sd = np.sqrt(np.diag(ref))
+    return float(np.max(np.abs(np.asarray(got) - ref) / np.outer(sd, sd)))
 
 
 def kernel(w, v):

@@ -14,9 +14,15 @@ from trimmoments.asymptotics import (
     s_mle,
     sigma_T,
 )
-from trimmoments.estimators import Branch, fit_frechet, fit_location_scale
+from trimmoments.estimators import (
+    Branch,
+    fit,
+    fit_frechet,
+    fit_location_scale,
+)
 from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
+    SchemeError,
     eta_constants,
     population_moments,
     validate_scheme,
@@ -27,6 +33,7 @@ from conftest import clear_caches, random_params, random_scheme
 from oracles import (
     are_reference,
     c_k,
+    correlation_gap,
     i_integrals,
     jacobian_location_scale,
     kernel,
@@ -327,6 +334,32 @@ class TestJacobians:
         with pytest.raises(SingularityError):
             jacobian_at_moments(Family.NORMAL, 2.0, con.eta_r * 4.0, con)
 
+    @pytest.mark.parametrize("k", [1e-100, 1e100])
+    def test_singular_rule_is_scale_free(self, k):
+        # The discriminant is singular relative to its terms, so the
+        # moments (k t1, k^2 t2) of data rescaled by k get the verdict
+        # of (t1, t2).
+        def singular(family, t1, t2, con):
+            try:
+                jacobian_at_moments(family, t1, t2, con, Branch.PLUS, 1.0)
+            except SingularityError:
+                return True
+            return False
+
+        verdicts = set()
+        for family in Family:
+            for s in (validate_scheme(0.1, 0.1, 0.1, 0.1),
+                      validate_scheme(0.05, 0.05, 0.00, 0.10)):
+                con = eta_constants(family, s)
+                for t1 in (-3.0, 0.5, 2.0, 40.0):
+                    for gap in (-1e-3, 0.0, 1e-15, 1e-6, 1.0):
+                        t2 = con.eta_r * t1 * t1 + gap
+                        verdict = singular(family, t1, t2, con)
+                        assert singular(family, k * t1, k * k * t2,
+                                        con) == verdict
+                        verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_bad_branch(self):
         s = validate_scheme(0.05, 0.05, 0.00, 0.10)
         con = eta_constants(Family.NORMAL, s)
@@ -621,9 +654,44 @@ class TestBreakdownAndFitCovariance:
             return delta_covariance(st, jacobian_at_moments(
                 Family.NORMAL, fit.t1, fit.t2, con, branch, fit.params.sigma))
 
+        # fit_covariance takes the product in units of the fitted scale,
+        # so it agrees with this data-unit one up to rounding.
         cov = fit_covariance(fit)
-        assert np.array_equal(cov, delta(Branch.MINUS))
+        assert correlation_gap(cov, delta(Branch.MINUS)) <= 1e-12
         assert not np.allclose(cov, delta(Branch.PLUS))
+
+    def test_fit_covariance_is_the_data_unit_delta_method(self):
+        # On seeded fits of every family, lattice schemes and both
+        # branches, the covariance in units of the fitted scale is the
+        # data-unit D Sigma_T D' at the fit's own moments; a negative
+        # sample discriminant stays singular.
+        rng = np.random.default_rng(2024)
+        branches, negative = set(), 0
+        for i in range(1500):
+            family = list(Family)[i % 3]
+            while True:
+                try:
+                    s = validate_scheme(*(rng.integers(0, 31, 4) / 100))
+                    break
+                except SchemeError:
+                    continue
+            x = sample(family, random_params(rng, family),
+                       int(rng.integers(20, 401)), rng)
+            f = fit(x, s, family)
+            if f.discriminant_negative:
+                negative += 1
+                with pytest.raises(SingularityError):
+                    fit_covariance(f)
+                continue
+            ref = delta_covariance(
+                sigma_T(family, f.params, s),
+                jacobian_at_moments(family, f.t1, f.t2,
+                                    eta_constants(family, s), f.branch,
+                                    f.params.sigma))
+            assert correlation_gap(fit_covariance(f), ref) <= 1e-11
+            branches.add(f.branch)
+        assert {Branch.PLUS, Branch.MINUS} <= branches
+        assert negative > 0
 
     def test_fit_covariance_frechet(self):
         x = sample(Family.FRECHET, ParameterVector(sigma=2.0, beta=5.0),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from trimmoments import gof, simulation
 from trimmoments.cli import main
 from trimmoments.estimators import mle_normal
+from oracles import correlation_gap
 
 
 def run(capsys, *argv):
@@ -452,18 +453,44 @@ def test_output_file_on_success(capsys, tmp_path):
     assert out_file.read_text() == expected
 
 
-def test_singular_covariance_reported_as_null(capsys, tmp_path):
+@pytest.mark.parametrize("factor", [1.0, 1e-100])
+def test_singular_covariance_reported_as_null(capsys, tmp_path, factor):
     # Data this close together leave no room for the delta-method
-    # covariance: the fit succeeds without standard errors.
+    # covariance, on any scale: the fit succeeds without standard errors.
     path = tmp_path / "data.csv"
-    path.write_text("x\n1000000\n1000000.001\n1000000.002\n"
-                    "1000000.0005\n1000000.0015\n")
+    values = (1000000, 1000000.001, 1000000.002, 1000000.0005, 1000000.0015)
+    path.write_text("x\n" + "".join(f"{v * factor!r}\n" for v in values))
     code, out, err = run(capsys, "fit", "--model", "normal",
                          "--data", str(path), *FIT_ZERO)
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["standard_errors"] is None
     assert doc["covariance"] is None
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-40, 1e-100, 1e-140, 1e40, 1e80,
+                               1e150])
+@pytest.mark.parametrize("trim", [
+    pytest.param(("--a1", "0.1", "--b1", "0.1", "--a2", "0.1", "--b2", "0.1"),
+                 id="equal-0.1"),
+    pytest.param(("--a1", "0.05", "--b1", "0.05", "--a2", "0", "--b2", "0.1"),
+                 id="nested-0.05"),
+    pytest.param(FIT_ZERO, id="zero")])
+def test_fit_covariance_is_scale_equivariant(capsys, trim, k):
+    # Data rescaled by k rescale a location-scale fit's covariance by k^2
+    # and its standard errors by k, wherever they stay in the float range.
+    def fit_doc(scale):
+        code, out, err = run(capsys, "fit", "--model", "normal", "--data",
+                             "hurricane", "--scale", str(scale), *trim)
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    ref, got = fit_doc(1.0), fit_doc(k)
+    assert correlation_gap(np.array(got["covariance"]) / k / k,
+                           np.array(ref["covariance"])) <= 1e-12
+    for name, se in ref["standard_errors"].items():
+        assert got["standard_errors"][name] / k == pytest.approx(
+            se, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("trim", [
