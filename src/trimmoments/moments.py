@@ -11,7 +11,10 @@ G = -log(-log u) for Frechet).  Every integral, here and in the
 covariances of `asymptotics`, is of base^k (k = 1..4) over a window
 between two of a scheme's breakpoints a_j, 1-b_j: the sum of the entries
 of its segments in one table of (M1, M2, M3, M4) per (base, segment),
-each from one quadrature pass (`window_moments`).
+each from one quadrature pass (`window_moments`).  Every constant of a
+scheme comes from that table once, in one cached record per (base,
+scheme), `scheme_record`: c, the entries Lambda of `asymptotics.sigma_T`
+(`_v_pair`) and the coefficients of `asymptotics.are`.
 
 The c form is the one convention the estimators read.  The paper
 writes the Frechet constants with Delta(u) = log(-log u) = -G(u): its
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -41,6 +45,7 @@ __all__ = [
     "trim_counts",
     "sample_trimmed_moment",
     "eta_constants",
+    "scheme_record",
     "zeta_constants",
     "population_moments",
     "window_moments",
@@ -189,18 +194,92 @@ class MomentConstants:
     eta_r: float
 
 
+def _v_pair(moment, z, A, winA, B, winB):
+    """The closed-form double integral V of K(w, v) = min(w, v) - wv
+    against HA', HB' over the windows winA x winB of a scheme, for
+    H = c * base^p given as (p, c): the integral of H (of a product) over a
+    window is c (c_i c_j) times the `window_moments` entry of power p
+    (p_i + p_j), and H(u) is c * z[u]^p.  The roles are normalized so
+    that the inner window (j) starts and ends no later than the outer
+    one (i); K's symmetry makes the swap harmless."""
+    if winB[0] <= winA[0] and winB[1] <= winA[1]:
+        (pi, ci), (ai, bbari), (pj, cj), (aj, bbarj) = A, winA, B, winB
+    else:
+        (pi, ci), (ai, bbari), (pj, cj), (aj, bbarj) = B, winB, A, winA
+    bi = 1.0 - bbari
+    bj = 1.0 - bbarj
+    hi = {u: ci * v ** pi for u, v in z.items()}
+    hj = {u: cj * v ** pj for u, v in z.items()}
+    int_hi_mid = ci * moment(ai, bbarj, pi)
+    int_hj_mid = cj * moment(ai, bbarj, pj)
+    int_hi_right = ci * moment(bbarj, bbari, pi)
+    # The endpoint integrals I(a, b) = b H(b) - a H(a) - int_a^b H and
+    # Ibar(a, b) = (1-b) H(b) - (1-a) H(a) + int_a^b H: first those of
+    # the [aj, ai] strip and of window i, then of [ai, bbarj].
+    total = ((ai * hj[ai] - aj * hj[aj] - cj * moment(aj, ai, pj))
+             * (bi * hi[bbari] - (1.0 - ai) * hi[ai]
+                + (int_hi_mid + int_hi_right)))
+    total += bi * hi[bbari] * (bbarj * hj[bbarj] - ai * hj[ai] - int_hj_mid)
+    total -= ai * hi[ai] * (bj * hj[bbarj] - (1.0 - ai) * hj[ai] + int_hj_mid)
+    total += ci * cj * moment(ai, bbarj, pi + pj)
+    total += (bbarj * hj[bbarj] - ai * hj[ai]) * int_hi_right
+    total -= (ai * hj[ai] + bj * hj[bbarj]) * int_hi_mid
+    total -= int_hj_mid * int_hi_mid
+    total -= int_hj_mid * int_hi_right
+    return total
+
+
+# Every constant of one base quantile and scheme: c, the six
+# parameter-free entries Lambda of Sigma_T (keyed "111" ... "223"), and
+# what an `asymptotics.are` point needs besides the point, the l^2, l and
+# 1 coefficients of disc / scale^2 (q2, q1, q0) and of det(Sigma_T) /
+# (4 scale^6) (d2, d1, d0), eta_12 and eta_r.
+SchemeRecord = namedtuple("SchemeRecord",
+                          "c lam q2 q1 q0 d2 d1 d0 eta_12 eta_r")
+
+
 @lru_cache(maxsize=None)
-def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
-    """Location-scale constants c and the eta quadratic forms (for
-    Frechet, c of the Gumbel base), cached per scheme."""
-    (a1, bbar1), (a2, bbar2) = scheme.window(1), scheme.window(2)
-    moment = window_moments(SPECS[family].base_quantile, a1, bbar1, a2, bbar2)
+def scheme_record(base, scheme: TrimmingScheme) -> SchemeRecord:
+    """The cached `SchemeRecord` of a base quantile (Phi^{-1} or the
+    Gumbel G) and a scheme, from one `window_moments` table and one base
+    call at the scheme's breakpoints.  Lambda pairs the base, H = (power
+    1, weight 1), with half its square, H = (power 2, weight 1/2)."""
+    w1, w2 = scheme.window(1), scheme.window(2)
+    (a1, bbar1), (a2, bbar2) = w1, w2
+    moment = window_moments(base, *w1, *w2)
     m1_11 = moment(a1, bbar1, 1) / (bbar1 - a1)
     m1_22 = moment(a2, bbar2, 1) / (bbar2 - a2)
     m2_22 = moment(a2, bbar2, 2) / (bbar2 - a2)
     eta_12 = m1_11 * m1_11 - 2.0 * m1_11 * m1_22 + m2_22
-    return MomentConstants(m1_11, m1_22, m2_22, eta_12,
-                           (m2_22 - m1_22 * m1_22) / eta_12)
+    eta_r = (m2_22 - m1_22 * m1_22) / eta_12
+    inner = [u for u in set(w1 + w2) if 0.0 < u < 1.0]
+    # The base diverges at 0 and 1; every term of V that holds it there
+    # has a zero factor (u, 1 - u or an empty window), so 0.0 stands in.
+    z = {0.0: 0.0, 1.0: 0.0}
+    z.update(zip(inner, base(np.array(inner)).tolist()))
+    g1 = 1.0 / (1.0 - scheme.a1 - scheme.b1)
+    g2 = 1.0 / (1.0 - scheme.a2 - scheme.b2)
+    lin, half_sq = (1, 1.0), (2, 0.5)
+    l111 = g1 * g1 * _v_pair(moment, z, lin, w1, lin, w1)
+    l121 = g1 * g2 * _v_pair(moment, z, lin, w1, lin, w2)
+    l122 = g1 * g2 * _v_pair(moment, z, lin, w1, half_sq, w2)
+    l221 = g2 * g2 * _v_pair(moment, z, lin, w2, lin, w2)
+    l222 = g2 * g2 * _v_pair(moment, z, lin, w2, half_sq, w2)
+    l223 = g2 * g2 * _v_pair(moment, z, half_sq, w2, half_sq, w2)
+    return SchemeRecord(
+        MomentConstants(m1_11, m1_22, m2_22, eta_12, eta_r),
+        {"111": l111, "121": l121, "122": l122,
+         "221": l221, "222": l222, "223": l223},
+        1.0 - eta_r, 2.0 * (m1_22 - eta_r * m1_11),
+        m2_22 - eta_r * m1_11 * m1_11,
+        l111 * l221 - l121 * l121, 2.0 * (l111 * l222 - l121 * l122),
+        l111 * l223 - l122 * l122, eta_12, eta_r)
+
+
+def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
+    """Location-scale constants c and the eta quadratic forms (for
+    Frechet, c of the Gumbel base), read from the cached `scheme_record`."""
+    return scheme_record(SPECS[family].base_quantile, scheme).c
 
 
 def zeta_constants(scheme: TrimmingScheme) -> MomentConstants:

@@ -1,10 +1,11 @@
 """Test oracles.  For the asymptotic covariance: the empirical-process
 kernel, the (I, Ibar) endpoint integrals, V(i, j) through the closed
-form for a parametrized model (the routine of `asymptotics._v_pair` on
+form for a parametrized model (the routine of `moments._v_pair` on
 any moment functions, each integral its own quadrature), the
 brute-force double integral that checks it, and the parameter-free
 entries Lambda_ijk and Psi_ijk.  For the ARE: the population-level
-Jacobian and the ARE through the full product S_T = D Sigma_T D', the
+Jacobian, the data-unit product S_T = D Sigma_T D' that checks
+`asymptotics.fit_covariance`, the ARE through that product, the
 reference for the closed-form determinant of `asymptotics.are`, and the
 correlation-scaled gap between two covariances.  For
 the Frechet MLE: the likelihood score of one sample, a bracketing Brent
@@ -22,10 +23,8 @@ from scipy.special import ndtr, ndtri
 from trimmoments.asymptotics import (
     AreResult,
     SingularityError,
-    _entries,
     _in_range,
     det2,
-    delta_covariance,
     jacobian_at_moments,
     s_mle,
     sigma_T,
@@ -46,6 +45,7 @@ from trimmoments.moments import (
     TrimmingScheme,
     eta_constants,
     population_moments,
+    scheme_record,
     window_moments,
 )
 from trimmoments.quadrature import integrate
@@ -106,7 +106,8 @@ def plus_sigma(family: Family, t1, t2, scheme: TrimmingScheme):
 
 def lambda_entries(scheme: TrimmingScheme) -> dict:
     """Location-scale covariance constants Lambda_ijk (parameter-free)."""
-    return dict(_entries(SPECS[Family.NORMAL].base_quantile, scheme))
+    return dict(scheme_record(SPECS[Family.NORMAL].base_quantile,
+                              scheme).lam)
 
 
 def psi_entries(scheme: TrimmingScheme) -> dict:
@@ -114,8 +115,8 @@ def psi_entries(scheme: TrimmingScheme) -> dict:
     paper's Delta = -G base: the entries pairing one base factor with
     one half-square (k = 2) change sign."""
     return {k: -v if k[2] == "2" else v
-            for k, v in _entries(SPECS[Family.FRECHET].base_quantile,
-                                 scheme).items()}
+            for k, v in scheme_record(SPECS[Family.FRECHET].base_quantile,
+                                      scheme).lam.items()}
 
 
 def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,
@@ -125,6 +126,14 @@ def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,
     t1, t2 = population_moments(family, params, scheme)
     return jacobian_at_moments(family, t1, t2, eta_constants(family, scheme),
                                branch, params.sigma)
+
+
+def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Delta-method covariance S_T = D Sigma_T D', in the units of its
+    operands: with `sigma_T` and the Jacobian at data-unit moments, the
+    data-unit reference for `asymptotics.fit_covariance`."""
+    s = jac @ sigma_t @ jac.T
+    return 0.5 * (s + s.T)
 
 
 def are_reference(family: Family, params: ParameterVector,
@@ -184,7 +193,7 @@ def _window_integral(a, b, *factors):
 def v_pair(HA, winA, HB, winB):
     """The closed-form double integral of K against HA', HB' over the
     windows winA x winB, for any moment functions H: the routine of
-    `asymptotics._v_pair` on callables, with every integral its own
+    `moments._v_pair` on callables, with every integral its own
     quadrature.  The roles are normalized so that the inner window (j)
     starts and ends no later than the outer one (i); K's symmetry makes
     the swap harmless."""

@@ -13,7 +13,6 @@ import pytest
 
 from trimmoments.asymptotics import (
     are,
-    delta_covariance,
     jacobian_at_moments,
     s_mle,
     sigma_T,
@@ -32,6 +31,7 @@ from trimmoments.simulation import StudyConfig, run_study
 from conftest import random_params, random_scheme
 from oracles import (
     c_k,
+    delta_covariance,
     jacobian_location_scale,
     kappa_k,
     lambda_entries,

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from trimmoments.asymptotics import (
     SingularityError,
     are,
     breakdown_points,
-    delta_covariance,
     fit_covariance,
     jacobian_at_moments,
     s_mle,
@@ -20,6 +20,7 @@ from trimmoments.estimators import (
     fit_frechet,
     fit_location_scale,
 )
+from trimmoments.gof import load_dataset
 from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeError,
@@ -34,6 +35,7 @@ from oracles import (
     are_reference,
     c_k,
     correlation_gap,
+    delta_covariance,
     i_integrals,
     jacobian_location_scale,
     kernel,
@@ -582,7 +584,29 @@ REFERENCE_SCHEMES = [(0.02, 0.02, 0.02, 0.02), (0.05, 0.05, 0.05, 0.05),
 
 class TestWarmAre:
     """A warm `are` point is Python-float arithmetic on one cached record
-    per family and scheme, with S_MLE as rows of Python floats."""
+    per base quantile and scheme, with S_MLE as rows of Python floats."""
+
+    def test_one_record_per_base_and_scheme(self):
+        # Every constant of a scheme is one cached record per (base,
+        # scheme): normal and lognormal share it, and `are`, `sigma_T`,
+        # `eta_constants` and `fit_covariance` all read it.  Besides the
+        # segment table, the package holds no other cache.
+        clear_caches()
+        s = validate_scheme(0.05, 0.05, 0.0, 0.1)
+        params = ParameterVector(theta=1.0, sigma=2.0)
+        are(Family.NORMAL, params, s)
+        are(Family.LOGNORMAL, params, s)
+        sigma_T(Family.NORMAL, params, s)
+        eta_constants(Family.NORMAL, s)
+        eta_constants(Family.LOGNORMAL, s)
+        fit_covariance(fit(load_dataset(), s, Family.LOGNORMAL))
+        caches = {value for name, module in list(sys.modules.items())
+                  if name.startswith("trimmoments")
+                  for value in vars(module).values()
+                  if callable(getattr(value, "cache_info", None))
+                  and value is not moments._segment}
+        sizes = [c.cache_info().currsize for c in caches]
+        assert sizes == [1]
 
     @pytest.mark.parametrize("family", list(Family))
     def test_warm_point_equals_cold_point(self, monkeypatch, family):

@@ -493,6 +493,42 @@ def test_fit_covariance_is_scale_equivariant(capsys, trim, k):
             se, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("k", [1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150])
+@pytest.mark.parametrize("trim", [
+    pytest.param(FIT_ZERO, id="zero"),
+    pytest.param(("--a1", "1/30", "--b1", "1/30", "--a2", "1/30",
+                  "--b2", "1/30"), id="equal-1/30"),
+    pytest.param(("--a1", "0.1", "--b1", "0.1", "--a2", "0.1", "--b2", "0.1"),
+                 id="equal-0.1")])
+@pytest.mark.parametrize("model", ["lognormal", "frechet"])
+def test_log_family_fit_is_scale_equivariant(capsys, model, trim, k):
+    # A log family fits log data, which a rescaling by k shifts by log k.
+    # Equal schemes are shift-equivariant: the lognormal theta moves by
+    # log k and its sigma and both SEs stay; the Frechet beta and SE beta
+    # stay and its sigma and SE sigma scale by k.  (Nested schemes depend
+    # on the data's origin by design.)
+    def fit_doc(scale):
+        code, out, err = run(capsys, "fit", "--model", model, "--data",
+                             "hurricane", "--scale", str(scale), *trim)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        return doc["estimates"], doc["standard_errors"]
+
+    (ref, ref_se), (got, got_se) = fit_doc(1.0), fit_doc(k)
+    if model == "lognormal":
+        pairs = [(got["theta"] - math.log(k), ref["theta"]),
+                 (got["sigma"], ref["sigma"]),
+                 (got_se["theta"], ref_se["theta"]),
+                 (got_se["sigma"], ref_se["sigma"])]
+    else:
+        pairs = [(got["beta"], ref["beta"]),
+                 (got["sigma"] / k, ref["sigma"]),
+                 (got_se["beta"], ref_se["beta"]),
+                 (got_se["sigma"] / k, ref_se["sigma"])]
+    for value, expected in pairs:
+        assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("trim", [
     pytest.param(FIT_ZERO, id="zero"),
     pytest.param(("--a1", "0.05", "--b1", "0.05", "--a2", "0", "--b2", "0.1"),

@@ -62,8 +62,8 @@ def test_lognormal_fit_loads_scipy():
 
 def test_normal_base_quantile_is_one_function(monkeypatch):
     # The first call imports ndtri; the caches keyed on the base quantile
-    # (the segment table of `moments`, asymptotics._entries) must see the
-    # same object.
+    # (the segment table and the scheme records of `moments`) must see
+    # the same object.
     monkeypatch.setattr(models, "_scipy_ndtri", None)
     base = SPECS[Family.NORMAL].base_quantile
     assert SPECS[Family.LOGNORMAL].base_quantile is base
