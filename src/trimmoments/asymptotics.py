@@ -77,14 +77,19 @@ def _in_range(det: float, name: str) -> float:
 
 def _sigma_entries(loc: float, scale: float, lam: dict):
     """(s11, s12, s22) of Sigma_T for the given location and scale;
-    ValueError when a power of them overflows."""
+    ValueError when a power of them overflows.  Lambda_122 and
+    Lambda_222 pair the base with its half square, odd moments that the
+    closed forms make exactly 0 on windows symmetric about 1/2; such a
+    term is left out, so it stays 0 where the power beside it is inf."""
     try:
         s11 = scale ** 2 * lam["111"]
-        s12 = (2.0 * loc * scale ** 2 * lam["121"]
-               + 2.0 * scale ** 3 * lam["122"])
-        s22 = (4.0 * loc ** 2 * scale ** 2 * lam["221"]
-               + 8.0 * loc * scale ** 3 * lam["222"]
-               + 4.0 * scale ** 4 * lam["223"])
+        s12 = 2.0 * loc * scale ** 2 * lam["121"]
+        if lam["122"]:
+            s12 += 2.0 * scale ** 3 * lam["122"]
+        s22 = 4.0 * loc ** 2 * scale ** 2 * lam["221"]
+        if lam["222"]:
+            s22 += 8.0 * loc * scale ** 3 * lam["222"]
+        s22 += 4.0 * scale ** 4 * lam["223"]
     except OverflowError:
         raise ValueError("parameters out of range: Sigma_T overflows") from None
     return s11, s12, s22

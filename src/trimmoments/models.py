@@ -13,9 +13,15 @@ data y, and the spec says how a family maps onto it:
 
 The transformed quantile, the log-density and sampling are written
 once from the spec: the base law of Z (normal or standard Gumbel), the
-transform, its inverse and its log-Jacobian.  Phi^{-1} is scipy's
-`ndtri`, imported at its first call (`_ndtri`): importing the package
-and every Frechet path leave scipy unloaded.
+transform, its inverse and its log-Jacobian.  Phi^{-1} is a pure-Python
+port of the Cephes `ndtri` that scipy's is, bit for bit (`_ndtri`); only
+the Monte Carlo draw, a whole block of uniforms at once, forwards to
+scipy's, imported at its first call.  Importing the package, `fit`,
+`are` and `gof` leave scipy unloaded; with the normal segment moments
+in closed form (`moments`), they read Phi^{-1} at a few dozen points at
+most.  Off the draw, every log reaching the 17 printed digits (the Gumbel
+quantile, the log transform of the data) is libm's `math.log`, whose
+rounding does not depend on the host's SIMD extensions.
 
 Parameters
 ----------
@@ -215,34 +221,115 @@ def mle_frechet(data):
     return p.beta, p.sigma
 
 
+def _libm(f):
+    """f elementwise over a float or an array, with libm's rounding (numpy's
+    SIMD log and exp may round differently, by host); a float or a 0-d
+    array gives a numpy float64, as a ufunc does."""
+    each = np.frompyfunc(f, 1, 1)
+    return lambda u: np.asarray(each(u), dtype=float)[()]
+
+
+_log = _libm(math.log)
+_gumbel_libm = _libm(lambda v: -math.log(-math.log(v)))
+
+
 def _gumbel_quantile(u, out=None):
     """Standard Gumbel quantile G(u) = -log(-log u): log X for the unit
     Frechet model, written into `out` when given (a ufunc's `out`).
 
-    Without `out` the operators are kept: the quadrature calls this on
-    15 nodes at a time, where -x is faster than np.negative(x) and an
-    explicit out=None slows np.log too.
+    Without `out` (the quadrature nodes, the breakpoints, `gof`'s
+    quantiles) each log is libm's; the draw's block keeps numpy's.
     """
     if out is None:
-        return -np.log(-np.log(u))
+        return _gumbel_libm(u)
     return np.negative(np.log(np.negative(np.log(u, out=out), out=out),
                               out=out), out=out)
 
 
+# Cephes ndtri (Moshier): z = Phi^{-1}(y) is a rational function of y - 1/2
+# where |y - 1/2| <= 1/2 - exp(-2), and elsewhere, with x = sqrt(-2 log y)
+# for the tail y, x - log(x) / x less a rational function of 1 / x (one for
+# x < 8, one beyond).  Coefficients highest power first; Q has a leading 1.
+_S2PI = 2.50662827463100050242
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _ratio(x, p, q):
+    """x * p(x) / q(x), each polynomial by Horner's rule, q monic: Cephes
+    x * polevl / p1evl, rounded in that order."""
+    num, den = p[0], x + q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def _ndtri_float(y: float) -> float:
+    """Phi^{-1}(y) of one float, as Cephes computes it."""
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * _ratio(y2, _P0, _Q0)) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    tail = _ratio(z, *((_P1, _Q1) if x < 8.0 else (_P2, _Q2)))
+    x = x - math.log(x) / x - tail
+    return x if upper else -x
+
+
+_ndtri_libm = _libm(_ndtri_float)
 _scipy_ndtri = None
 
 
 def _ndtri(u, out=None):
-    """Standard normal quantile Phi^{-1}(u): scipy.special.ndtri, imported
-    on the first call and forwarded to, with `out` passed only when given
-    (see `_gumbel_quantile`).  This one function stays the normal
+    """Standard normal quantile Phi^{-1}(u), bit for bit scipy.special.ndtri.
+
+    Without `out` (at most a few dozen points: breakpoints, `gof`'s
+    quantiles) it is the Cephes port, about 1.5 us a point.  With `out`,
+    the draw's whole block of uniforms, it forwards to scipy's ufunc,
+    imported on the first such call.  This one function stays the normal
     families' base_quantile, so caches keyed on it never split.
     """
+    if out is None:
+        return _ndtri_libm(u)
     global _scipy_ndtri
     if _scipy_ndtri is None:
         from scipy.special import ndtri as _scipy_ndtri
-    if out is None:
-        return _scipy_ndtri(u)
     return _scipy_ndtri(u, out=out)
 
 
@@ -252,7 +339,7 @@ def _log_data(label):
     def transform(x):
         if np.any(x <= 0.0):
             raise ValueError(f"{label} data must be positive")
-        return np.log(x)
+        return _log(x)
     return dict(transform=transform, inverse=np.exp, log_jacobian=np.negative)
 
 

@@ -10,11 +10,12 @@ averages c_k of powers of the base quantile (Phi^{-1}, or the Gumbel
 G = -log(-log u) for Frechet).  Every integral, here and in the
 covariances of `asymptotics`, is of base^k (k = 1..4) over a window
 between two of a scheme's breakpoints a_j, 1-b_j: the sum of the entries
-of its segments in one table of (M1, M2, M3, M4) per (base, segment),
-each from one quadrature pass (`window_moments`).  Every constant of a
-scheme comes from that table once, in one cached record per (base,
-scheme), `scheme_record`: c, the entries Lambda of `asymptotics.sigma_T`
-(`_v_pair`) and the coefficients of `asymptotics.are`.
+of its segments in one table of (M1, M2, M3, M4) per (base, segment)
+(`window_moments`), in closed form for Phi^{-1} and from one quadrature
+pass for G.  Every constant of a scheme comes from that table once, in
+one cached record per (base, scheme), `scheme_record`: c, the entries
+Lambda of `asymptotics.sigma_T` (`_v_pair`) and the coefficients of
+`asymptotics.are`.
 
 The c form is the one convention the estimators read.  The paper
 writes the Frechet constants with Delta(u) = log(-log u) = -G(u): its
@@ -151,10 +152,35 @@ def sample_trimmed_moment(data, a, b, h):
     return float(np.mean(h(x[lo: n - hi])))
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _phi_terms(z: float) -> tuple:
+    """phi(z) times (1, z, z^2 + 2, z^3 + 3z), all 0 at an infinite z."""
+    if math.isinf(z):
+        return (0.0, 0.0, 0.0, 0.0)
+    phi = math.exp(-0.5 * z * z) / _SQRT_2PI
+    zz = z * z
+    return (phi, z * phi, (zz + 2.0) * phi, (zz + 3.0) * z * phi)
+
+
 @lru_cache(maxsize=None)
 def _segment(base, lo: float, hi: float) -> tuple:
     """(M1, M2, M3, M4), the integrals of base^k over the segment
-    [lo, hi], from one quadrature pass with one base call per node."""
+    [lo, hi].
+
+    For Phi^{-1} they are closed forms: with z = Phi^{-1}(u), du =
+    phi(z) dz, so the antiderivatives of z, z^2, z^3 and z^4 in u are
+    -phi, u - z phi, -(z^2 + 2) phi and 3u - (z^3 + 3z) phi, whose phi
+    terms vanish at u = 0 and 1 (z infinite); the base is read at the two
+    ends only.  The Gumbel base takes one quadrature pass with one base
+    call per node."""
+    if base is SPECS[Family.NORMAL].base_quantile:
+        a, b = map(_phi_terms, base(np.array((lo, hi))).tolist())
+        width = hi - lo
+        return (a[0] - b[0], width + a[1] - b[1], a[2] - b[2],
+                3.0 * width + a[3] - b[3])
+
     def powers(u):
         z = base(u)
         z2 = z * z

@@ -126,7 +126,11 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
     cov = s_mle(family, params)
     sd = np.sqrt(np.diag(cov))
     z = (est - np.array(SPECS[family].estimates(params))) / sd
-    det = det2(z.T @ z / z.shape[0])
+    try:
+        with np.errstate(over="raise"):
+            det = det2(z.T @ z / z.shape[0])
+    except FloatingPointError:
+        det = 0.0  # squared errors past the float range: as singular
     if det <= 0.0:
         raise ValueError("empirical cross-moment matrix is singular")
     return math.sqrt(det2(cov / np.outer(sd, sd))) / (n * math.sqrt(det))

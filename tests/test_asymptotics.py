@@ -1,10 +1,11 @@
+import functools
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from trimmoments import models, moments
+from trimmoments import asymptotics, models, moments
 from trimmoments.asymptotics import (
     SingularityError,
     are,
@@ -45,6 +46,23 @@ from oracles import (
     v_entry,
     v_entry_bruteforce,
 )
+
+
+_EVALUATE_SEGMENT = moments._segment.__wrapped__
+
+
+def _count_segments(monkeypatch):
+    """The (lo, hi) of every segment-table entry evaluated from here on,
+    for either base: `moments._segment` behind a fresh counting cache."""
+    segments = []
+
+    @functools.lru_cache(maxsize=None)
+    def counted(base, lo, hi):
+        segments.append((lo, hi))
+        return _EVALUATE_SEGMENT(base, lo, hi)
+
+    monkeypatch.setattr(moments, "_segment", counted)
+    return segments
 
 
 class TestKernel:
@@ -220,6 +238,15 @@ class TestLambdaPsiEntries:
                 m = sigma_T(family, params, s)
                 assert m[0, 0] >= 0.0 and m[1, 1] >= 0.0
                 assert np.linalg.det(m) >= -1e-9
+
+    def test_zero_entry_meets_no_overflowed_power(self):
+        # The closed-form Lambda_222 of an untrimmed second window is
+        # exactly 0, and 8 loc scale^3 overflows at loc = scale = 1e77:
+        # its term is 0, so Var T2 is inf (out of range), not nan.
+        s = validate_scheme(0.01, 0.0, 0.0, 0.0)
+        lam = lambda_entries(s)
+        assert lam["222"] == 0.0
+        assert asymptotics._sigma_entries(1e77, 1e77, lam)[2] == math.inf
 
     def test_theta_zero_cross_term(self):
         s = validate_scheme(0.05, 0.05, 0.00, 0.10)
@@ -468,8 +495,9 @@ class TestAre:
     def test_cold_point_computes_each_window_integral_once(
             self, monkeypatch, quad, distinct):
         # The constants and the covariance entries read every window
-        # integral from the segment table, so a cold point integrates
-        # each segment between the scheme's breakpoints once.
+        # integral from the segment table, so a cold point evaluates each
+        # segment between the scheme's breakpoints once: in closed form
+        # for the normal base, by one quadrature pass for the Gumbel.
         calls = []
 
         def counted(f, a, b):
@@ -477,20 +505,20 @@ class TestAre:
             return integrate(f, a, b)
 
         monkeypatch.setattr(moments, "integrate", counted)
-        clear_caches()
-        are(Family.NORMAL, ParameterVector(theta=1.0, sigma=1.0),
-            validate_scheme(*quad))
-        assert len(calls) == distinct
+        for family in (Family.NORMAL, Family.FRECHET):
+            segments = _count_segments(monkeypatch)
+            calls.clear()
+            clear_caches()
+            are(family, ParameterVector(theta=1.0, sigma=1.0, beta=1.0),
+                validate_scheme(*quad))
+            assert len(segments) == len(set(segments)) == distinct
+            assert calls == (segments if family is Family.FRECHET else [])
 
     def test_cold_point_reads_the_base_once_per_node(self, monkeypatch):
-        # Every power of the base comes from one base call per node, and
+        # Every power of the base comes from one base call per quadrature
+        # node (Gumbel) or per segment end (normal, in closed form), and
         # the covariance entries read it at the scheme's breakpoints.
-        models._ndtri(0.5)
-        ndtri, base_points, visited = models._scipy_ndtri, [], []
-
-        def counted_ndtri(u, *args, **kwargs):
-            base_points.append(np.size(u))
-            return ndtri(u, *args, **kwargs)
+        visited = []
 
         def counted(f, a, b):
             def g(x):
@@ -498,13 +526,27 @@ class TestAre:
                 return f(x)
             return integrate(g, a, b)
 
-        monkeypatch.setattr(models, "_scipy_ndtri", counted_ndtri)
         monkeypatch.setattr(moments, "integrate", counted)
-        clear_caches()
-        are(Family.NORMAL, ParameterVector(theta=1.0, sigma=1.0),
-            validate_scheme(0.1, 0.1, 0.1, 0.1))
-        assert sum(visited) > 0
-        assert sum(base_points) <= sum(visited) + 4
+        for family, kernel_name in ((Family.NORMAL, "_ndtri_libm"),
+                                    (Family.FRECHET, "_gumbel_libm")):
+            base_points, original = [], getattr(models, kernel_name)
+
+            def counted_base(u, original=original, base_points=base_points):
+                base_points.append(np.size(u))
+                return original(u)
+
+            monkeypatch.setattr(models, kernel_name, counted_base)
+            segments = _count_segments(monkeypatch)
+            visited.clear()
+            clear_caches()
+            are(family, ParameterVector(theta=1.0, sigma=1.0, beta=1.0),
+                validate_scheme(0.1, 0.1, 0.1, 0.1))
+            if family is Family.NORMAL:
+                assert sum(visited) == 0
+                assert 0 < sum(base_points) <= 2 * len(segments) + 4
+            else:
+                assert sum(visited) > 0
+                assert sum(base_points) <= sum(visited) + 4
 
     def test_vanishing_discriminant_is_singular(self):
         # At this theta the plus-branch discriminant of the scheme falls
@@ -622,19 +664,13 @@ class TestWarmAre:
                        (far, validate_scheme(0.05, 0.05, 0.00, 0.10))]
         for params, s in points:
             are(family, params, s)
-        calls = []
-
-        def counted(f, a, b):
-            calls.append((a, b))
-            return integrate(f, a, b)
-
-        monkeypatch.setattr(moments, "integrate", counted)
+        segments = _count_segments(monkeypatch)
         warm = [are(family, params, s) for params, s in points]
-        assert calls == []
+        assert segments == []
         for (params, s), got in zip(points, warm):
             clear_caches()
             assert are(family, params, s) == got
-        assert calls
+        assert segments
 
     @pytest.mark.parametrize("family", list(Family))
     def test_s_mle_array_holds_the_spec_rows(self, rng, family):

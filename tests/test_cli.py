@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimmoments import gof, simulation
@@ -730,6 +730,8 @@ def _run_captured(argv):
 
 
 @given(argv=_are_argv())
+@example(argv=["are", "--model=normal", "--sigma=1e77", "--theta=1e77",
+               "--scheme=0.01,0.0,0.0,0.0"])
 @settings(max_examples=100, deadline=None)
 def test_are_contract_property(argv):
     first = _run_captured(argv)
@@ -748,6 +750,18 @@ def test_are_contract_property(argv):
         assert err.startswith(PREFIXES)
         assert len(err.splitlines()) == 1
     assert _run_captured(argv) == first
+
+
+def test_simulate_with_overflowing_re_counts_it_singular():
+    # The MLE's squared errors overflow in `finite_re`: every repetition's
+    # RE is NaN, as for a singular matrix, and no RuntimeWarning is written.
+    code, out, err, runtime_warnings = _run_captured([
+        "simulate", "--model=frechet", "--sigma=1e200", "--beta=1e-160",
+        "--n=20", "--replicates=100", "--repetitions=1", "--seed=0",
+        "--scheme=0,0,0,0"])
+    assert runtime_warnings == []
+    assert (code, out) == (3, "")
+    assert err.startswith("estimation failure: estimator MLE failed")
 
 
 # Property tests of the `fit`, `simulate` and `gof` contracts, in the

@@ -1,12 +1,16 @@
-"""The import contract: scipy loads only at the first Phi^{-1} call.
+"""The import contract: scipy loads only at the first Monte Carlo draw of
+a normal family.
 
-Importing the package, and every Frechet run, leave scipy unloaded (it
-is most of the CLI's start-up time); the normal families' base quantile
-is one function that imports scipy's `ndtri` when first called.
+Importing the package, and every `fit`, `are` and `gof` run, leave scipy
+unloaded (it is most of the CLI's start-up time).  The normal families'
+base quantile is one function, a port of Cephes `ndtri` that equals
+scipy's bit for bit; only the draw's whole blocks (its `out=` calls)
+forward to scipy's `ndtri`, imported at the first such call.
 """
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +21,7 @@ import scipy.special
 
 import trimmoments
 from trimmoments import models
-from trimmoments.models import SPECS, Family
+from trimmoments.models import SPECS, Family, ParameterVector
 
 PACKAGE = Path(trimmoments.__file__).resolve().parent
 
@@ -28,6 +32,13 @@ ARE_FRECHET = ["are", "--model", "frechet", "--sigma", "2",
                "--scheme", "0.02,0.02,0.02,0.02"]
 FIT_LOGNORMAL = ["fit", "--model", "lognormal", "--data", "hurricane",
                  "--a1", "0", "--b1", "0", "--a2", "0", "--b2", "0"]
+ARE_NORMAL = ["are", "--model", "normal", "--sigma", "3",
+              "--theta=-25,0,25", "--scheme", "0.05,0.05,0,0.10"]
+GOF_MODIFIED = ["gof", "--modified", "--scheme", "1/30,1/30,1/30,1/30"]
+STUDY = ["--sigma", "2", "--n", "20", "--replicates", "100",
+         "--repetitions", "1", "--scheme", "0.1,0.1,0.1,0.1"]
+SIMULATE_FRECHET = ["simulate", "--model", "frechet", "--beta", "1"] + STUDY
+SIMULATE_LOGNORMAL = ["simulate", "--model", "lognormal", "--theta", "1"] + STUDY
 
 PROBE = """
 import contextlib, io, json, sys
@@ -56,31 +67,53 @@ def test_cli_import_and_frechet_runs_leave_scipy_unloaded():
     assert _scipy_loaded(FIT_FRECHET, ARE_FRECHET) == [False, False, False]
 
 
-def test_lognormal_fit_loads_scipy():
-    assert _scipy_loaded(FIT_LOGNORMAL) == [False, True]
+def test_only_a_normal_draw_loads_scipy():
+    assert _scipy_loaded(FIT_LOGNORMAL, ARE_NORMAL, GOF_MODIFIED,
+                         SIMULATE_FRECHET, SIMULATE_LOGNORMAL) == [
+        False, False, False, False, False, True]
 
 
 def test_normal_base_quantile_is_one_function(monkeypatch):
-    # The first call imports ndtri; the caches keyed on the base quantile
-    # (the segment table and the scheme records of `moments`) must see
-    # the same object.
+    # The base quantile reads no scipy; the first draw imports ndtri.  The
+    # caches keyed on the base quantile (the segment table and the scheme
+    # records of `moments`) must see the same object throughout.
     monkeypatch.setattr(models, "_scipy_ndtri", None)
     base = SPECS[Family.NORMAL].base_quantile
     assert SPECS[Family.LOGNORMAL].base_quantile is base
-    base(0.3)
+    base(np.array([0.3, 0.7]))
+    assert models._scipy_ndtri is None
+    SPECS[Family.NORMAL].draw(ParameterVector(), np.array([0.3, 0.7]))
     assert models._scipy_ndtri is scipy.special.ndtri
     assert SPECS[Family.NORMAL].base_quantile is base
     assert SPECS[Family.LOGNORMAL].base_quantile is base
 
 
+def _tail_points():
+    """10^6 points in [0, 1] that reach every branch of Cephes `ndtri`:
+    the central region, both tails down to the smallest subnormal, and
+    the two exp(-2) and the exp(-32) branch edges with their neighbours."""
+    rng = np.random.default_rng(9)
+    edges = [math.exp(-2.0), 1.0 - 0.13533528323661269189, math.exp(-32.0),
+             1.0 - math.exp(-32.0)]
+    edges += [np.nextafter(v, d) for v in edges for d in (0.0, 1.0)]
+    edges += [1e-300, 0.5, 1.0 - 1e-16, 1.0 - 2.0 ** -53, 2.0 ** -1022,
+              2.0 ** -1074]
+    return np.concatenate([
+        edges, rng.random(600_000),
+        np.exp(-745.0 * rng.random(200_000)),
+        1.0 - np.exp(-37.0 * rng.random(200_000 - len(edges)))])
+
+
 def test_normal_base_quantile_is_ndtri_bit_for_bit():
     base, ndtri = SPECS[Family.NORMAL].base_quantile, scipy.special.ndtri
-    u = np.random.default_rng(9).random(1000)
-    u[:4] = 1e-300, 0.5, 1.0 - 1e-16, 2.0 ** -1074
-    for v in (0.3, 1e-300, np.float64(0.975), np.array(0.3)):
+    u = _tail_points()
+    assert u.size == 10 ** 6
+    assert np.array_equal(base(u), ndtri(u))
+    for v in (0.3, 1e-300, np.float64(0.975), np.array(0.3), 0.0, 1.0):
         assert np.array_equal(base(v), ndtri(v))
         assert type(base(v)) is type(ndtri(v))
-    assert np.array_equal(base(u), ndtri(u))
+    assert base(np.zeros((2, 0))).shape == (2, 0)
+    # The draw's whole blocks go to scipy's ufunc, in place.
     out = np.empty_like(u)
     assert base(u, out=out) is out
     assert np.array_equal(out, ndtri(u))

@@ -207,9 +207,15 @@ def _z_phi(z):
     return 0.0 if math.isinf(z) else z * _phi(z)
 
 
+def _poly_phi(z, f):
+    """f(z) * phi(z) for a polynomial f, which vanishes at z = +-inf."""
+    return 0.0 if math.isinf(z) else f(z) * _phi(z)
+
+
 class TestSegmentTable:
-    """Integrals of base^k from `window_moments` against closed forms,
-    to the quadrature's 1e-10 in each power."""
+    """Integrals of base^k from `window_moments` against closed forms:
+    the normal base's, themselves closed forms, to 1e-15 in each power,
+    the Gumbel base's to the quadrature's 1e-10."""
 
     WINDOWS = [(0.1, 0.9), (0.02, 0.75), (0.3, 0.31), (0.0, 0.05),
                (0.0, 0.5), (0.95, 1.0), (0.4, 1.0), (0.0, 1.0)]
@@ -219,15 +225,33 @@ class TestSegmentTable:
         moment = window_moments(SPECS[Family.NORMAL].base_quantile, a, b)
         za, zb = ndtri(a), ndtri(b)
         assert moment(a, b, 1) == pytest.approx(_phi(za) - _phi(zb),
-                                                rel=0.0, abs=1e-10)
+                                                rel=0.0, abs=1e-15)
         assert moment(a, b, 2) == pytest.approx(
-            (b - a) + _z_phi(za) - _z_phi(zb), rel=0.0, abs=1e-10)
+            (b - a) + _z_phi(za) - _z_phi(zb), rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("a, b", WINDOWS)
+    def test_normal_third_and_fourth_powers(self, a, b):
+        # z^3 phi = -d[(z^2 + 2) phi] and z^4 phi = 3 phi - d[(z^3 + 3z) phi].
+        moment = window_moments(SPECS[Family.NORMAL].base_quantile, a, b)
+        za, zb = ndtri(a), ndtri(b)
+
+        def cubic(z):
+            return z ** 3 + 3.0 * z
+
+        def square(z):
+            return z * z + 2.0
+
+        assert moment(a, b, 3) == pytest.approx(
+            _poly_phi(za, square) - _poly_phi(zb, square), rel=0.0, abs=1e-15)
+        assert moment(a, b, 4) == pytest.approx(
+            3.0 * (b - a) + _poly_phi(za, cubic) - _poly_phi(zb, cubic),
+            rel=0.0, abs=1e-15)
 
     def test_normal_moments_on_the_unit_interval(self):
         moment = window_moments(SPECS[Family.NORMAL].base_quantile, 0.0, 1.0)
         for k, expected in zip((1, 2, 3, 4), (0.0, 1.0, 0.0, 3.0)):
             assert moment(0.0, 1.0, k) == pytest.approx(expected, rel=0.0,
-                                                        abs=1e-10)
+                                                        abs=1e-15)
 
     def test_gumbel_moments_on_the_unit_interval(self):
         g, p2 = GAMMA, math.pi ** 2

@@ -90,6 +90,14 @@ class TestFiniteRe:
         with pytest.raises(ValueError):
             finite_re(Family.NORMAL, NORMAL, [(1.0, 2.0)], 100)
 
+    def test_overflowing_cross_moments_are_singular(self):
+        # The squared errors overflow: singular, without a RuntimeWarning.
+        est = [(1e200, 1.0), (-1e200, 2.0), (3e200, 1.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="singular"):
+                finite_re(Family.NORMAL, NORMAL, est, 100)
+
     def test_mle_scores_about_one(self):
         from trimmoments.estimators import mle_normal
         from trimmoments.models import sample
