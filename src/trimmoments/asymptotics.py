@@ -43,6 +43,7 @@ __all__ = [
     "are",
     "breakdown_points",
     "fit_covariance",
+    "standard_errors",
 ]
 
 # Discriminant threshold below which the scale formula is treated as
@@ -208,22 +209,43 @@ def breakdown_points(scheme: TrimmingScheme):
     return (min(scheme.a1, scheme.a2), min(scheme.b1, scheme.b2))
 
 
-def fit_covariance(fit) -> np.ndarray:
-    """Delta-method covariance S_T at the fitted values, on the `Branch`
-    the fit took; divide by n for standard errors.  D and Sigma_T are
-    taken in units of the fitted scale s, like `are`'s, and S_T / s^2 =
-    D Sigma_T D' is symmetrized and multiplied by s^2 once.  ValueError
-    when that overflows."""
+def _delta_method(fit):
+    """(S_T, M, factors): the delta-method covariance S_T at the fitted
+    values, on the `Branch` the fit took, the same without the
+    `location_factor` of the location row (M, that row's factor taken as
+    1), and the factors of the reported parameters' rows, in `names`
+    order.  D and
+    Sigma_T are taken in units of the fitted scale s, like `are`'s, and
+    M / s^2 = D Sigma_T D' is symmetrized and multiplied by s^2 once;
+    ValueError when S_T overflows."""
     spec = SPECS[fit.family]
     loc, s = spec.location_scale(fit.params)
     record = scheme_record(spec.base_quantile, fit.scheme)
     jac = jacobian_at_moments(fit.family, fit.t1 / s, fit.t2 / s / s,
-                              record.c, fit.branch, fit.params.sigma)
+                              record.c, fit.branch, 1.0)
     s11, s12, s22 = _sigma_entries(loc / s, 1.0, record.lam)
+    f = spec.location_factor(fit.params.sigma)
+    factors = (1.0, f) if spec.scale_first else (f, 1.0)
     try:
         with np.errstate(over="raise"):
             m = jac @ np.array([[s11, s12], [s12, s22]]) @ jac.T
-            return 0.5 * (m + m.T) * s * s
+            m = 0.5 * (m + m.T) * s * s
+            return m * np.outer(factors, factors), m, factors
     except FloatingPointError:
         raise ValueError("parameters out of range: the delta-method "
                          "covariance overflows") from None
+
+
+def fit_covariance(fit) -> np.ndarray:
+    """Delta-method covariance S_T at the fitted values (`_delta_method`);
+    divide by n for the variances of the estimates."""
+    return _delta_method(fit)[0]
+
+
+def standard_errors(fit) -> list:
+    """The standard errors of the reported parameters, sqrt(S_T / n) on
+    the diagonal, with the square root taken before the location factor:
+    a Frechet sigma's SE, sigma * sqrt(var / n), stays in range where
+    sigma^2 underflows."""
+    _, m, factors = _delta_method(fit)
+    return [f * math.sqrt(m[i, i] / fit.n) for i, f in enumerate(factors)]

@@ -104,7 +104,7 @@ def _cmd_fit(args) -> int:
     result = fit(data, scheme, family)
     try:
         cov = asymptotics.fit_covariance(result)
-        se = [math.sqrt(cov[i, i] / result.n) for i in range(2)]
+        se = asymptotics.standard_errors(result)
     except asymptotics.SingularityError:
         cov, se = None, None
     lbp, ubp = asymptotics.breakdown_points(scheme)

@@ -173,7 +173,10 @@ def fit_rows(ys, squares, scheme: TrimmingScheme,
     over its kept column slice of ys or of the squares, so values beyond
     the trimmed order statistics cannot reach it.  Returns (location,
     scale, branch, pair, t1, t2), arrays over the rows as `solve_scale`
-    gives them; a row fails where scale is not positive.
+    gives them; a row fails where scale is not positive.  A constant row
+    (its first sorted value equal to its last) fails on every scheme: it
+    has no scale, yet a nested scheme's plus root is positive on it, and
+    an equal scheme's root is a rounding residue of its moments.
     """
     n = ys.shape[1]
     lo1, hi1 = trim_counts(n, scheme.a1, scheme.b1)
@@ -181,6 +184,7 @@ def fit_rows(ys, squares, scheme: TrimmingScheme,
     t1 = ys[:, lo1:n - hi1].mean(axis=1)
     t2 = squares[:, lo2:n - hi2].mean(axis=1)
     scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
+    scale = np.where(ys[:, 0] == ys[:, -1], np.nan, scale)
     return t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
 
 
@@ -208,16 +212,12 @@ def fit(data, scheme: TrimmingScheme,
     if 0.0 < float(np.max(np.abs(y))) < 2.0 ** -485:
         raise ValueError("data out of range: their squares underflow")
     ys = np.sort(y).reshape(1, -1)
-    # Constant data have no scale, yet a nested scheme's plus root is
-    # positive on them, and a zero normal MLE spread would pick a root.
-    if ys[0, 0] == ys[0, -1]:
-        raise EstimationError("constant data: no scale to estimate")
     loc, scale, minus, pair, t1, t2 = fit_rows(
         ys, ys * ys, scheme, eta_constants(family, scheme),
         lambda: spec.mle_rows(y.reshape(1, -1))[1])
     if not scale[0] > 0.0:
-        raise EstimationError(
-            "no admissible scale candidate; update trimming proportions")
+        raise EstimationError("no admissible scale candidate: constant "
+                              "data, or update trimming proportions")
     params = spec.params(float(loc[0]), float(scale[0]))
     return FitResult(family, scheme, params, _branch(scheme.tag, minus[0]),
                      float(t1[0]), float(t2[0]), y.size,

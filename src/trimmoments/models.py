@@ -237,8 +237,8 @@ def _gumbel_quantile(u, out=None):
     """Standard Gumbel quantile G(u) = -log(-log u): log X for the unit
     Frechet model, written into `out` when given (a ufunc's `out`).
 
-    Without `out` (the quadrature nodes, the breakpoints, `gof`'s
-    quantiles) each log is libm's; the draw's block keeps numpy's.
+    Without `out` (segment ends, breakpoints, `gof`'s quantiles) each
+    log is libm's; the draw's block keeps numpy's.
     """
     if out is None:
         return _gumbel_libm(u)

@@ -10,12 +10,14 @@ averages c_k of powers of the base quantile (Phi^{-1}, or the Gumbel
 G = -log(-log u) for Frechet).  Every integral, here and in the
 covariances of `asymptotics`, is of base^k (k = 1..4) over a window
 between two of a scheme's breakpoints a_j, 1-b_j: the sum of the entries
-of its segments in one table of (M1, M2, M3, M4) per (base, segment)
-(`window_moments`), in closed form for Phi^{-1} and from one quadrature
-pass for G.  Every constant of a scheme comes from that table once, in
-one cached record per (base, scheme), `scheme_record`: c, the entries
-Lambda of `asymptotics.sigma_T` (`_v_pair`) and the coefficients of
-`asymptotics.are`.
+of its segments in one table of (M1, M2, M3, M4) per (base, segment),
+each window's sum formed once (`window_moments`).  An entry reads the
+base at the segment's ends only: in closed form for Phi^{-1}, and for G
+from one quadrature pass in the Gumbel variable x = G(u), over a smooth
+and bounded integrand (`_segment`).  Every constant of a scheme comes
+from that table once, in one cached record per (base, scheme),
+`scheme_record`: c, the entries Lambda of `asymptotics.sigma_T`
+(`_v_pair`) and the coefficients of `asymptotics.are`.
 
 The c form is the one convention the estimators read.  The paper
 writes the Frechet constants with Delta(u) = log(-log u) = -G(u): its
@@ -31,10 +33,11 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
-from .models import SPECS, Family, ParameterVector
+from .models import SPECS, Family, ParameterVector, _libm
 from .quadrature import integrate
 
 __all__ = [
@@ -164,39 +167,75 @@ def _phi_terms(z: float) -> tuple:
     return (phi, z * phi, (zz + 2.0) * phi, (zz + 3.0) * z * phi)
 
 
+# The Gumbel law's complete moments E G^k, k = 1..4, the integrals of G^k
+# over (0, 1), with Euler's gamma and zeta(3).
+_GAMMA = 0.57721566490153286061
+_ZETA3 = 1.2020569031595942854
+_PI2 = math.pi ** 2
+_GUMBEL_COMPLETE = (
+    _GAMMA,
+    _GAMMA * _GAMMA + _PI2 / 6.0,
+    _GAMMA ** 3 + _GAMMA * _PI2 / 2.0 + 2.0 * _ZETA3,
+    _GAMMA ** 4 + _GAMMA * _GAMMA * _PI2 + 8.0 * _GAMMA * _ZETA3
+    + 3.0 * _PI2 * _PI2 / 20.0)
+# Where a Gumbel segment from u = 0 starts: below x = -4, |x|^4 g(x) <
+# 3e-20.
+_GUMBEL_START = -4.0
+# The Gumbel density g(x) = exp(-x - e^-x), with libm's rounding.
+_gumbel_density = _libm(lambda x: math.exp(-x - math.exp(-x)))
+
+
+def _gumbel_powers(x):
+    """x^k g(x), k = 1..4, at the nodes x."""
+    g = _gumbel_density(x)
+    x2 = x * x
+    return x * g, x2 * g, x2 * x * g, x2 * x2 * g
+
+
 @lru_cache(maxsize=None)
 def _segment(base, lo: float, hi: float) -> tuple:
     """(M1, M2, M3, M4), the integrals of base^k over the segment
-    [lo, hi].
+    [lo, hi], with the base read at the two ends only.
 
     For Phi^{-1} they are closed forms: with z = Phi^{-1}(u), du =
     phi(z) dz, so the antiderivatives of z, z^2, z^3 and z^4 in u are
     -phi, u - z phi, -(z^2 + 2) phi and 3u - (z^3 + 3z) phi, whose phi
-    terms vanish at u = 0 and 1 (z infinite); the base is read at the two
-    ends only.  The Gumbel base takes one quadrature pass with one base
-    call per node."""
+    terms vanish at u = 0 and 1 (z infinite).  For the Gumbel G, x =
+    G(u) gives du = g(x) dx, so M_k is the integral of x^k g(x) over
+    [G(lo), G(hi)], smooth and bounded, in one quadrature pass: from
+    _GUMBEL_START where lo = 0, and as the complete moments less the
+    segment [0, lo] where hi = 1 (G is infinite at both)."""
     if base is SPECS[Family.NORMAL].base_quantile:
         a, b = map(_phi_terms, base(np.array((lo, hi))).tolist())
         width = hi - lo
         return (a[0] - b[0], width + a[1] - b[1], a[2] - b[2],
                 3.0 * width + a[3] - b[3])
-
-    def powers(u):
-        z = base(u)
-        z2 = z * z
-        return z, z2, z2 * z, z2 * z2
-    return tuple(integrate(powers, lo, hi).tolist())
+    if hi == 1.0:
+        head = _segment(base, 0.0, lo) if lo > 0.0 else (0.0,) * 4
+        return tuple(c - h for c, h in zip(_GUMBEL_COMPLETE, head))
+    start = float(base(lo)) if lo > 0.0 else _GUMBEL_START
+    end = float(base(hi))
+    if not start < end:
+        return (0.0,) * 4
+    return tuple(integrate(_gumbel_powers, start, end).tolist())
 
 
 def window_moments(base, *points):
     """M(lo, hi, k): the integral of base^k (k = 1..4) over a window
-    [lo, hi] between two of the points, the sum over the segments
-    between the sorted points that the window covers (0.0 if lo == hi)."""
+    [lo, hi] between two of the points (lo <= hi), the sum over the
+    segments between the sorted points that the window covers, added
+    left to right (0.0 if lo == hi).  Every window's sums are formed
+    once, here."""
     pts = sorted(set(points))
-    table = {lo: _segment(base, lo, hi) for lo, hi in zip(pts, pts[1:])}
+    segments = [_segment(base, lo, hi) for lo, hi in zip(pts, pts[1:])]
+    sums = {}
+    for i, lo in enumerate(pts):
+        total = sums[lo, lo] = (0.0,) * 4
+        for hi, m in zip(pts[i + 1:], segments[i:]):
+            total = sums[lo, hi] = tuple(map(add, total, m))
 
     def moment(lo: float, hi: float, k: int) -> float:
-        return sum((m[k - 1] for s, m in table.items() if lo <= s < hi), 0.0)
+        return sums[lo, hi][k - 1]
     return moment
 
 
@@ -234,22 +273,24 @@ def _v_pair(moment, z, A, winA, B, winB):
         (pi, ci), (ai, bbari), (pj, cj), (aj, bbarj) = B, winB, A, winA
     bi = 1.0 - bbari
     bj = 1.0 - bbarj
-    hi = {u: ci * v ** pi for u, v in z.items()}
-    hj = {u: cj * v ** pj for u, v in z.items()}
+    # H at the breakpoints the terms read.
+    hi_a, hi_b = ci * z[ai] ** pi, ci * z[bbari] ** pi
+    hj_aj, hj_a, hj_b = (cj * z[aj] ** pj, cj * z[ai] ** pj,
+                         cj * z[bbarj] ** pj)
     int_hi_mid = ci * moment(ai, bbarj, pi)
     int_hj_mid = cj * moment(ai, bbarj, pj)
     int_hi_right = ci * moment(bbarj, bbari, pi)
     # The endpoint integrals I(a, b) = b H(b) - a H(a) - int_a^b H and
     # Ibar(a, b) = (1-b) H(b) - (1-a) H(a) + int_a^b H: first those of
     # the [aj, ai] strip and of window i, then of [ai, bbarj].
-    total = ((ai * hj[ai] - aj * hj[aj] - cj * moment(aj, ai, pj))
-             * (bi * hi[bbari] - (1.0 - ai) * hi[ai]
+    total = ((ai * hj_a - aj * hj_aj - cj * moment(aj, ai, pj))
+             * (bi * hi_b - (1.0 - ai) * hi_a
                 + (int_hi_mid + int_hi_right)))
-    total += bi * hi[bbari] * (bbarj * hj[bbarj] - ai * hj[ai] - int_hj_mid)
-    total -= ai * hi[ai] * (bj * hj[bbarj] - (1.0 - ai) * hj[ai] + int_hj_mid)
+    total += bi * hi_b * (bbarj * hj_b - ai * hj_a - int_hj_mid)
+    total -= ai * hi_a * (bj * hj_b - (1.0 - ai) * hj_a + int_hj_mid)
     total += ci * cj * moment(ai, bbarj, pi + pj)
-    total += (bbarj * hj[bbarj] - ai * hj[ai]) * int_hi_right
-    total -= (ai * hj[ai] + bj * hj[bbarj]) * int_hi_mid
+    total += (bbarj * hj_b - ai * hj_a) * int_hi_right
+    total -= (ai * hj_a + bj * hj_b) * int_hi_mid
     total -= int_hj_mid * int_hi_mid
     total -= int_hj_mid * int_hi_right
     return total

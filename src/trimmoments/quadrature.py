@@ -1,16 +1,20 @@
-"""Adaptive one-dimensional quadrature on subintervals of (0, 1).
+"""Adaptive one-dimensional quadrature on a finite interval.
 
-The integrands of interest are powers of quantile functions, which are
-smooth inside (0, 1) but may diverge (integrably) at the endpoints.  The
-integrator below is a nested Gauss-Kronrod 7/15 rule driven by a global
+The integrator is a nested Gauss-Kronrod 7/15 rule driven by a global
 error heap: the subinterval with the largest error estimate is bisected
 until the accumulated error drops below 1e-10.  An integrand may return
-k components (powers of one base quantile), each held to that tolerance:
-a panel's error is their largest |K15 - G7|.  Bisection toward a
-singular endpoint produces geometrically shrinking panels, which is
-exactly the refinement such singularities need.  All evaluation nodes
-are interior, so f is never called at 0 or 1: on a panel ending at 1,
-where a node may round to 1, they are clamped below it.
+k components (powers of one base variable), each held to that
+tolerance: a panel's error is their largest |K15 - G7|.  The package
+integrates smooth, bounded integrands in the Gumbel variable
+(`moments._segment`).  Singular endpoints come only from the tests'
+oracles, which integrate powers of quantile functions over (0, 1); they
+may diverge (integrably) at 0 and 1.  For them a limit at 0 or 1 gets
+geometric seed panels, and bisection toward it produces geometrically
+shrinking panels, the refinement such singularities need.  All
+evaluation nodes are interior, so f is never called at 0 or 1: on a
+panel ending at 1, where a node may round to 1, they are clamped below
+it.  (A smooth integrand with such a limit only pays a few extra
+panels.)
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def _gk15(f, a, b):
 
 
 def integrate(f, a, b):
-    """Integrate f over [a, b] within (0, 1), absolute error <= 1e-10.
+    """Integrate f over [a, b], absolute error <= 1e-10.
 
     Parameters
     ----------
@@ -110,9 +114,9 @@ def integrate(f, a, b):
         Vectorized integrand, finite on the open interval; it may return
         a (k, nodes) stack of k components.
     a, b : float
-        Limits with 0 <= a < b <= 1.  Endpoint values 0 and 1 are fine:
+        Finite limits with a < b.  Endpoint values 0 and 1 are fine:
         only interior nodes are ever evaluated, and a limit at 0 or 1 is
-        treated as a possible singularity.
+        treated as a possible singularity of a quantile power.
 
     Returns
     -------

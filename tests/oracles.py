@@ -12,10 +12,12 @@ the Frechet MLE: the likelihood score of one sample, a bracketing Brent
 root search on it, and the batch Newton kernel written with a fresh
 array for every block-sized step.  For the models: the quantile, pdf
 and cdf of each family.  For the constants: the window averages c_k and
-the paper's kappa_k, and the sigma of the plus scale candidate."""
+the paper's kappa_k, the sigma of the plus scale candidate, and the
+Gumbel segment moments to 30 digits."""
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
@@ -94,6 +96,22 @@ def _checked_window_mean(base, a: float, bbar: float, k: int) -> float:
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
     return window_moments(base, a, bbar)(a, bbar, k) / (bbar - a)
+
+
+def gumbel_segment(lo: float, hi: float) -> list:
+    """(M1, ..., M4), the integrals of G^k over [lo, hi] for the Gumbel
+    quantile G, by 30-digit mpmath quadrature in the Gumbel variable x =
+    G(u) (G taken exactly at the float limits): the integrals of x^k
+    g(x), g(x) = exp(-x - e^-x), over [G(lo), G(hi)], with u = 0 and 1 at
+    x = -8 and 100, where |x|^4 g(x) < 1e-35."""
+    with mpmath.workdps(30):
+        ends = [-mpmath.log(-mpmath.log(mpmath.mpf(u))) if 0.0 < u < 1.0
+                else mpmath.mpf(-8 if u == 0.0 else 100) for u in (lo, hi)]
+        cuts = [ends[0]] + [mpmath.mpf(x) for x in (-2, 0, 2, 5, 10, 20, 40)
+                            if ends[0] < x < ends[1]] + [ends[1]]
+        return [float(mpmath.quad(
+            lambda x, k=k: x ** k * mpmath.exp(-x - mpmath.exp(-x)), cuts))
+            for k in (1, 2, 3, 4)]
 
 
 def plus_sigma(family: Family, t1, t2, scheme: TrimmingScheme):

@@ -529,6 +529,19 @@ def test_log_family_fit_is_scale_equivariant(capsys, model, trim, k):
         assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("k", [1e-160, 1e-200, 1e-300])
+def test_frechet_sigma_se_does_not_underflow(capsys, k):
+    # sigma's SE is sigma * sqrt(var / n): no sigma^2 is formed, so it
+    # scales with the data down to sigma near 5e-300.
+    def se_sigma(scale):
+        code, out, err = run(capsys, "fit", "--model", "frechet", "--data",
+                             "hurricane", "--scale", str(scale), *FIT_ZERO)
+        assert (code, err) == (0, "")
+        return json.loads(out)["standard_errors"]["sigma"]
+
+    assert se_sigma(k) / k == pytest.approx(se_sigma(1.0), rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("trim", [
     pytest.param(FIT_ZERO, id="zero"),
     pytest.param(("--a1", "0.05", "--b1", "0.05", "--a2", "0", "--b2", "0.1"),

@@ -382,6 +382,31 @@ class TestFitRows:
                     assert (one.discriminant_negative
                             == pair.discriminant_negative[i])
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_constant_row_fails_on_every_scheme(self, family):
+        # Constant rows (u = 0.5, 0.3, 0.9) have no scale: their batch
+        # fits fail on every scheme, as `fit` does on each sample alone,
+        # though their roots can be positive (an equal scheme's rounding
+        # residue, a nested scheme's plus root).  A drawn row beside them
+        # is fitted.
+        spec = SPECS[family]
+        params = (ParameterVector(sigma=2.0, beta=5.0)
+                  if family is Family.FRECHET
+                  else ParameterVector(theta=0.1, sigma=5.0))
+        u = np.empty((4, 100))
+        u[:3] = np.array([[0.5], [0.3], [0.9]])
+        u[3] = np.random.default_rng(3).random(100)
+        y = np.sort(spec.draw(params, u), axis=1)
+        for quad in [(0.1, 0.1, 0.1, 0.1), (0.0, 0.0, 0.0, 0.0),
+                     (0.1, 0.1, 0.2, 0.0), (0.05, 0.05, 0.0, 0.1)]:
+            s = validate_scheme(*quad)
+            scale = fit_rows(y, y * y, s, eta_constants(family, s),
+                             lambda: spec.mle_rows(y)[1])[1]
+            assert np.isnan(scale[:3]).all() and scale[3] > 0.0
+            for row in spec.inverse(y[:3]):
+                with pytest.raises(EstimationError):
+                    fit(row, s, family)
+
 
 PROPORTIONS = (0.0, 0.02, 1 / 30, 0.05, 0.1, 0.15, 0.2)
 

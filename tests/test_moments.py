@@ -19,7 +19,7 @@ from trimmoments.moments import (
     zeta_constants,
 )
 from conftest import random_params, random_scheme
-from oracles import c_k, kappa_k
+from oracles import c_k, gumbel_segment, kappa_k
 
 GAMMA = 0.57721566490153286
 
@@ -215,7 +215,8 @@ def _poly_phi(z, f):
 class TestSegmentTable:
     """Integrals of base^k from `window_moments` against closed forms:
     the normal base's, themselves closed forms, to 1e-15 in each power,
-    the Gumbel base's to the quadrature's 1e-10."""
+    the Gumbel base's, quadratures in the Gumbel variable, to 1e-13 on
+    (0, 1) and to 1e-12 of a 30-digit reference on every segment."""
 
     WINDOWS = [(0.1, 0.9), (0.02, 0.75), (0.3, 0.31), (0.0, 0.05),
                (0.0, 0.5), (0.95, 1.0), (0.4, 1.0), (0.0, 1.0)]
@@ -262,7 +263,20 @@ class TestSegmentTable:
         moment = window_moments(SPECS[Family.FRECHET].base_quantile, 0.0, 1.0)
         for k, value in zip((1, 2, 3, 4), expected):
             assert moment(0.0, 1.0, k) == pytest.approx(value, rel=0.0,
-                                                        abs=1e-10)
+                                                        abs=1e-13)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.05, 0.7), (0.1, 0.9), (0.3, 0.31), (0.25, 0.8), (0.3, 0.9),
+        (0.0, 0.05), (0.0, 0.5), (0.0, 0.9), (0.0, 1e-30),
+        (0.95, 1.0), (0.4, 1.0), (0.1, 1.0), (0.0, 1.0),
+        (1e-300, 0.3), (0.99, 1.0 - 2.0 ** -53), (1.0 - 1e-9, 1.0)])
+    def test_gumbel_segments_against_a_30_digit_reference(self, lo, hi):
+        # Lattice segments, segments from 0 and to 1 (the complete
+        # moments less [0, lo]), and the far tails of G.
+        moment = window_moments(SPECS[Family.FRECHET].base_quantile, lo, hi)
+        for k, value in zip((1, 2, 3, 4), gumbel_segment(lo, hi)):
+            assert moment(lo, hi, k) == pytest.approx(value, rel=0.0,
+                                                      abs=1e-12)
 
     def test_window_is_the_sum_of_its_segments(self):
         base = SPECS[Family.FRECHET].base_quantile

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from trimmoments import simulation
 from trimmoments.estimators import EstimationError
-from trimmoments.models import Family, ParameterVector
+from trimmoments.models import SPECS, Family, ParameterVector
 from trimmoments.moments import validate_scheme
 from trimmoments.simulation import (
     MLE_LABEL,
@@ -186,9 +187,41 @@ class TestRunStudy:
             monkeypatch.undo()
 
     def test_failed_mle_is_counted_not_fatal(self, monkeypatch):
-        # Replicate 0 of each repetition is constant: it has no Frechet
-        # MLE, which fails the MLE row and each scheme whose proximity
-        # rule needs it; every other estimate of it is kept.
+        # Replicate 0 of each repetition is squeezed toward its median
+        # (not constant), and its MLE is made to fail.  That fails the
+        # MLE row and the scheme whose proximity rule needs it there
+        # (0.05,0.05,0,0.1: both candidates positive); the other nested
+        # scheme's minus root is negative and the equal scheme never
+        # asks, so they keep it.
+        draw = simulation._uniforms
+        spec = SPECS[Family.FRECHET]
+
+        def first_squeezed(seed, rep, start, stop, n):
+            u = draw(seed, rep, start, stop, n)
+            if start == 0:
+                u[0] = 0.5 + 0.1 * (u[0] - 0.5)
+            return u
+
+        def first_fails(y):
+            loc, scale = spec.mle_rows(y)
+            loc[0] = scale[0] = np.nan
+            return loc, scale
+
+        monkeypatch.setattr(simulation, "_uniforms", first_squeezed)
+        monkeypatch.setitem(SPECS, Family.FRECHET,
+                            dataclasses.replace(spec, mle_rows=first_fails))
+        schemes = [validate_scheme(0.05, 0.05, 0.00, 0.10),
+                   validate_scheme(0.10, 0.10, 0.20, 0.00),
+                   validate_scheme(0.10, 0.10, 0.10, 0.10)]
+        cfg = StudyConfig(Family.FRECHET, FRECHET, 100, schemes,
+                          replicates=200, repetitions=2, seed=1)
+        rows = run_study(cfg).rows
+        assert [r.failures for r in rows] == [2, 2, 0, 0]
+        for r in rows:
+            assert np.isfinite([r.mean_ratio_1, r.mean_ratio_2, r.re]).all()
+
+    def test_constant_replicate_fails_every_estimator(self, monkeypatch):
+        # A constant replicate has no MLE and no scale on any scheme.
         draw = simulation._uniforms
 
         def first_constant(seed, rep, start, stop, n):
@@ -203,10 +236,7 @@ class TestRunStudy:
                    validate_scheme(0.10, 0.10, 0.10, 0.10)]
         cfg = StudyConfig(Family.FRECHET, FRECHET, 100, schemes,
                           replicates=200, repetitions=2, seed=1)
-        rows = run_study(cfg).rows
-        assert [r.failures for r in rows] == [2, 2, 2, 0]
-        for r in rows:
-            assert np.isfinite([r.mean_ratio_1, r.mean_ratio_2, r.re]).all()
+        assert [r.failures for r in run_study(cfg).rows] == [2, 2, 2, 2]
 
     def test_failure_rate_limit_raises(self, monkeypatch):
         # Two of 100 replicates constant: 2% MLE failures > the 1% limit.
