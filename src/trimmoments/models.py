@@ -402,14 +402,15 @@ class FamilySpec:
 
     def mle(self, x) -> ParameterVector:
         """The MLE of one raw sample x: row 0 of `mle_rows` on its
-        transformed values.  A row without a positive scale (no
-        likelihood root, or the zero spread of constant normal data)
-        raises EstimationError."""
+        transformed values.  Constant data (the smallest value equal to
+        the largest; a normal spread may be a rounding residue) and a
+        row without a positive scale (no likelihood root) raise
+        EstimationError."""
         y = self.transform(np.asarray(x, dtype=float))
         if y.size < 2:
             raise ValueError("need at least two observations")
         loc, scale = self.mle_rows(y.reshape(1, -1))
-        if not scale[0] > 0.0:
+        if not scale[0] > 0.0 or y.min() == y.max():
             raise EstimationError("no likelihood maximum: constant data "
                                   "or no convergence")
         return self.params(float(loc[0]), float(scale[0]))

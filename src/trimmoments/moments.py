@@ -13,11 +13,13 @@ between two of a scheme's breakpoints a_j, 1-b_j: the sum of the entries
 of its segments in one table of (M1, M2, M3, M4) per (base, segment),
 each window's sum formed once (`window_moments`).  An entry reads the
 base at the segment's ends only: in closed form for Phi^{-1}, and for G
-from one quadrature pass in the Gumbel variable x = G(u), over a smooth
-and bounded integrand (`_segment`).  Every constant of a scheme comes
-from that table once, in one cached record per (base, scheme),
-`scheme_record`: c, the entries Lambda of `asymptotics.sigma_T`
-(`_v_pair`) and the coefficients of `asymptotics.are`.
+in the Gumbel variable x = G(u), over a smooth and bounded integrand, by
+one Kronrod-15 panel between each pair of fixed knots (`_segment`,
+`quadrature.integrate`; within 7.2e-14 of a 30-digit reference).
+Every constant of a scheme comes from that table once, in one cached
+record per (base, scheme), `scheme_record`: c, the entries Lambda of
+`asymptotics.sigma_T` (`_v_pair`) and the coefficients of
+`asymptotics.are`.
 
 The c form is the one convention the estimators read.  The paper
 writes the Frechet constants with Delta(u) = log(-log u) = -G(u): its
@@ -124,7 +126,9 @@ def validate_scheme(a1, b1, a2, b2) -> TrimmingScheme:
             "trimming windows are not nested: need a2 <= a1 and b1 <= b2, "
             f"or a1 <= a2 and b2 <= b1, got ({a1},{b1}) and ({a2},{b2})"
         )
-    return TrimmingScheme(a1, b1, a2, b2, tag)
+    # Python floats: a record cached for numpy scalars would be shared
+    # with equal float schemes and carry numpy's RuntimeWarnings to them.
+    return TrimmingScheme(float(a1), float(b1), float(a2), float(b2), tag)
 
 
 def trim_counts(n: int, a: float, b: float):
@@ -202,9 +206,10 @@ def _segment(base, lo: float, hi: float) -> tuple:
     -phi, u - z phi, -(z^2 + 2) phi and 3u - (z^3 + 3z) phi, whose phi
     terms vanish at u = 0 and 1 (z infinite).  For the Gumbel G, x =
     G(u) gives du = g(x) dx, so M_k is the integral of x^k g(x) over
-    [G(lo), G(hi)], smooth and bounded, in one quadrature pass: from
-    _GUMBEL_START where lo = 0, and as the complete moments less the
-    segment [0, lo] where hi = 1 (G is infinite at both)."""
+    [G(lo), G(hi)], smooth and bounded, on the fixed Kronrod panels of
+    `quadrature.integrate` (all four powers from one integrand call):
+    from _GUMBEL_START where lo = 0, and as the complete moments less
+    the segment [0, lo] where hi = 1 (G is infinite at both)."""
     if base is SPECS[Family.NORMAL].base_quantile:
         a, b = map(_phi_terms, base(np.array((lo, hi))).tolist())
         width = hi - lo

@@ -18,11 +18,12 @@ once and squared once, and each estimator fits all its rows in one
 `estimators.fit_rows` call on the shared block and squares.  A
 replicate whose fit fails, whose fitted parameters overflow, or whose
 MLE fails where the MLE row or a proximity rule needs it, counts in
-that estimator's failures and is left out of its ratios and RE; a
-singular RE leaves that repetition's RE NaN.  Mean ratios and REs are
-computed per repetition and averaged, with standard deviations across
-repetitions alongside; a true parameter so small that the ratios
-estimate / truth overflow puts the study out of range.
+that estimator's failures and is left out of its ratios and RE (a
+constant replicate fails every estimator, the MLE too); a singular RE
+leaves that repetition's RE NaN.  Mean ratios and REs are computed per
+repetition and averaged, with standard deviations across repetitions
+alongside; a true parameter so small that the ratios estimate / truth
+overflow puts the study out of range.
 """
 
 from __future__ import annotations
@@ -276,6 +277,8 @@ def run_study(config: StudyConfig) -> StudyResult:
             y = spec.draw(params, _uniforms(config.seed, rep, start, stop, n))
             mle = spec.mle_rows(y)
             y.sort(axis=1)
+            # A constant row has no MLE, as in `fit_rows`.
+            mle = mle[0], np.where(y[:, 0] == y[:, -1], np.nan, mle[1])
             squares = y * y
             fits = [mle]
             for scheme, con in zip(config.schemes, constants):

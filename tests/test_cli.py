@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from trimmoments import gof, simulation
 from trimmoments.cli import main
 from trimmoments.estimators import mle_normal
+from trimmoments.models import Family
+from trimmoments.moments import eta_constants, validate_scheme
+from conftest import clear_caches
 from oracles import correlation_gap
 
 
@@ -763,6 +766,19 @@ def test_are_contract_property(argv):
         assert err.startswith(PREFIXES)
         assert len(err.splitlines()) == 1
     assert _run_captured(argv) == first
+
+
+def test_are_after_a_numpy_scalar_scheme_warns_nothing():
+    # A scheme built from numpy scalars shares its cached record with the
+    # equal float scheme of a later call; numpy scalars in that record
+    # made overflowing parameters raise numpy RuntimeWarnings.
+    clear_caches()
+    eta_constants(Family.NORMAL, validate_scheme(*np.array([0.01, 0, 0, 0.01])))
+    code, out, err, runtime_warnings = _run_captured(
+        ["are", "--model=normal", "--sigma=1e77", "--theta=1e77",
+         "--scheme=0.01,0.0,0.0,0.01"])
+    assert runtime_warnings == []
+    assert (code, out) == (2, "")
 
 
 def test_simulate_with_overflowing_re_counts_it_singular():

@@ -38,6 +38,12 @@ class TestMleNormal:
     def test_two_points(self):
         assert mle_normal([0.0, 2.0]) == (1.0, 1.0)
 
+    def test_constant_sample_has_no_mle(self):
+        # The spread of 100 copies of 0.1 about their mean is a rounding
+        # residue (2.8e-17), not a likelihood maximum.
+        with pytest.raises(EstimationError):
+            SPECS[Family.NORMAL].mle([0.1] * 100)
+
     def test_large_sample_recovery(self):
         x = sample(Family.NORMAL, ParameterVector(theta=0.1, sigma=5.0),
                    100_000, 3)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from trimmoments import moments
 from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeError,
@@ -19,7 +20,7 @@ from trimmoments.moments import (
     zeta_constants,
 )
 from conftest import random_params, random_scheme
-from oracles import c_k, gumbel_segment, kappa_k
+from oracles import c_k, gumbel_segment, gumbel_segment_adaptive, kappa_k
 
 GAMMA = 0.57721566490153286
 
@@ -215,8 +216,9 @@ def _poly_phi(z, f):
 class TestSegmentTable:
     """Integrals of base^k from `window_moments` against closed forms:
     the normal base's, themselves closed forms, to 1e-15 in each power,
-    the Gumbel base's, quadratures in the Gumbel variable, to 1e-13 on
-    (0, 1) and to 1e-12 of a 30-digit reference on every segment."""
+    the Gumbel base's, fixed Kronrod panels in the Gumbel variable, to
+    1e-13 on (0, 1), of a 30-digit reference on every segment and of the
+    adaptive rule on every segment between lattice points."""
 
     WINDOWS = [(0.1, 0.9), (0.02, 0.75), (0.3, 0.31), (0.0, 0.05),
                (0.0, 0.5), (0.95, 1.0), (0.4, 1.0), (0.0, 1.0)]
@@ -276,7 +278,20 @@ class TestSegmentTable:
         moment = window_moments(SPECS[Family.FRECHET].base_quantile, lo, hi)
         for k, value in zip((1, 2, 3, 4), gumbel_segment(lo, hi)):
             assert moment(lo, hi, k) == pytest.approx(value, rel=0.0,
-                                                      abs=1e-12)
+                                                      abs=1e-13)
+
+    def test_gumbel_lattice_segments_against_the_adaptive_rule(self):
+        # Every segment between the lattice points k/100 of both tails
+        # and the far tails of G, touching 0 and 1 included.
+        base = SPECS[Family.FRECHET].base_quantile
+        points = sorted({k / 100 for k in (*range(31), *range(70, 101))}
+                        | {1e-300, 1e-12, 1.0 - 1e-9, 1.0 - 2.0 ** -53})
+        worst = max(
+            float(np.max(np.abs(np.subtract(
+                moments._segment(base, lo, hi),
+                gumbel_segment_adaptive(lo, hi)))))
+            for lo, hi in itertools.combinations(points, 2))
+        assert worst <= 1e-13
 
     def test_window_is_the_sum_of_its_segments(self):
         base = SPECS[Family.FRECHET].base_quantile

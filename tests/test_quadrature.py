@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from trimmoments.quadrature import IntegrationError, integrate
+from oracles import IntegrationError, integrate
+from trimmoments import quadrature
 
 GAMMA = 0.57721566490153286
 
@@ -108,3 +109,25 @@ def test_against_midpoint_oracle(rng):
         f = integrands[rng.integers(len(integrands))]
         assert integrate(f, a, b) == pytest.approx(
             _midpoint(f, a, b), abs=1e-6)
+
+
+@pytest.mark.parametrize("a, b", [(-4.0, -3.3), (-4.0, 36.7), (-1.0, 1.0),
+                                  (0.2, 0.3), (-3.5, 32.0), (1e-3, 40.0)])
+def test_fixed_rule_takes_one_integrand_call(a, b):
+    # The package's rule: one K15 panel per piece between the knots
+    # strictly inside (a, b), every node in one call, none adaptive.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.stack([np.ones_like(x), x, x * x, np.exp(-x)])
+
+    got = quadrature.integrate(f, a, b)
+    inside = [k for k in quadrature._KNOTS if a < k < b]
+    assert len(calls) == 1
+    assert calls[0].shape == (15 * (1 + len(inside)),)
+    assert np.all((a < calls[0]) & (calls[0] < b))
+    assert got.shape == (4,)
+    exact = [b - a, (b * b - a * a) / 2.0, (b ** 3 - a ** 3) / 3.0,
+             math.exp(-a) - math.exp(-b)]
+    assert got == pytest.approx(exact, rel=1e-13)

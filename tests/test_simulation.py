@@ -238,6 +238,22 @@ class TestRunStudy:
                           replicates=200, repetitions=2, seed=1)
         assert [r.failures for r in run_study(cfg).rows] == [2, 2, 2, 2]
 
+    def test_constant_normal_replicate_fails_the_mle(self, monkeypatch):
+        # Replicate 0 is 0.1 throughout: its 1/n spread is a rounding
+        # residue (2.8e-17), not a likelihood maximum.
+        draw = simulation._uniforms
+
+        def first_constant(seed, rep, start, stop, n):
+            u = draw(seed, rep, start, stop, n)
+            if start == 0:
+                u[0] = 0.5
+            return u
+
+        monkeypatch.setattr(simulation, "_uniforms", first_constant)
+        cfg = _config(schemes=[validate_scheme(0.10, 0.10, 0.10, 0.10)],
+                      replicates=200, seed=1)
+        assert [r.failures for r in run_study(cfg).rows] == [2, 2]
+
     def test_failure_rate_limit_raises(self, monkeypatch):
         # Two of 100 replicates constant: 2% MLE failures > the 1% limit.
         draw = simulation._uniforms
