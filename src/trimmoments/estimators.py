@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -163,37 +163,58 @@ def solve_scale(t1, t2, constants, tag: SchemeTag,
     return float(scale), _branch(tag, take), pair
 
 
-def fit_rows(ys, squares, scheme: TrimmingScheme,
-             c: MomentConstants, mle_scale: Callable[[], np.ndarray]):
-    """The trimmed-moment fit of each row of ys, sorted samples of
-    transformed data (R, n), given their squares ys * ys.
+def fit_rows(ys, squares, schemes: Sequence[TrimmingScheme],
+             constants: Sequence[MomentConstants],
+             mle_scale: Callable[[], np.ndarray]):
+    """The trimmed-moment fits of each row of ys, sorted samples of
+    transformed data (R, n), given their squares ys * ys, for every
+    scheme of schemes with its constants (`eta_constants`).
 
-    The squares are formed once per block by the caller, so every scheme
-    fitted to the same block shares them.  Each moment is the plain mean
-    over its kept column slice of ys or of the squares, so values beyond
-    the trimmed order statistics cannot reach it.  Returns (location,
-    scale, branch, pair, t1, t2), arrays over the rows as `solve_scale`
-    gives them; a row fails where scale is not positive.  A constant row
-    (its first sorted value equal to its last) fails on every scheme: it
-    has no scale, yet a nested scheme's plus root is positive on it, and
-    an equal scheme's root is a rounding residue of its moments.
+    The columns are cut at every scheme's trimmed counts, and each
+    segment between consecutive cuts is summed once, in ys and in the
+    squares; a moment is its window's segment sums added left to right
+    and divided by the kept count.  A window that is a single segment is
+    the plain mean of its column slice, and no moment reaches values
+    beyond its scheme's trimmed order statistics.  As the segments come
+    from the whole scheme set, a scheme's moments may differ in the last
+    bits from its fit alone (`fit` passes one scheme); each row's stay
+    independent of the other rows.
+
+    Yields, one scheme at a time, (location, scale, branch, pair, t1,
+    t2), arrays over the rows as `solve_scale` gives them; a row fails
+    where scale is not positive.  A constant row (its first sorted value
+    equal to its last) fails on every scheme: it has no scale, yet a
+    nested scheme's plus root is positive on it, and an equal scheme's
+    root is a rounding residue of its moments.
     """
     n = ys.shape[1]
-    lo1, hi1 = trim_counts(n, scheme.a1, scheme.b1)
-    lo2, hi2 = trim_counts(n, scheme.a2, scheme.b2)
-    t1 = ys[:, lo1:n - hi1].mean(axis=1)
-    t2 = squares[:, lo2:n - hi2].mean(axis=1)
-    scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
-    scale = np.where(ys[:, 0] == ys[:, -1], np.nan, scale)
-    return t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
+    windows = [(trim_counts(n, s.a1, s.b1), trim_counts(n, s.a2, s.b2))
+               for s in schemes]
+    cuts = sorted({c for w in windows for lo, hi in w for c in (lo, n - hi)})
+    at = {c: i for i, c in enumerate(cuts)}
+    segments = [(ys[:, a:b].sum(axis=1), squares[:, a:b].sum(axis=1))
+                for a, b in zip(cuts, cuts[1:])]
+
+    def moment(lo, hi, k):
+        sums = [seg[k] for seg in segments[at[lo]:at[n - hi]]]
+        return sum(sums[1:], sums[0]) / (n - lo - hi)
+
+    constant = ys[:, 0] == ys[:, -1]
+    for scheme, c, ((lo1, hi1), (lo2, hi2)) in zip(schemes, constants,
+                                                   windows):
+        t1, t2 = moment(lo1, hi1, 0), moment(lo2, hi2, 1)
+        scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
+        scale = np.where(constant, np.nan, scale)
+        yield t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
 
 
 def fit(data, scheme: TrimmingScheme,
         family: Family = Family.NORMAL) -> FitResult:
     """Fit the family's parameters by the location-scale trimmed-moment
-    estimator on transformed data (see `models.SPECS`), as the one-row
-    case of `fit_rows`; the reference MLE, computed only if needed, is
-    the one-row case of `mle_rows`, as in `simulation.run_study`.
+    estimator on transformed data (see `models.SPECS`), as the one-row,
+    one-scheme case of `fit_rows`; the reference MLE, computed only if
+    needed, is the one-row case of `mle_rows`, as in
+    `simulation.run_study`.
 
     Normal data are fitted as they are; lognormal data are
     log-transformed and (theta, sigma) reported on the log scale;
@@ -212,9 +233,9 @@ def fit(data, scheme: TrimmingScheme,
     if 0.0 < float(np.max(np.abs(y))) < 2.0 ** -485:
         raise ValueError("data out of range: their squares underflow")
     ys = np.sort(y).reshape(1, -1)
-    loc, scale, minus, pair, t1, t2 = fit_rows(
-        ys, ys * ys, scheme, eta_constants(family, scheme),
-        lambda: spec.mle_rows(y.reshape(1, -1))[1])
+    loc, scale, minus, pair, t1, t2 = next(fit_rows(
+        ys, ys * ys, [scheme], [eta_constants(family, scheme)],
+        lambda: spec.mle_rows(y.reshape(1, -1))[1]))
     if not scale[0] > 0.0:
         raise EstimationError("no admissible scale candidate: constant "
                               "data, or update trimming proportions")

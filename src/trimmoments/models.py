@@ -184,9 +184,10 @@ def _frechet_rows(logx):
     if rows.size < len(d):
         d = d[rows]
     lo, hi = np.zeros(rows.size), dbar[rows]
-    # Every block-sized step writes into two scratch arrays, whose
-    # leading rows hold the rows still iterated.
-    w, wd = np.empty_like(d), np.empty_like(d)
+    # Every block-sized step writes into one scratch array, whose leading
+    # rows hold the rows still iterated; the weighted sums of d and d^2
+    # are formed without writing their products.
+    w = np.empty_like(d)
     np.subtract(d, hi[:, None], out=w)
     sd = np.sqrt(np.square(w, out=w).mean(axis=1))
     b = np.minimum(math.sqrt(6.0) / math.pi * sd, hi)
@@ -194,15 +195,15 @@ def _frechet_rows(logx):
     for _ in range(_MLE_MAX_ITER):
         if rows.size == 0:
             break
-        e, ed = w[:rows.size], wd[:rows.size]
+        e = w[:rows.size]
         np.exp(np.divide(d, -b[:, None], out=e), out=e)
         s0 = e.sum(axis=1)
-        m1 = np.multiply(e, d, out=ed).sum(axis=1) / s0
+        m1 = np.einsum("ij,ij->i", e, d) / s0
         xi = b + m1 - dbar[rows]
         good = last & (np.abs(xi) <= _MLE_RESIDUAL)
         beta[rows[good]] = b[good]
         loc[rows[good]] = lmin[rows[good]] - b[good] * np.log(s0[good] / n)
-        m2 = np.multiply(ed, d, out=ed).sum(axis=1) / s0
+        m2 = np.einsum("ij,ij,ij->i", e, d, d) / s0
         step = xi / (1.0 + (m2 - m1 * m1) / (b * b))
         below = xi < 0.0
         lo, hi = np.where(below, b, lo), np.where(below, hi, b)

@@ -13,9 +13,10 @@ Replicates are processed in blocks of at most BLOCK_ELEMENTS values: a
 block is drawn directly on the transformed scale the estimators fit,
 y = loc + scale * base_quantile(u), transformed in its uniforms buffer
 (`FamilySpec.draw`), gets its reference MLE (`FamilySpec.mle_rows`,
-which iterates in two scratch arrays) on the rows as drawn, is sorted
-once and squared once, and each estimator fits all its rows in one
-`estimators.fit_rows` call on the shared block and squares.  A
+which iterates in one scratch array) on the rows as drawn, is sorted
+once and squared once, and one `estimators.fit_rows` call fits every
+estimator to all its rows, from sums of the block and squares over the
+segments between the schemes' cuts, formed once.  A
 replicate whose fit fails, whose fitted parameters overflow, or whose
 MLE fails where the MLE row or a proximity rule needs it, counts in
 that estimator's failures and is left out of its ratios and RE (a
@@ -279,14 +280,12 @@ def run_study(config: StudyConfig) -> StudyResult:
             y.sort(axis=1)
             # A constant row has no MLE, as in `fit_rows`.
             mle = mle[0], np.where(y[:, 0] == y[:, -1], np.nan, mle[1])
-            squares = y * y
-            fits = [mle]
-            for scheme, con in zip(config.schemes, constants):
-                loc, scale = fit_rows(y, squares, scheme, con,
-                                      lambda: mle[1])[:2]
-                fits.append((loc, np.where(scale > 0.0, scale, np.nan)))
-            for idx, (loc, scale) in enumerate(fits):
-                est[idx, start:stop] = _estimates(spec, loc, scale)
+            est[0, start:stop] = _estimates(spec, *mle)
+            fits = fit_rows(y, y * y, config.schemes, constants,
+                            lambda: mle[1])
+            for idx, (loc, scale, *_) in enumerate(fits, 1):
+                est[idx, start:stop] = _estimates(
+                    spec, loc, np.where(scale > 0.0, scale, np.nan))
         for idx in range(nlab):
             arr = est[idx][~np.isnan(est[idx]).any(axis=1)]
             failures[idx] += config.replicates - arr.shape[0]

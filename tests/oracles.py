@@ -10,12 +10,13 @@ reference for the closed-form determinant of `asymptotics.are`, and the
 correlation-scaled gap between two covariances.  For
 the Frechet MLE: the likelihood score of one sample, a bracketing Brent
 root search on it, and the batch Newton kernel written with a fresh
-array for every block-sized step.  For the models: the quantile, pdf
-and cdf of each family.  For the constants: the window averages c_k and
-the paper's kappa_k, the sigma of the plus scale candidate, and the
-Gumbel segment moments to 30 digits and by the adaptive rule.  For the
-integrals of quantile powers over (0, 1), whose endpoints may be
-singular: an adaptive Gauss-Kronrod 7/15 integrator."""
+array for every block-sized step.  For the batch fits: one scheme's
+fit with each moment the plain mean of its column slice.  For the
+models: the quantile, pdf and cdf of each family.  For the constants:
+the window averages c_k and the paper's kappa_k, the sigma of the plus
+scale candidate, and the Gumbel segment moments to 30 digits and by the
+adaptive rule.  For the integrals of quantile powers over (0, 1), whose
+endpoints may be singular: an adaptive Gauss-Kronrod 7/15 integrator."""
 
 import heapq
 import math
@@ -34,7 +35,7 @@ from trimmoments.asymptotics import (
     s_mle,
     sigma_T,
 )
-from trimmoments.estimators import Branch, candidate_scales
+from trimmoments.estimators import Branch, candidate_scales, solve_scale
 from trimmoments.models import (
     _MLE_MAX_ITER,
     _MLE_RESIDUAL,
@@ -51,6 +52,7 @@ from trimmoments.moments import (
     eta_constants,
     population_moments,
     scheme_record,
+    trim_counts,
     window_moments,
 )
 from trimmoments.quadrature import _WK, _XK
@@ -525,13 +527,13 @@ def frechet_rows_allocating(logx):
             break
         w = np.exp(d / -b[:, None])
         s0 = w.sum(axis=1)
-        wd = w * d
-        m1 = wd.sum(axis=1) / s0
+        m1 = np.einsum("ij,ij->i", w, d) / s0
         xi = b + m1 - dbar[rows]
         good = last & (np.abs(xi) <= _MLE_RESIDUAL)
         beta[rows[good]] = b[good]
         loc[rows[good]] = lmin[rows[good]] - b[good] * np.log(s0[good] / n)
-        step = xi / (1.0 + ((wd * d).sum(axis=1) / s0 - m1 * m1) / (b * b))
+        m2 = np.einsum("ij,ij,ij->i", w, d, d) / s0
+        step = xi / (1.0 + (m2 - m1 * m1) / (b * b))
         below = xi < 0.0
         lo, hi = np.where(below, b, lo), np.where(below, hi, b)
         keep, last = ~last, np.abs(step) <= _MLE_RTOL * b
@@ -539,3 +541,17 @@ def frechet_rows_allocating(logx):
         b = np.where(last | ((lo < b) & (b <= hi)), b, 0.5 * (lo + hi))
         rows, d, b, lo, hi, last = (v[keep] for v in (rows, d, b, lo, hi, last))
     return loc, beta
+
+
+def fit_rows_by_slices(ys, squares, scheme: TrimmingScheme, c, mle_scale):
+    """`estimators.fit_rows` for one scheme, each moment the plain mean
+    over its kept column slice of ys or of the squares; returns the
+    scheme's (location, scale, branch, pair, t1, t2)."""
+    n = ys.shape[1]
+    lo1, hi1 = trim_counts(n, scheme.a1, scheme.b1)
+    lo2, hi2 = trim_counts(n, scheme.a2, scheme.b2)
+    t1 = ys[:, lo1:n - hi1].mean(axis=1)
+    t2 = squares[:, lo2:n - hi2].mean(axis=1)
+    scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
+    scale = np.where(ys[:, 0] == ys[:, -1], np.nan, scale)
+    return t1 - c.m1_11 * scale, scale, branch, pair, t1, t2

@@ -23,11 +23,18 @@ from trimmoments.moments import (
     SchemeTag,
     eta_constants,
     population_moments,
+    trim_counts,
     validate_scheme,
     zeta_constants,
 )
 from conftest import random_params, random_scheme
-from oracles import c_k, frechet_rows_allocating, kappa_k, mle_frechet_brent
+from oracles import (
+    c_k,
+    fit_rows_by_slices,
+    frechet_rows_allocating,
+    kappa_k,
+    mle_frechet_brent,
+)
 from oracles import frechet_score as _xi
 
 
@@ -371,8 +378,8 @@ class TestFitRows:
                 s = random_scheme(rng, lo=0.0)
                 con = eta_constants(family, s)
                 ys = np.sort(y, axis=1)
-                loc, scale, minus, pair, t1, t2 = fit_rows(
-                    ys, ys * ys, s, con, lambda: mle[1])
+                loc, scale, minus, pair, t1, t2 = next(fit_rows(
+                    ys, ys * ys, [s], [con], lambda: mle[1]))
                 for i, row in enumerate(x):
                     if not scale[i] > 0.0:
                         with pytest.raises(EstimationError):
@@ -406,12 +413,99 @@ class TestFitRows:
         for quad in [(0.1, 0.1, 0.1, 0.1), (0.0, 0.0, 0.0, 0.0),
                      (0.1, 0.1, 0.2, 0.0), (0.05, 0.05, 0.0, 0.1)]:
             s = validate_scheme(*quad)
-            scale = fit_rows(y, y * y, s, eta_constants(family, s),
-                             lambda: spec.mle_rows(y)[1])[1]
+            scale = next(fit_rows(y, y * y, [s], [eta_constants(family, s)],
+                                  lambda: spec.mle_rows(y)[1]))[1]
             assert np.isnan(scale[:3]).all() and scale[3] > 0.0
             for row in spec.inverse(y[:3]):
                 with pytest.raises(EstimationError):
                     fit(row, s, family)
+
+
+# The simulation table's schemes, as the benchmark's Monte Carlo studies
+# fit them.
+STUDY_SCHEMES = [validate_scheme(*q) for q in (
+    (0.0, 0.0, 0.0, 0.0), (0.0, 0.05, 0.0, 0.05), (0.0, 0.1, 0.0, 0.1),
+    (0.1, 0.0, 0.05, 0.05), (0.05, 0.05, 0.0, 0.1), (0.1, 0.1, 0.0, 0.2),
+    (0.15, 0.15, 0.0, 0.3), (0.0, 0.1, 0.05, 0.05), (0.05, 0.05, 0.1, 0.0),
+    (0.1, 0.1, 0.2, 0.0), (0.15, 0.15, 0.3, 0.0), (0.25, 0.5, 0.5, 0.25))]
+
+
+class TestSegmentSums:
+    """`fit_rows` over a scheme set sums each segment between the
+    schemes' cuts once; every scheme's moments are its slice means to
+    rounding, exactly where its window is one segment, and no value
+    beyond the cuts reaches them."""
+
+    @staticmethod
+    def _sorted_block(family, n, rows, seed):
+        params = (ParameterVector(sigma=2.0, beta=5.0)
+                  if family is Family.FRECHET
+                  else ParameterVector(theta=0.1, sigma=5.0))
+        y = SPECS[family].draw(params,
+                               simulation._uniforms(seed, 0, 0, rows, n))
+        y.sort(axis=1)
+        return y
+
+    @staticmethod
+    def _exact_windows(ys, squares, family, schemes):
+        """Check every scheme's moments against its slice means; returns
+        how many windows were one segment, and so matched exactly."""
+        n = ys.shape[1]
+        ref = SPECS[family].mle_rows(ys)[1]
+        constants = [eta_constants(family, s) for s in schemes]
+        windows = [(trim_counts(n, s.a1, s.b1), trim_counts(n, s.a2, s.b2))
+                   for s in schemes]
+        cuts = {c for w in windows for lo, hi in w for c in (lo, n - hi)}
+        fits = fit_rows(ys, squares, schemes, constants, lambda: ref)
+        exact = 0
+        for s, c, w, got in zip(schemes, constants, windows, fits):
+            want = fit_rows_by_slices(ys, squares, s, c, lambda: ref)
+            for k, (lo, hi), values in ((4, w[0], ys), (5, w[1], squares)):
+                size = np.abs(values[:, lo:n - hi]).mean(axis=1)
+                assert (np.abs(got[k] - want[k]) <= 1e-15 * size).all()
+                if not any(lo < cut < n - hi for cut in cuts):
+                    assert np.array_equal(got[k], want[k])
+                    exact += 1
+        return exact
+
+    @pytest.mark.parametrize("family, n, rows", [
+        (Family.NORMAL, 100, 1310), (Family.FRECHET, 1000, 131),
+        (Family.NORMAL, 20, 200), (Family.FRECHET, 20, 200)])
+    def test_schemes_match_slice_means(self, family, n, rows):
+        # Among the study schemes every window spans several segments;
+        # alone, an equal scheme's windows are one segment each.
+        ys = self._sorted_block(family, n, rows, 4)
+        squares = ys * ys
+        self._exact_windows(ys, squares, family, STUDY_SCHEMES)
+        alone = sum(self._exact_windows(ys, squares, family, [s])
+                    for s in STUDY_SCHEMES)
+        assert alone >= 2 * sum(s.tag is SchemeTag.EQUAL
+                                for s in STUDY_SCHEMES)
+
+    @pytest.mark.parametrize("family, n", [(Family.NORMAL, 100),
+                                           (Family.FRECHET, 1000)])
+    def test_values_beyond_the_cuts_change_nothing(self, family, n):
+        # The smallest cut is above 0 and the largest below n: values
+        # moved to +-1e300 there (squares to inf) reach no moment.
+        schemes = [validate_scheme(*q) for q in (
+            (0.05, 0.05, 0.05, 0.05), (0.1, 0.05, 0.05, 0.1),
+            (0.05, 0.1, 0.1, 0.05), (0.1, 0.1, 0.2, 0.02),
+            (0.15, 0.15, 0.02, 0.3))]
+        lo, top = trim_counts(n, 0.02, 0.02)
+        hi = n - top
+        x = self._sorted_block(family, n, 1, 9)[0]
+        moved = x.copy()
+        moved[:lo], moved[hi:] = -1e300, 1e300
+        ys = np.array([x, moved])
+        with np.errstate(over="ignore"):
+            squares = ys * ys
+        constants = [eta_constants(family, s) for s in schemes]
+        for _, _, _, pair, t1, t2 in fit_rows(ys, squares, schemes, constants,
+                                              lambda: np.ones(2)):
+            assert np.isfinite(t2).all()
+            assert t1[0] == t1[1] and t2[0] == t2[1]
+            assert pair.minus[0] == pair.minus[1]
+            assert pair.plus[0] == pair.plus[1]
 
 
 PROPORTIONS = (0.0, 0.02, 1 / 30, 0.05, 0.1, 0.15, 0.2)
@@ -457,8 +551,8 @@ class TestContaminationInvariance:
         con = eta_constants(family, s)
         y = spec.transform(np.array([x, moved]))
         ys = np.sort(y, axis=1)
-        _, scale, _, pair, t1, t2 = fit_rows(
-            ys, ys * ys, s, con, lambda: spec.mle_rows(y)[1])
+        _, scale, _, pair, t1, t2 = next(fit_rows(
+            ys, ys * ys, [s], [con], lambda: spec.mle_rows(y)[1]))
         assert t1[0] == t1[1] and t2[0] == t2[1]
         assert pair.minus[0] == pair.minus[1]
         assert pair.plus[0] == pair.plus[1]
