@@ -176,8 +176,7 @@ def are(family: Family, params: ParameterVector,
     det_mle = _s_mle_rows(family, params)[1]
     spec = SPECS[family]
     loc, scale = spec.location_scale(params)
-    _, lam, q2, q1, q0, d2, d1, d0, eta_12, eta_r = scheme_record(
-        spec.base_quantile, scheme)
+    c, lam, q2, q1, q0, d2, d1, d0 = scheme_record(spec.base_quantile, scheme)
     # The largest entry of Sigma_T in data units, the variance of T2,
     # must be finite, though the ARE does not depend on the scale.
     if not math.isfinite(_sigma_entries(loc, scale, lam)[2]):
@@ -190,7 +189,7 @@ def are(family: Family, params: ParameterVector,
     # its l terms vanish.  There a nested scheme divides both quadratics
     # by l^2, which leaves their ratio.
     u, v, w = ell, ell, 1.0
-    if eta_r != 1.0 and not math.isfinite(ell * ell):
+    if c.eta_r != 1.0 and not math.isfinite(ell * ell):
         u, v, w = 1.0, 1.0 / ell, 1.0 / ell / ell
     quad = q2 * u * u
     lin = q1 * v
@@ -200,7 +199,7 @@ def are(family: Family, params: ParameterVector,
         return AreResult(0.0, math.inf, True)
     det_sigma = d2 * u * u + d1 * v + d0 * w
     g = spec.location_factor(params.sigma) * scale * scale
-    det_t = _in_range(g * g * det_sigma / (eta_12 * disc), "S_T")
+    det_t = _in_range(g * g * det_sigma / (c.eta_12 * disc), "S_T")
     return AreResult(math.sqrt(det_mle / det_t), det_t)
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +61,7 @@ class Branch(enum.Enum):
     __hash__ = object.__hash__  # identity, as for `models.Family`
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """Square-root and linear terms of the two scale candidates."""
 
     ft: float
@@ -83,8 +81,7 @@ class CandidatePair:
         return self.ft + self.st
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """A fit's parameters, the `Branch` it took and its trimmed moments."""
 
     family: Family

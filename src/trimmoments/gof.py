@@ -17,8 +17,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,8 +40,7 @@ __all__ = [
 DATA_SCALE = 1.0e9
 
 
-@dataclass(frozen=True)
-class GofReport:
+class GofReport(NamedTuple):
     params: ParameterVector
     fit: float
     aic: float

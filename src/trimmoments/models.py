@@ -28,14 +28,17 @@ Parameters
 Location-scale families carry (theta, sigma); the Frechet family
 carries (beta, sigma) where beta = 1/alpha is the tail index and the
 location is fixed at zero.
+
+`ParameterVector` and `FamilySpec`, like every record of the package,
+are `typing.NamedTuple`s, which compare equal to a plain tuple of the
+same values, not only to their own class.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -75,8 +78,7 @@ class Family(enum.Enum):
             raise ValueError(f"unknown family {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ParameterVector:
+class ParameterVector(NamedTuple):
     """Model parameters.
 
     theta is the location (log-scale location for lognormal), sigma the
@@ -363,8 +365,7 @@ def _s_mle_frechet(p):
 _exp = np.frompyfunc(math.exp, 1, 1)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """How one family maps onto the location-scale engine.
 
     The data y = transform(x) (x = inverse(y), with log |dy/dx| =

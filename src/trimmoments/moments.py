@@ -19,7 +19,9 @@ one Kronrod-15 panel between each pair of fixed knots (`_segment`,
 Every constant of a scheme comes from that table once, in one cached
 record per (base, scheme), `scheme_record`: c, the entries Lambda of
 `asymptotics.sigma_T` (`_v_pair`) and the coefficients of
-`asymptotics.are`.
+`asymptotics.are`.  A `TrimmingScheme` is a `typing.NamedTuple`, equal
+to a plain tuple of its values; that cache only ever receives schemes
+from `validate_scheme`, so its keys cannot collide with another type.
 
 The c form is the one convention the estimators read.  The paper
 writes the Frechet constants with Delta(u) = log(-log u) = -G(u): its
@@ -32,10 +34,9 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import namedtuple
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ class SchemeTag(enum.Enum):
     __hash__ = object.__hash__  # identity, as for `models.Family`
 
 
-@dataclass(frozen=True)
-class TrimmingScheme:
+class TrimmingScheme(NamedTuple):
     """Two per-moment trimming windows with a validated nesting order."""
 
     a1: float
@@ -244,8 +244,7 @@ def window_moments(base, *points):
     return moment
 
 
-@dataclass(frozen=True)
-class MomentConstants:
+class MomentConstants(NamedTuple):
     """Scheme-level constants, in the c form, used to invert the moment
     equations.
 
@@ -301,13 +300,21 @@ def _v_pair(moment, z, A, winA, B, winB):
     return total
 
 
-# Every constant of one base quantile and scheme: c, the six
-# parameter-free entries Lambda of Sigma_T (keyed "111" ... "223"), and
-# what an `asymptotics.are` point needs besides the point, the l^2, l and
-# 1 coefficients of disc / scale^2 (q2, q1, q0) and of det(Sigma_T) /
-# (4 scale^6) (d2, d1, d0), eta_12 and eta_r.
-SchemeRecord = namedtuple("SchemeRecord",
-                          "c lam q2 q1 q0 d2 d1 d0 eta_12 eta_r")
+class SchemeRecord(NamedTuple):
+    """Every constant of one base quantile and scheme: c, the six
+    parameter-free entries Lambda of Sigma_T (keyed "111" ... "223"), and
+    what an `asymptotics.are` point needs besides the point and c, the
+    l^2, l and 1 coefficients of disc / scale^2 (q2, q1, q0) and of
+    det(Sigma_T) / (4 scale^6) (d2, d1, d0)."""
+
+    c: MomentConstants
+    lam: dict
+    q2: float
+    q1: float
+    q0: float
+    d2: float
+    d1: float
+    d0: float
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +352,7 @@ def scheme_record(base, scheme: TrimmingScheme) -> SchemeRecord:
         1.0 - eta_r, 2.0 * (m1_22 - eta_r * m1_11),
         m2_22 - eta_r * m1_11 * m1_11,
         l111 * l221 - l121 * l121, 2.0 * (l111 * l222 - l121 * l122),
-        l111 * l223 - l122 * l122, eta_12, eta_r)
+        l111 * l223 - l122 * l122)
 
 
 def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
@@ -359,7 +366,7 @@ def zeta_constants(scheme: TrimmingScheme) -> MomentConstants:
     view of the cached Gumbel constants, for reading against the paper
     (the estimators take the c form of `eta_constants`)."""
     c = eta_constants(Family.FRECHET, scheme)
-    return replace(c, m1_11=-c.m1_11, m1_22=-c.m1_22)
+    return c._replace(m1_11=-c.m1_11, m1_22=-c.m1_22)
 
 
 def population_moments(family: Family, params: ParameterVector,

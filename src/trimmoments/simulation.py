@@ -24,14 +24,14 @@ constant replicate fails every estimator, the MLE too); a singular RE
 leaves that repetition's RE NaN.  Mean ratios and REs are computed per
 repetition and averaged, with standard deviations across repetitions
 alongside; a true parameter so small that the ratios estimate / truth
-overflow puts the study out of range.
+overflow puts the study out of range.  The `StudyResult` is built once,
+from the finished rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +57,7 @@ MAX_FAILURE_RATE = 0.01
 MAX_SIZE = 10 ** 6
 
 
-@dataclass(frozen=True)
-class StudyConfig:
+class StudyConfig(NamedTuple):
     family: Family
     params: ParameterVector
     n: int
@@ -86,8 +85,7 @@ class StudyConfig:
                              "reports estimate/truth ratios")
 
 
-@dataclass
-class SchemeSummary:
+class SchemeSummary(NamedTuple):
     """Per-estimator summary across outer repetitions."""
 
     label: str
@@ -100,10 +98,9 @@ class SchemeSummary:
     failures: int
 
 
-@dataclass
-class StudyResult:
+class StudyResult(NamedTuple):
     config: StudyConfig
-    rows: List[SchemeSummary] = field(default_factory=list)
+    rows: List[SchemeSummary]
 
     def row(self, label: str) -> SchemeSummary:
         for r in self.rows:
@@ -303,7 +300,7 @@ def run_study(config: StudyConfig) -> StudyResult:
                 pass  # singular: this repetition's RE stays NaN
 
     total = config.replicates * config.repetitions
-    result = StudyResult(config)
+    rows = []
     for idx, label in enumerate(labels):
         frate = failures[idx] / total
         if frate > MAX_FAILURE_RATE:
@@ -314,6 +311,5 @@ def run_study(config: StudyConfig) -> StudyResult:
             )
         means, sds = zip(*(_mean_sd(v) for v in (
             ratio_reps[:, idx, 0], ratio_reps[:, idx, 1], re_reps[:, idx])))
-        result.rows.append(SchemeSummary(label, *means, *sds,
-                                         int(failures[idx])))
-    return result
+        rows.append(SchemeSummary(label, *means, *sds, int(failures[idx])))
+    return StudyResult(config, rows)

@@ -658,6 +658,10 @@ class TestWarmAre:
                   and value is not moments._segment}
         sizes = [c.cache_info().currsize for c in caches]
         assert sizes == [1]
+        # A scheme compares equal to a plain tuple of its values, so the
+        # cache's keys stay apart only while its callers pass the
+        # TrimmingScheme that `validate_scheme` returns.
+        assert type(s) is moments.TrimmingScheme and s == tuple(s)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_warm_point_equals_cold_point(self, monkeypatch, family):

@@ -1,9 +1,11 @@
 """Every name a module of the package exports resolves and has a caller."""
 
 import ast
-import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,5 +85,45 @@ def test_every_family_spec_field_is_read():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
-    fields = [f.name for f in dataclasses.fields(FamilySpec)]
+    fields = FamilySpec._fields
     assert [f for f in fields if f not in read] == []
+
+
+def _record_machinery(tree):
+    """Names of the dataclass and namedtuple machinery a module's source
+    imports or reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_records_are_named_tuples_and_cli_import_skips_dataclasses():
+    # One record idiom, typing.NamedTuple: every class with annotated
+    # fields subclasses it, no module uses dataclasses or
+    # collections.namedtuple, and importing the CLI leaves dataclasses
+    # unloaded.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    records = {node.name: [ast.unparse(b) for b in node.bases]
+               for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(s, ast.AnnAssign) for s in node.body)}
+    assert {"FamilySpec", "SchemeRecord", "StudyResult"} <= records.keys()
+    assert [r for r, bases in records.items() if bases != ["NamedTuple"]] == []
+    found = [f"{name}: {used}" for name, tree in trees.items()
+             for used in _record_machinery(tree)
+             if used and (used.split(".")[0] == "dataclasses"
+                          or used.endswith("namedtuple"))]
+    assert found == []
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = "import sys, trimmoments.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert proc.stdout.split() == ["False"]

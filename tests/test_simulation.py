@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -209,7 +208,7 @@ class TestRunStudy:
 
         monkeypatch.setattr(simulation, "_uniforms", first_squeezed)
         monkeypatch.setitem(SPECS, Family.FRECHET,
-                            dataclasses.replace(spec, mle_rows=first_fails))
+                            spec._replace(mle_rows=first_fails))
         schemes = [validate_scheme(0.05, 0.05, 0.00, 0.10),
                    validate_scheme(0.10, 0.10, 0.20, 0.00),
                    validate_scheme(0.10, 0.10, 0.10, 0.10)]
