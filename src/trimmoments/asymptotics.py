@@ -10,15 +10,17 @@ alone, and come from one cached record per (base, scheme)
 else, and the raw double integral is a brute-force oracle in the tests.
 Every family is a location-scale model on transformed data, so Sigma_T
 and the Jacobian are written once in (location, scale) and mapped to
-the reported parameters through `models.SPECS`.  S_T = D Sigma_T D', on
-the branch-aware Jacobian, is equivariant in the scale: `fit_covariance`
-forms S_T / scale^2 on the ratio location / scale and multiplies by
-scale^2 once, and `are` takes det S_T = det(D)^2 det(Sigma_T) in closed
-form in the same units, for the ARE versus maximum likelihood,
-(det S_MLE / det S_T)^(1/2); each det is rejected when it over- or
-underflows.  Both share one singular rule, relative to the
-discriminant's terms.  The record holds the coefficients of the ARE's
-quadratics, and S_MLE comes as rows of Python floats
+the reported parameters by one flag of `models.SPECS`, `exp_location`
+(Frechet's sigma = exp(location), reported after the scale).  S_T = D
+Sigma_T D', on the branch-aware Jacobian, is equivariant in the scale:
+`delta_method`, one pass per fit, forms S_T / scale^2 on the ratio
+location / scale, multiplies by scale^2 once and reads the standard
+errors off the same product, and `are` takes det S_T = det(D)^2
+det(Sigma_T) in closed form in the same units, for the ARE versus
+maximum likelihood, (det S_MLE / det S_T)^(1/2); each det is rejected
+when it over- or underflows.  Both share one singular rule, relative to
+the discriminant's terms.  The record holds the coefficients of the
+ARE's quadratics, and S_MLE comes as rows of Python floats
 (`FamilySpec.s_mle`), so a warm ARE point touches no numpy.
 """
 
@@ -42,8 +44,7 @@ __all__ = [
     "s_mle",
     "are",
     "breakdown_points",
-    "fit_covariance",
-    "standard_errors",
+    "delta_method",
 ]
 
 # Discriminant threshold below which the scale formula is treated as
@@ -134,7 +135,7 @@ def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
     f = spec.location_factor(sigma)
     location = (f * (1.0 - c.m1_11 * ds1), f * ds2 * -c.m1_11)
     scale = (ds1, ds2)
-    return np.array((scale, location) if spec.scale_first
+    return np.array((scale, location) if spec.exp_location
                     else (location, scale))
 
 
@@ -208,14 +209,16 @@ def breakdown_points(scheme: TrimmingScheme):
     return (min(scheme.a1, scheme.a2), min(scheme.b1, scheme.b2))
 
 
-def _delta_method(fit):
-    """(S_T, M, factors): the delta-method covariance S_T at the fitted
-    values, on the `Branch` the fit took, the same without the
-    `location_factor` of the location row (M, that row's factor taken as
-    1), and the factors of the reported parameters' rows, in `names`
-    order.  D and
-    Sigma_T are taken in units of the fitted scale s, like `are`'s, and
-    M / s^2 = D Sigma_T D' is symmetrized and multiplied by s^2 once;
+def delta_method(fit):
+    """(S_T, SEs): the delta-method covariance S_T at the fitted values,
+    on the `Branch` the fit took (divide by n for the covariance of the
+    estimates), and the standard errors of the reported parameters,
+    sqrt(S_T / n) on the diagonal, in `names` order.  D and Sigma_T are
+    taken in units of the fitted scale s, like `are`'s: M / s^2 = D
+    Sigma_T D' is symmetrized and multiplied by s^2 once, and S_T is M
+    with the location row and column times `location_factor`.  Each SE
+    takes its square root before that factor, so a Frechet sigma's SE,
+    sigma * sqrt(var / n), stays in range where sigma^2 underflows.
     ValueError when S_T overflows."""
     spec = SPECS[fit.family]
     loc, s = spec.location_scale(fit.params)
@@ -224,27 +227,14 @@ def _delta_method(fit):
                               record.c, fit.branch, 1.0)
     s11, s12, s22 = _sigma_entries(loc / s, 1.0, record.lam)
     f = spec.location_factor(fit.params.sigma)
-    factors = (1.0, f) if spec.scale_first else (f, 1.0)
+    factors = (1.0, f) if spec.exp_location else (f, 1.0)
     try:
         with np.errstate(over="raise"):
             m = jac @ np.array([[s11, s12], [s12, s22]]) @ jac.T
             m = 0.5 * (m + m.T) * s * s
-            return m * np.outer(factors, factors), m, factors
+            cov = m * np.outer(factors, factors)
     except FloatingPointError:
         raise ValueError("parameters out of range: the delta-method "
                          "covariance overflows") from None
-
-
-def fit_covariance(fit) -> np.ndarray:
-    """Delta-method covariance S_T at the fitted values (`_delta_method`);
-    divide by n for the variances of the estimates."""
-    return _delta_method(fit)[0]
-
-
-def standard_errors(fit) -> list:
-    """The standard errors of the reported parameters, sqrt(S_T / n) on
-    the diagonal, with the square root taken before the location factor:
-    a Frechet sigma's SE, sigma * sqrt(var / n), stays in range where
-    sigma^2 underflows."""
-    _, m, factors = _delta_method(fit)
-    return [f * math.sqrt(m[i, i] / fit.n) for i, f in enumerate(factors)]
+    return cov, [g * math.sqrt(m[i, i] / fit.n)
+                 for i, g in enumerate(factors)]

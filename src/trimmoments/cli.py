@@ -100,18 +100,16 @@ def _cmd_fit(args) -> int:
     scheme = validate_scheme(_parse_number(args.a1), _parse_number(args.b1),
                              _parse_number(args.a2), _parse_number(args.b2))
     family = Family.parse(args.model)
-    names = SPECS[family].names
+    spec = SPECS[family]
     result = fit(data, scheme, family)
     try:
-        cov = asymptotics.fit_covariance(result)
-        se = asymptotics.standard_errors(result)
+        cov, se = asymptotics.delta_method(result)
     except asymptotics.SingularityError:
         cov, se = None, None
     lbp, ubp = asymptotics.breakdown_points(scheme)
-    est = dict(zip(names, result.estimates))
-    if scale != 1.0:
-        for name in SPECS[family].scaled:
-            est[f"{name}_scaled"] = est[name] / scale
+    est = dict(zip(spec.names, spec.estimates(result.params)))
+    if spec.exp_location and scale != 1.0:
+        est["sigma_scaled"] = est["sigma"] / scale
     doc = {
         "model": family.value,
         "scheme": {"a1": scheme.a1, "b1": scheme.b1,
@@ -121,7 +119,7 @@ def _cmd_fit(args) -> int:
         "estimates": est,
         "branch": result.branch.value,
         "trimmed_moments": {"t1": result.t1, "t2": result.t2},
-        "standard_errors": None if se is None else dict(zip(names, se)),
+        "standard_errors": None if se is None else dict(zip(spec.names, se)),
         "covariance": None if cov is None else cov.tolist(),
         "breakdown_points": {"lower": lbp, "upper": ubp},
         "discriminant_negative": bool(result.discriminant_negative),
@@ -260,9 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=float, default=None,
                    help="true tail index (Frechet)")
     s.add_argument("--n", required=True, help="sample sizes, comma list")
-    s.add_argument("--replicates", type=int, default=2000)
-    s.add_argument("--repetitions", type=int, default=3)
-    s.add_argument("--seed", type=int, default=0)
+    for name in ("replicates", "repetitions", "seed"):
+        s.add_argument(f"--{name}", type=int,
+                       default=simulation.StudyConfig._field_defaults[name])
     s.add_argument("--scheme", action="append", default=[])
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(func=_cmd_simulate)

@@ -93,10 +93,6 @@ class FitResult(NamedTuple):
     n: int
     discriminant_negative: bool
 
-    @property
-    def estimates(self) -> tuple:
-        return SPECS[self.family].estimates(self.params)
-
 
 def candidate_scales(t1, t2, c: MomentConstants) -> CandidatePair:
     """Build the FT/ST terms of the two scale (tail index) candidates,

@@ -111,7 +111,9 @@ def load_dataset(path: Optional[str] = None) -> np.ndarray:
 def gof_report(family: Family, data,
                scheme: Optional[TrimmingScheme] = None) -> GofReport:
     """Fit the model (MLE when scheme is None, otherwise the trimmed
-    estimator) and report FIT/AIC/BIC.  data is in dollars."""
+    estimator) and report FIT/AIC/BIC.  data is in dollars.  The case
+    study compares lognormal and Frechet fits, so Family.NORMAL raises
+    ValueError."""
     if family is Family.NORMAL:
         raise ValueError("the case study fits lognormal or Frechet models")
     x = np.asarray(data, dtype=float)

@@ -226,13 +226,15 @@ def mle_frechet(data):
 
 def _libm(f):
     """f elementwise over a float or an array, with libm's rounding (numpy's
-    SIMD log and exp may round differently, by host); a float or a 0-d
-    array gives a numpy float64, as a ufunc does."""
+    SIMD log and exp may round differently, by host), so each row of a
+    batch fit equals the fit of that sample alone; a float or a 0-d array
+    gives a numpy float64, as a ufunc does.  An exception of f, such as
+    math.exp's OverflowError, propagates."""
     each = np.frompyfunc(f, 1, 1)
     return lambda u: np.asarray(each(u), dtype=float)[()]
 
 
-_log = _libm(math.log)
+_log, _exp = _libm(math.log), _libm(math.exp)
 _gumbel_libm = _libm(lambda v: -math.log(-math.log(v)))
 
 
@@ -360,11 +362,6 @@ def _s_mle_frechet(p):
             (off, k * ((sigma * beta) ** 2 * _GUMBEL_SCALE_INFO)))
 
 
-# math.exp, also elementwise over arrays: np.exp may round differently, and
-# each row of a batch fit must equal the fit of that sample alone.
-_exp = np.frompyfunc(math.exp, 1, 1)
-
-
 class FamilySpec(NamedTuple):
     """How one family maps onto the location-scale engine.
 
@@ -374,14 +371,15 @@ class FamilySpec(NamedTuple):
     `base_logpdf`; every distribution function of the family is derived
     from these.
     Reported parameters come in `names` order, also the row order of
-    estimator Jacobians: Frechet reports (scale, exp(location)), so
-    `scale_first` is set and the location row carries d sigma / d
-    location = sigma (`location_factor`).  `params` takes floats or
-    arrays.  `mle_rows` fits each row of transformed data (R, n), as
-    (location, scale) arrays that are NaN where no estimate exists,
-    `s_mle` gives the MLE's asymptotic covariance (the inverse Fisher
-    information) as two rows of Python floats, and `scaled` names the
-    parameters in data units.
+    estimator Jacobians.  `exp_location` is the one way a report departs
+    from (location, scale): Frechet reports (scale, exp(location)), a
+    sigma that comes after the scale beta, whose row carries d sigma / d
+    location = sigma (`location_factor`), and which is in data units.
+    `params` takes floats or arrays.  `mle_rows` fits each row of
+    transformed data (R, n), as (location, scale) arrays that are NaN
+    where no estimate exists, and `s_mle` gives the MLE's asymptotic
+    covariance (the inverse Fisher information) as two rows of Python
+    floats.
     """
 
     names: Tuple[str, str]
@@ -392,11 +390,14 @@ class FamilySpec(NamedTuple):
     base_logpdf: Callable
     location_scale: Callable[[ParameterVector], Tuple[float, float]]
     params: Callable[[float, float], ParameterVector]
-    location_factor: Callable[[float], float]
-    scale_first: bool
     mle_rows: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     s_mle: Callable[[ParameterVector], Tuple[Tuple[float, float], ...]]
-    scaled: Tuple[str, ...] = ()
+    exp_location: bool = False
+
+    def location_factor(self, sigma) -> float:
+        """d sigma / d location of the reported sigma: sigma where it is
+        exp(location), otherwise 1."""
+        return sigma if self.exp_location else 1.0
 
     def estimates(self, p: ParameterVector) -> tuple:
         """The reported parameters of p, in `names` order."""
@@ -433,8 +434,6 @@ _NORMAL_MAPS = dict(
     base_logpdf=lambda z: -0.5 * (z * z + math.log(2.0 * math.pi)),
     location_scale=lambda p: (p.theta, p.sigma),
     params=lambda loc, scale: ParameterVector(theta=loc, sigma=scale),
-    location_factor=lambda sigma: 1.0,
-    scale_first=False,
     mle_rows=_normal_rows,
     s_mle=lambda p: ((p.sigma ** 2, 0.0), (0.0, p.sigma ** 2 / 2.0)),
 )
@@ -455,9 +454,7 @@ SPECS = {
         location_scale=lambda p: (math.log(p.sigma), p.beta),
         params=lambda loc, scale: ParameterVector(sigma=_exp(loc),
                                                   beta=scale),
-        location_factor=lambda sigma: sigma,
-        scale_first=True,
         mle_rows=_frechet_rows,
         s_mle=_s_mle_frechet,
-        scaled=("sigma",)),
+        exp_location=True),
 }

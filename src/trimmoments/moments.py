@@ -173,7 +173,7 @@ def _phi_terms(z: float) -> tuple:
 
 # The Gumbel law's complete moments E G^k, k = 1..4, the integrals of G^k
 # over (0, 1), with Euler's gamma and zeta(3).
-_GAMMA = 0.57721566490153286061
+_GAMMA = np.euler_gamma
 _ZETA3 = 1.2020569031595942854
 _PI2 = math.pi ** 2
 _GUMBEL_COMPLETE = (

@@ -5,7 +5,7 @@ any moment functions, each integral its own quadrature), the
 brute-force double integral that checks it, and the parameter-free
 entries Lambda_ijk and Psi_ijk.  For the ARE: the population-level
 Jacobian, the data-unit product S_T = D Sigma_T D' that checks
-`asymptotics.fit_covariance`, the ARE through that product, the
+`asymptotics.delta_method`, the ARE through that product, the
 reference for the closed-form determinant of `asymptotics.are`, and the
 correlation-scaled gap between two covariances.  For
 the Frechet MLE: the likelihood score of one sample, a bracketing Brent
@@ -300,7 +300,7 @@ def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,
 def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Delta-method covariance S_T = D Sigma_T D', in the units of its
     operands: with `sigma_T` and the Jacobian at data-unit moments, the
-    data-unit reference for `asymptotics.fit_covariance`."""
+    data-unit reference for the S_T of `asymptotics.delta_method`."""
     s = jac @ sigma_t @ jac.T
     return 0.5 * (s + s.T)
 

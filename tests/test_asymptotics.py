@@ -10,7 +10,7 @@ from trimmoments.asymptotics import (
     SingularityError,
     are,
     breakdown_points,
-    fit_covariance,
+    delta_method,
     jacobian_at_moments,
     s_mle,
     sigma_T,
@@ -640,7 +640,7 @@ class TestWarmAre:
     def test_one_record_per_base_and_scheme(self):
         # Every constant of a scheme is one cached record per (base,
         # scheme): normal and lognormal share it, and `are`, `sigma_T`,
-        # `eta_constants` and `fit_covariance` all read it.  Besides the
+        # `eta_constants` and `delta_method` all read it.  Besides the
         # segment table, the package holds no other cache.
         clear_caches()
         s = validate_scheme(0.05, 0.05, 0.0, 0.1)
@@ -650,7 +650,7 @@ class TestWarmAre:
         sigma_T(Family.NORMAL, params, s)
         eta_constants(Family.NORMAL, s)
         eta_constants(Family.LOGNORMAL, s)
-        fit_covariance(fit(load_dataset(), s, Family.LOGNORMAL))
+        delta_method(fit(load_dataset(), s, Family.LOGNORMAL))[0]
         caches = {value for name, module in list(sys.modules.items())
                   if name.startswith("trimmoments")
                   for value in vars(module).values()
@@ -710,7 +710,7 @@ class TestBreakdownAndFitCovariance:
         x = sample(Family.NORMAL, ParameterVector(theta=0.1, sigma=5.0),
                    500, 77)
         fit = fit_location_scale(x, validate_scheme(0.05, 0.05, 0.00, 0.10))
-        cov = fit_covariance(fit)
+        cov = delta_method(fit)[0]
         assert cov[0, 0] > 0.0 and cov[1, 1] > 0.0
         assert cov[0, 1] == pytest.approx(cov[1, 0])
         # On this sample the estimator takes the minus candidate, and the
@@ -727,9 +727,9 @@ class TestBreakdownAndFitCovariance:
             return delta_covariance(st, jacobian_at_moments(
                 Family.NORMAL, fit.t1, fit.t2, con, branch, fit.params.sigma))
 
-        # fit_covariance takes the product in units of the fitted scale,
+        # delta_method takes the product in units of the fitted scale,
         # so it agrees with this data-unit one up to rounding.
-        cov = fit_covariance(fit)
+        cov = delta_method(fit)[0]
         assert correlation_gap(cov, delta(Branch.MINUS)) <= 1e-12
         assert not np.allclose(cov, delta(Branch.PLUS))
 
@@ -754,14 +754,14 @@ class TestBreakdownAndFitCovariance:
             if f.discriminant_negative:
                 negative += 1
                 with pytest.raises(SingularityError):
-                    fit_covariance(f)
+                    delta_method(f)[0]
                 continue
             ref = delta_covariance(
                 sigma_T(family, f.params, s),
                 jacobian_at_moments(family, f.t1, f.t2,
                                     eta_constants(family, s), f.branch,
                                     f.params.sigma))
-            assert correlation_gap(fit_covariance(f), ref) <= 1e-11
+            assert correlation_gap(delta_method(f)[0], ref) <= 1e-11
             branches.add(f.branch)
         assert {Branch.PLUS, Branch.MINUS} <= branches
         assert negative > 0
@@ -770,5 +770,5 @@ class TestBreakdownAndFitCovariance:
         x = sample(Family.FRECHET, ParameterVector(sigma=2.0, beta=5.0),
                    500, 78)
         fit = fit_frechet(x, validate_scheme(0.05, 0.05, 0.00, 0.10))
-        cov = fit_covariance(fit)
+        cov = delta_method(fit)[0]
         assert cov[0, 0] > 0.0 and cov[1, 1] > 0.0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trimmoments import gof, simulation
+from trimmoments import asymptotics, gof, simulation
 from trimmoments.cli import main
 from trimmoments.estimators import mle_normal
 from trimmoments.models import Family
@@ -530,6 +530,23 @@ def test_log_family_fit_is_scale_equivariant(capsys, model, trim, k):
                  (got_se["sigma"] / k, ref_se["sigma"])]
     for value, expected in pairs:
         assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("model", ["lognormal", "frechet"])
+def test_fit_takes_one_delta_method_pass(capsys, monkeypatch, model):
+    # The covariance and the standard errors come from one Jacobian at the
+    # fitted moments, not one pass each.
+    calls = []
+    jacobian = asymptotics.jacobian_at_moments
+
+    def counted(*args):
+        calls.append(args)
+        return jacobian(*args)
+
+    monkeypatch.setattr(asymptotics, "jacobian_at_moments", counted)
+    _clean_run(capsys, "fit", "--model", model, "--data", "hurricane",
+               *FIT_ZERO)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("k", [1e-160, 1e-200, 1e-300])

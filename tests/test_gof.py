@@ -60,6 +60,15 @@ class TestFitStatistic:
         assert r1.fit == pytest.approx(r2.fit, abs=1e-12)
 
 
+class TestGofReport:
+    def test_normal_family_rejected(self, damages):
+        # The case study compares the two log families; gof_report is a
+        # library call, and the CLI never passes it the normal family.
+        for scheme in (None, T3):
+            with pytest.raises(ValueError, match="lognormal or Frechet"):
+                gof_report(Family.NORMAL, damages, scheme)
+
+
 class TestInformationCriteria:
     def test_aic_bic_gap_identity(self, damages):
         rep = gof_report(Family.LOGNORMAL, damages, None)

@@ -4,9 +4,10 @@ Each case runs ``cli.main`` in-process and compares stdout byte for byte
 with a file under ``tests/golden/``.  The ``fit``, ``are`` and ``gof``
 files hold the output of the package before the families were merged
 into one location-scale engine, the two ``simulate`` files its output
-before the Monte Carlo study was vectorised; regenerate them only for a
-deliberate change of printed output, with
-``python tests/test_golden.py --write``.
+before the Monte Carlo study was vectorised.  The ``help`` files hold
+the ``--help`` texts of the program and its subcommands at 80 columns
+(``COLUMNS=80``).  Regenerate them only for a deliberate change of
+printed output, with ``python tests/test_golden.py --write``.
 """
 
 import json
@@ -82,6 +83,22 @@ def test_reference_invocation_stdout_is_unchanged(name, capsys):
     assert captured.out.encode() == (GOLDEN / name).read_bytes()
 
 
+HELP_CASES = {"help.txt": ["--help"], **{
+    f"help_{command}.txt": [command, "--help"]
+    for command in ("fit", "are", "simulate", "gof")}}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_text_is_unchanged(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(HELP_CASES[name])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / name).read_bytes()
+
+
 # numpy's AVX-512 kernels of log and exp round differently from its other
 # paths; `fit` takes every log of its 17 digits from libm instead.
 NO_AVX512 = ("AVX512F AVX512CD AVX512VL AVX512BW AVX512DQ AVX512_SKX "
@@ -119,8 +136,13 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    os.environ["COLUMNS"] = "80"
+    for name, argv in {**CASES, **HELP_CASES}.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+        assert code == 0
         (GOLDEN / name).write_bytes(buf.getvalue().encode())
