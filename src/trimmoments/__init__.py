@@ -6,7 +6,7 @@ efficiencies, a Monte Carlo study harness and goodness-of-fit
 reporting, with a command line front end (``trimmoments``).
 """
 
-from .models import Family, ParameterVector
+from .families import Family, ParameterVector
 from .moments import (
     MomentConstants,
     SchemeError,

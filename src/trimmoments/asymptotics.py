@@ -10,7 +10,7 @@ alone, and come from one cached record per (base, scheme)
 else, and the raw double integral is a brute-force oracle in the tests.
 Every family is a location-scale model on transformed data, so Sigma_T
 and the Jacobian are written once in (location, scale) and mapped to
-the reported parameters by one flag of `models.SPECS`, `exp_location`
+the reported parameters by one flag of `families.LAWS`, `exp_location`
 (Frechet's sigma = exp(location), reported after the scale).  S_T = D
 Sigma_T D', on the branch-aware Jacobian, is equivariant in the scale:
 `delta_method`, one pass per fit, forms S_T / scale^2 on the ratio
@@ -21,7 +21,10 @@ maximum likelihood, (det S_MLE / det S_T)^(1/2); each det is rejected
 when it over- or underflows.  Both share one singular rule, relative to
 the discriminant's terms.  The record holds the coefficients of the
 ARE's quadratics, and S_MLE comes as rows of Python floats
-(`FamilySpec.s_mle`), so a warm ARE point touches no numpy.
+(`FamilyLaw.s_mle`), so an ARE point, cold or warm, is arithmetic on
+Python floats.  The module imports no numpy: only the views that
+return arrays (`sigma_T`, `jacobian_at_moments`, `s_mle`) and
+`delta_method`, a fit's covariance, load it when called.
 """
 
 from __future__ import annotations
@@ -30,10 +33,7 @@ import math
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
-from .estimators import Branch
-from .models import SPECS, Family, ParameterVector
+from .families import LAWS, Branch, Family, ParameterVector
 from .moments import MomentConstants, TrimmingScheme, scheme_record
 
 __all__ = [
@@ -65,7 +65,7 @@ class AreResult(NamedTuple):
 def det2(m) -> float:
     """Determinant of a 2x2 matrix, an ndarray or two rows of Python
     floats, in Python floats (no numpy warning)."""
-    (a, b), (c, d) = m.tolist() if isinstance(m, np.ndarray) else m
+    (a, b), (c, d) = m.tolist() if hasattr(m, "tolist") else m
     return a * d - b * c
 
 
@@ -98,20 +98,21 @@ def _sigma_entries(loc: float, scale: float, lam: dict):
 
 
 def sigma_T(family: Family, params: ParameterVector,
-            scheme: TrimmingScheme) -> np.ndarray:
+            scheme: TrimmingScheme):
     """Asymptotic covariance of (T1_hat, T2_hat), the trimmed moments of
-    the transformed data, in the location-scale form of the family;
-    ValueError when a power of its parameters overflows."""
+    the transformed data, in the location-scale form of the family, as
+    an array; ValueError when a power of its parameters overflows."""
+    import numpy as np
+
     params.validate(family)
-    spec = SPECS[family]
-    s11, s12, s22 = _sigma_entries(
-        *spec.location_scale(params),
-        scheme_record(spec.base_quantile, scheme).lam)
+    law = LAWS[family]
+    s11, s12, s22 = _sigma_entries(*law.location_scale(params),
+                                   scheme_record(law.base, scheme).lam)
     return np.array([[s11, s12], [s12, s22]])
 
 
 def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
-                        branch=Branch.PLUS, sigma=None) -> np.ndarray:
+                        branch=Branch.PLUS, sigma=None):
     """Jacobian of the estimator map (g1, g2) at moment values (t1, t2),
     for the family's constants c (`eta_constants`).
 
@@ -120,40 +121,44 @@ def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
     sigma = exp(location) row is the location row times sigma.  branch
     is a `Branch` or its value; EQUAL_TRIM takes the plus sign.  The
     Frechet rows need the true (or fitted) sigma; the location-scale
-    rows do not read it."""
+    rows do not read it.  An array."""
+    import numpy as np
+
     sign = -1.0 if Branch(branch) is Branch.MINUS else 1.0
     disc = t2 - c.eta_r * t1 * t1
     if disc < _SINGULAR_TOL * (abs(t2) + abs(c.eta_r * t1 * t1)):
         raise SingularityError(
             f"scale discriminant {disc:.4e} is vanishing or negative")
     root = math.sqrt(c.eta_12) * math.sqrt(disc)
-    spec = SPECS[family]
+    law = LAWS[family]
     ds1 = sign * (-c.eta_r * t1 / root) + (c.m1_11 - c.m1_22) / c.eta_12
     ds2 = sign / (2.0 * root)
     # The factor goes first so that the Frechet row keeps the rounding
     # of its published form sigma * ds2 * kappa_1.
-    f = spec.location_factor(sigma)
+    f = law.location_factor(sigma)
     location = (f * (1.0 - c.m1_11 * ds1), f * ds2 * -c.m1_11)
     scale = (ds1, ds2)
-    return np.array((scale, location) if spec.exp_location
+    return np.array((scale, location) if law.exp_location
                     else (location, scale))
 
 
 def _s_mle_rows(family: Family, params: ParameterVector):
-    """S_MLE as the rows of Python floats of `FamilySpec.s_mle`, and its
+    """S_MLE as the rows of Python floats of `FamilyLaw.s_mle`, and its
     determinant; ValueError when either is out of range."""
     params.validate(family)
     try:
-        rows = SPECS[family].s_mle(params)
+        rows = LAWS[family].s_mle(params)
     except OverflowError:
         raise ValueError("parameters out of range: S_MLE overflows") from None
     return rows, _in_range(det2(rows), "S_MLE")
 
 
-def s_mle(family: Family, params: ParameterVector) -> np.ndarray:
+def s_mle(family: Family, params: ParameterVector):
     """Asymptotic covariance of the MLE, the inverse Fisher information
-    (`FamilySpec.s_mle`), as an array; ValueError when it or its
+    (`FamilyLaw.s_mle`), as an array; ValueError when it or its
     determinant is out of range."""
+    import numpy as np
+
     return np.array(_s_mle_rows(family, params)[0])
 
 
@@ -175,9 +180,9 @@ def are(family: Family, params: ParameterVector,
     and arithmetic on Python floats.
     """
     det_mle = _s_mle_rows(family, params)[1]
-    spec = SPECS[family]
-    loc, scale = spec.location_scale(params)
-    c, lam, q2, q1, q0, d2, d1, d0 = scheme_record(spec.base_quantile, scheme)
+    law = LAWS[family]
+    loc, scale = law.location_scale(params)
+    c, lam, q2, q1, q0, d2, d1, d0 = scheme_record(law.base, scheme)
     # The largest entry of Sigma_T in data units, the variance of T2,
     # must be finite, though the ARE does not depend on the scale.
     if not math.isfinite(_sigma_entries(loc, scale, lam)[2]):
@@ -199,7 +204,7 @@ def are(family: Family, params: ParameterVector,
     if disc < _SINGULAR_TOL * (abs(quad) + abs(lin) + abs(const)):
         return AreResult(0.0, math.inf, True)
     det_sigma = d2 * u * u + d1 * v + d0 * w
-    g = spec.location_factor(params.sigma) * scale * scale
+    g = law.location_factor(params.sigma) * scale * scale
     det_t = _in_range(g * g * det_sigma / (c.eta_12 * disc), "S_T")
     return AreResult(math.sqrt(det_mle / det_t), det_t)
 
@@ -220,14 +225,16 @@ def delta_method(fit):
     takes its square root before that factor, so a Frechet sigma's SE,
     sigma * sqrt(var / n), stays in range where sigma^2 underflows.
     ValueError when S_T overflows."""
-    spec = SPECS[fit.family]
-    loc, s = spec.location_scale(fit.params)
-    record = scheme_record(spec.base_quantile, fit.scheme)
+    import numpy as np
+
+    law = LAWS[fit.family]
+    loc, s = law.location_scale(fit.params)
+    record = scheme_record(law.base, fit.scheme)
     jac = jacobian_at_moments(fit.family, fit.t1 / s, fit.t2 / s / s,
                               record.c, fit.branch, 1.0)
     s11, s12, s22 = _sigma_entries(loc / s, 1.0, record.lam)
-    f = spec.location_factor(fit.params.sigma)
-    factors = (1.0, f) if spec.exp_location else (f, 1.0)
+    f = law.location_factor(fit.params.sigma)
+    factors = (1.0, f) if law.exp_location else (f, 1.0)
     try:
         with np.errstate(over="raise"):
             m = jac @ np.array([[s11, s12], [s12, s22]]) @ jac.T

@@ -10,6 +10,11 @@ gof       goodness-of-fit table for a damages dataset, CSV
 Exit codes: 0 success, 1 I/O error, 2 validation error (argparse's own
 rejections included), 3 estimation failure.  A failure writes one
 prefixed line to stderr and nothing to stdout; --help exits 0.
+
+The module imports only the package's numpy-free modules (`families`,
+`moments`, `asymptotics`), so the parser, every --help and `are` run
+without numpy; `fit`, `simulate` and `gof` import the array modules
+(`estimators`, `simulation`, `gof`) when they run.
 """
 
 from __future__ import annotations
@@ -21,12 +26,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import asymptotics, gof, simulation
-from .estimators import EstimationError, fit
-from .models import SPECS, Family, ParameterVector
-from .moments import SchemeError, validate_scheme
+from . import asymptotics
+from .families import LAWS, EstimationError, Family, ParameterVector
+from .moments import MAX_SIZE, SchemeError, validate_scheme
 
 __all__ = ["main"]
 
@@ -61,16 +63,18 @@ def _parse_grid(spec: str):
         if not all(map(math.isfinite, (start, stop, step, span))):
             raise ValueError(f"grid range {spec!r} is not finite")
         points = round(span) + 1
-        if points > simulation.MAX_SIZE:
+        if points > MAX_SIZE:
             raise ValueError(f"grid range {spec!r} has more than "
-                             f"{simulation.MAX_SIZE} points")
+                             f"{MAX_SIZE} points")
         return [start + i * step for i in range(points)]
     return [_parse_number(p) for p in spec.split(",")]
 
 
-def _load_data(path: str, scale: float) -> np.ndarray:
+def _load_data(path: str, scale: float):
+    from . import gof
+
     x = gof.load_dataset(None if path == "hurricane" else path)
-    if not (scale > 0.0 and math.isfinite(float(np.abs(x).max()) * scale)):
+    if not (scale > 0.0 and math.isfinite(float(abs(x).max()) * scale)):
         raise ValueError(f"--scale must be positive and keep the data "
                          f"finite, got {scale}")
     return x * scale
@@ -93,6 +97,9 @@ def _write_csv(path, rows):
 
 
 def _cmd_fit(args) -> int:
+    from . import gof
+    from .estimators import fit
+
     scale = args.scale
     if scale is None:
         scale = gof.DATA_SCALE if args.data == "hurricane" else 1.0
@@ -100,15 +107,15 @@ def _cmd_fit(args) -> int:
     scheme = validate_scheme(_parse_number(args.a1), _parse_number(args.b1),
                              _parse_number(args.a2), _parse_number(args.b2))
     family = Family.parse(args.model)
-    spec = SPECS[family]
+    law = LAWS[family]
     result = fit(data, scheme, family)
     try:
         cov, se = asymptotics.delta_method(result)
     except asymptotics.SingularityError:
         cov, se = None, None
     lbp, ubp = asymptotics.breakdown_points(scheme)
-    est = dict(zip(spec.names, spec.estimates(result.params)))
-    if spec.exp_location and scale != 1.0:
+    est = dict(zip(law.names, law.estimates(result.params)))
+    if law.exp_location and scale != 1.0:
         est["sigma_scaled"] = est["sigma"] / scale
     doc = {
         "model": family.value,
@@ -119,7 +126,7 @@ def _cmd_fit(args) -> int:
         "estimates": est,
         "branch": result.branch.value,
         "trimmed_moments": {"t1": result.t1, "t2": result.t2},
-        "standard_errors": None if se is None else dict(zip(spec.names, se)),
+        "standard_errors": None if se is None else dict(zip(law.names, se)),
         "covariance": None if cov is None else cov.tolist(),
         "breakdown_points": {"lower": lbp, "upper": ubp},
         "discriminant_negative": bool(result.discriminant_negative),
@@ -133,7 +140,7 @@ def _cmd_fit(args) -> int:
 def _model_flag(args, family: Family) -> str:
     """The model's parameter besides sigma, --theta or --beta, which
     must be given; the other flag is rejected instead of ignored."""
-    pname = SPECS[family].names[0]
+    pname = LAWS[family].names[0]
     for flag in ("theta", "beta"):
         if (getattr(args, flag) is None) == (flag == pname):
             raise ValueError(f"--model {family.value} takes --{pname}"
@@ -158,6 +165,8 @@ def _cmd_are(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulation
+
     family = Family.parse(args.model)
     schemes = [_parse_scheme(s) for s in args.scheme]
     p1 = _model_flag(args, family)
@@ -165,9 +174,10 @@ def _cmd_simulate(args) -> int:
     sizes = _parse_grid(args.n)
     if not all(float(n).is_integer() for n in sizes):
         raise ValueError(f"--n takes whole numbers, got {args.n!r}")
-    configs = [simulation.StudyConfig(
-        family, params, int(n), schemes, replicates=args.replicates,
-        repetitions=args.repetitions, seed=args.seed) for n in sizes]
+    given = {name: getattr(args, name) for name in _STUDY_OPTIONS
+             if getattr(args, name) is not None}
+    configs = [simulation.StudyConfig(family, params, int(n), schemes, **given)
+               for n in sizes]
     for cfg in configs:
         cfg.validate()
     rows = [["estimator", "n", f"mean_{p1}_ratio", "mean_sigma_ratio", "re",
@@ -183,6 +193,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gof(args) -> int:
+    from . import gof
+
     scale = gof.DATA_SCALE if args.scale is None else args.scale
     data = _load_data(args.data, scale)
     schemes = [_parse_scheme(s) for s in args.scheme]
@@ -206,6 +218,10 @@ def _cmd_gof(args) -> int:
             ])
     _write_csv(args.output, rows)
     return 0
+
+
+# The `simulate` options that default to `StudyConfig`'s own defaults.
+_STUDY_OPTIONS = ("replicates", "repetitions", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,9 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=float, default=None,
                    help="true tail index (Frechet)")
     s.add_argument("--n", required=True, help="sample sizes, comma list")
-    for name in ("replicates", "repetitions", "seed"):
-        s.add_argument(f"--{name}", type=int,
-                       default=simulation.StudyConfig._field_defaults[name])
+    for name in _STUDY_OPTIONS:
+        s.add_argument(f"--{name}", type=int, default=None)
     s.add_argument("--scheme", action="append", default=[])
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(func=_cmd_simulate)

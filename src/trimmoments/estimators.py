@@ -15,20 +15,13 @@ tracer of bench/spans.py.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .models import (  # noqa: F401  (mle_* are re-exported)
-    SPECS,
-    EstimationError,
-    Family,
-    ParameterVector,
-    mle_frechet,
-    mle_normal,
-)
+from .families import Branch, EstimationError, Family, ParameterVector
+from .models import SPECS, mle_frechet, mle_normal  # noqa: F401  (re-exported)
 from .moments import (
     MomentConstants,
     SchemeTag,
@@ -51,14 +44,6 @@ __all__ = [
     "fit_location_scale",
     "fit_frechet",
 ]
-
-
-class Branch(enum.Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-    EQUAL_TRIM = "equal-trim"
-
-    __hash__ = object.__hash__  # identity, as for `models.Family`
 
 
 class CandidatePair(NamedTuple):

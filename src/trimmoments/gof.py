@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .estimators import fit
-from .models import SPECS, Family, ParameterVector, logpdf, transformed_quantile
+from .families import LAWS, Family, ParameterVector
+from .models import SPECS, logpdf, transformed_quantile
 from .moments import TrimmingScheme
 
 __all__ = [
@@ -66,7 +67,7 @@ def log_likelihood(family: Family, params: ParameterVector, data) -> float:
 
 def information_criteria(family: Family, params: ParameterVector, data):
     """(AIC, BIC) at the supplied estimates (plug-in likelihood)."""
-    k = len(SPECS[family].names)
+    k = len(LAWS[family].names)
     n = len(np.asarray(data))
     ll = log_likelihood(family, params, data)
     return 2.0 * k - 2.0 * ll, k * math.log(n) - 2.0 * ll

@@ -1,9 +1,11 @@
-"""Parametric families: normal, lognormal and Frechet (location zero).
+"""Parametric families on arrays: data, samples and the reference MLE.
 
-Each family is one `FamilySpec` record in `SPECS` plus its reference
-maximum likelihood estimator.  The trimmed-moment machinery only ever
-fits a location-scale model y = location + scale * Z to transformed
-data y, and the spec says how a family maps onto it:
+A family's scalar facts, its `FamilyLaw` in `families.LAWS`, hold no
+numpy; this module adds the array side in one `FamilySpec` record per
+family in `SPECS`, whose `law` is that record.  The trimmed-moment
+machinery only ever fits a location-scale model y = location + scale *
+Z to transformed data y, and the spec says how a family's data map
+onto it:
 
 - normal: y = x, Z ~ Phi^{-1}(U), (theta, sigma) = (location, scale);
 - lognormal: y = log x, the normal model on log-data, with (theta,
@@ -13,13 +15,13 @@ data y, and the spec says how a family maps onto it:
 
 The transformed quantile, the log-density and sampling are written
 once from the spec: the base law of Z (normal or standard Gumbel), the
-transform, its inverse and its log-Jacobian.  Phi^{-1} is a pure-Python
-port of the Cephes `ndtri` that scipy's is, bit for bit (`_ndtri`); only
+transform, its inverse and its log-Jacobian.  The base quantile on
+arrays is the law's `base` element by element (`_ndtri`, the Cephes
+port that equals scipy's `ndtri` bit for bit, and the Gumbel G); only
 the Monte Carlo draw, a whole block of uniforms at once, forwards to
-scipy's, imported at its first call.  Importing the package, `fit`,
-`are` and `gof` leave scipy unloaded; with the normal segment moments
-in closed form (`moments`), they read Phi^{-1} at a few dozen points at
-most.  Off the draw, every log reaching the 17 printed digits (the Gumbel
+scipy's `ndtri` (imported at its first call) and to numpy's logs.
+Importing the package, `fit`, `are` and `gof` leave scipy unloaded.
+Off the draw, every log reaching the 17 printed digits (the Gumbel
 quantile, the log transform of the data) is libm's `math.log`, whose
 rounding does not depend on the host's SIMD extensions.
 
@@ -36,69 +38,32 @@ same values, not only to their own class.
 
 from __future__ import annotations
 
-import enum
 import math
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
+
+from .families import (
+    LAWS,
+    EstimationError,
+    Family,
+    FamilyLaw,
+    ParameterVector,
+    _gumbel_float,
+    _ndtri_float,
+)
 
 __all__ = [
     "Family",
     "ParameterVector",
     "FamilySpec",
     "SPECS",
-    "EstimationError",
     "transformed_quantile",
     "logpdf",
     "sample",
     "mle_normal",
     "mle_frechet",
 ]
-
-
-class EstimationError(Exception):
-    """No admissible scale candidate; update the trimming proportions."""
-
-
-class Family(enum.Enum):
-    NORMAL = "normal"
-    LOGNORMAL = "lognormal"
-    FRECHET = "frechet"
-
-    # Members are singletons that compare by identity; Enum's own hash
-    # is a Python-level hash of the name, paid on every SPECS lookup and
-    # every cache key.
-    __hash__ = object.__hash__
-
-    @classmethod
-    def parse(cls, name: str) -> "Family":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown family {name!r}") from None
-
-
-class ParameterVector(NamedTuple):
-    """Model parameters.
-
-    theta is the location (log-scale location for lognormal), sigma the
-    scale, and beta the Frechet tail index (1/alpha); beta is None for
-    the location-scale families.
-    """
-
-    theta: float = 0.0
-    sigma: float = 1.0
-    beta: Optional[float] = None
-
-    def validate(self, family: Family) -> None:
-        """Each reported parameter must be finite, and positive unless it
-        is the location theta."""
-        for name in SPECS[family].names:
-            value = getattr(self, name)
-            if value is None or not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if name != "theta" and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_u(u):
@@ -111,7 +76,7 @@ def _check_u(u):
 def _location_scale(family: Family, params: ParameterVector):
     params.validate(family)
     spec = SPECS[family]
-    return (spec, *spec.location_scale(params))
+    return (spec, *spec.law.location_scale(params))
 
 
 def transformed_quantile(family: Family, params: ParameterVector, u):
@@ -235,86 +200,20 @@ def _libm(f):
 
 
 _log, _exp = _libm(math.log), _libm(math.exp)
-_gumbel_libm = _libm(lambda v: -math.log(-math.log(v)))
+_gumbel_libm = _libm(_gumbel_float)
 
 
 def _gumbel_quantile(u, out=None):
     """Standard Gumbel quantile G(u) = -log(-log u): log X for the unit
     Frechet model, written into `out` when given (a ufunc's `out`).
 
-    Without `out` (segment ends, breakpoints, `gof`'s quantiles) each
-    log is libm's; the draw's block keeps numpy's.
+    Without `out` (`gof`'s quantiles) it is the law's G at each point,
+    with libm's logs; the draw's block keeps numpy's.
     """
     if out is None:
         return _gumbel_libm(u)
     return np.negative(np.log(np.negative(np.log(u, out=out), out=out),
                               out=out), out=out)
-
-
-# Cephes ndtri (Moshier): z = Phi^{-1}(y) is a rational function of y - 1/2
-# where |y - 1/2| <= 1/2 - exp(-2), and elsewhere, with x = sqrt(-2 log y)
-# for the tail y, x - log(x) / x less a rational function of 1 / x (one for
-# x < 8, one beyond).  Coefficients highest power first; Q has a leading 1.
-_S2PI = 2.50662827463100050242
-_EXP_M2 = 0.13533528323661269189
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-       -5.66762857469070293439E1, 1.39312609387279679503E1,
-       -1.23916583867381258016E0)
-_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
-       8.63602421390890590575E1, -2.25462687854119370527E2,
-       2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-       5.71628192246421288162E1, 4.40805073893200834700E1,
-       1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-       -8.57456785154685413611E-4)
-_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
-       4.13172038254672030440E1, 1.50425385692907503408E1,
-       2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-       3.93881025292474443415E0, 1.33303460815807542389E0,
-       2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6,
-       6.23974539184983293730E-9)
-_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
-       1.37702099489081330271E0, 2.16236993594496635890E-1,
-       1.34204006088543189037E-2, 3.28014464682127739104E-4,
-       2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _ratio(x, p, q):
-    """x * p(x) / q(x), each polynomial by Horner's rule, q monic: Cephes
-    x * polevl / p1evl, rounded in that order."""
-    num, den = p[0], x + q[0]
-    for c in p[1:]:
-        num = num * x + c
-    for c in q[1:]:
-        den = den * x + c
-    return x * num / den
-
-
-def _ndtri_float(y: float) -> float:
-    """Phi^{-1}(y) of one float, as Cephes computes it."""
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * _ratio(y2, _P0, _Q0)) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    tail = _ratio(z, *((_P1, _Q1) if x < 8.0 else (_P2, _Q2)))
-    x = x - math.log(x) / x - tail
-    return x if upper else -x
 
 
 _ndtri_libm = _libm(_ndtri_float)
@@ -324,11 +223,11 @@ _scipy_ndtri = None
 def _ndtri(u, out=None):
     """Standard normal quantile Phi^{-1}(u), bit for bit scipy.special.ndtri.
 
-    Without `out` (at most a few dozen points: breakpoints, `gof`'s
-    quantiles) it is the Cephes port, about 1.5 us a point.  With `out`,
-    the draw's whole block of uniforms, it forwards to scipy's ufunc,
-    imported on the first such call.  This one function stays the normal
-    families' base_quantile, so caches keyed on it never split.
+    Without `out` (`gof`'s quantiles) it is the law's Cephes port at
+    each point, about 1.5 us a point.  With `out`, the draw's whole block
+    of uniforms, it forwards to scipy's ufunc, imported on the first
+    such call.  This one function stays the normal families'
+    base_quantile.
     """
     if out is None:
         return _ndtri_libm(u)
@@ -348,60 +247,27 @@ def _log_data(label):
     return dict(transform=transform, inverse=np.exp, log_jacobian=np.negative)
 
 
-# The point-free factors of the Frechet S_MLE, computed once.
-_SIX_OVER_PI2 = 6.0 / math.pi ** 2
-_GUMBEL_SCALE_INFO = (np.euler_gamma - 1.0) ** 2 + math.pi ** 2 / 6.0
-
-
-def _s_mle_frechet(p):
-    """Inverse Frechet Fisher information in (beta, sigma), as rows of
-    Python floats; its determinant is 6 beta^4 sigma^2 / pi^2."""
-    beta, sigma, k = p.beta, p.sigma, _SIX_OVER_PI2
-    off = k * ((1.0 - np.euler_gamma) * sigma * beta ** 2)
-    return ((k * beta ** 2, off),
-            (off, k * ((sigma * beta) ** 2 * _GUMBEL_SCALE_INFO)))
-
-
 class FamilySpec(NamedTuple):
-    """How one family maps onto the location-scale engine.
+    """How one family's data and samples meet its `FamilyLaw`, `law`.
 
     The data y = transform(x) (x = inverse(y), with log |dy/dx| =
     log_jacobian(y)) follow y = loc + scale * Z, where Z has the base
-    law given by `base_quantile` (which, like a ufunc, takes `out=`) and
-    `base_logpdf`; every distribution function of the family is derived
-    from these.
-    Reported parameters come in `names` order, also the row order of
-    estimator Jacobians.  `exp_location` is the one way a report departs
-    from (location, scale): Frechet reports (scale, exp(location)), a
-    sigma that comes after the scale beta, whose row carries d sigma / d
-    location = sigma (`location_factor`), and which is in data units.
-    `params` takes floats or arrays.  `mle_rows` fits each row of
-    transformed data (R, n), as (location, scale) arrays that are NaN
-    where no estimate exists, and `s_mle` gives the MLE's asymptotic
-    covariance (the inverse Fisher information) as two rows of Python
-    floats.
+    law given by `base_quantile` (the law's `base` over a float or an
+    array, which, like a ufunc, takes `out=`) and `base_logpdf`; every
+    distribution function of the family is derived from these.
+    `params` maps (location, scale), floats or arrays, to the reported
+    parameters.  `mle_rows` fits each row of transformed data (R, n), as
+    (location, scale) arrays that are NaN where no estimate exists.
     """
 
-    names: Tuple[str, str]
+    law: FamilyLaw
     transform: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
     log_jacobian: Callable[[np.ndarray], np.ndarray]
     base_quantile: Callable
     base_logpdf: Callable
-    location_scale: Callable[[ParameterVector], Tuple[float, float]]
     params: Callable[[float, float], ParameterVector]
     mle_rows: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    s_mle: Callable[[ParameterVector], Tuple[Tuple[float, float], ...]]
-    exp_location: bool = False
-
-    def location_factor(self, sigma) -> float:
-        """d sigma / d location of the reported sigma: sigma where it is
-        exp(location), otherwise 1."""
-        return sigma if self.exp_location else 1.0
-
-    def estimates(self, p: ParameterVector) -> tuple:
-        """The reported parameters of p, in `names` order."""
-        return (getattr(p, self.names[0]), getattr(p, self.names[1]))
 
     def mle(self, x) -> ParameterVector:
         """The MLE of one raw sample x: row 0 of `mle_rows` on its
@@ -423,19 +289,17 @@ class FamilySpec(NamedTuple):
         array u of uniform draws, of any shape, computed in u's buffer
         and returned there.  u is first clipped to stay strictly inside
         (0, 1): random() can return exactly 0."""
-        loc, scale = self.location_scale(p)
+        loc, scale = self.law.location_scale(p)
         z = self.base_quantile(np.clip(u, 1e-300, 1.0 - 1e-16, out=u), out=u)
         return np.add(np.multiply(z, scale, out=z), loc, out=z)
 
 
 _NORMAL_MAPS = dict(
-    names=("theta", "sigma"),
+    law=LAWS[Family.NORMAL],
     base_quantile=_ndtri,
     base_logpdf=lambda z: -0.5 * (z * z + math.log(2.0 * math.pi)),
-    location_scale=lambda p: (p.theta, p.sigma),
     params=lambda loc, scale: ParameterVector(theta=loc, sigma=scale),
     mle_rows=_normal_rows,
-    s_mle=lambda p: ((p.sigma ** 2, 0.0), (0.0, p.sigma ** 2 / 2.0)),
 )
 
 SPECS = {
@@ -447,14 +311,11 @@ SPECS = {
         **_log_data("lognormal"),
         **_NORMAL_MAPS),
     Family.FRECHET: FamilySpec(
-        names=("beta", "sigma"),
+        law=LAWS[Family.FRECHET],
         **_log_data("Frechet"),
         base_quantile=_gumbel_quantile,
         base_logpdf=lambda z: -z - np.exp(-z),
-        location_scale=lambda p: (math.log(p.sigma), p.beta),
         params=lambda loc, scale: ParameterVector(sigma=_exp(loc),
                                                   beta=scale),
-        mle_rows=_frechet_rows,
-        s_mle=_s_mle_frechet,
-        exp_location=True),
+        mle_rows=_frechet_rows),
 }

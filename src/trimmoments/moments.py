@@ -4,7 +4,7 @@ The j-th sample trimmed moment discards the lowest floor(n*a_j) and
 highest floor(n*b_j) order statistics and averages h_j over the kept
 block; its population counterpart averages H_j = h_j o F^{-1} over the
 window [a_j, 1-b_j].  Every family is a location-scale model on
-transformed data (`models.SPECS`) with h_1(y) = y, h_2(y) = y^2, so
+transformed data (`families.LAWS`) with h_1(y) = y, h_2(y) = y^2, so
 T1 = mu + s c_1 and T2 = mu^2 + 2 mu s c_1 + s^2 c_2 in the window
 averages c_k of powers of the base quantile (Phi^{-1}, or the Gumbel
 G = -log(-log u) for Frechet).  Every integral, here and in the
@@ -19,9 +19,13 @@ one Kronrod-15 panel between each pair of fixed knots (`_segment`,
 Every constant of a scheme comes from that table once, in one cached
 record per (base, scheme), `scheme_record`: c, the entries Lambda of
 `asymptotics.sigma_T` (`_v_pair`) and the coefficients of
-`asymptotics.are`.  A `TrimmingScheme` is a `typing.NamedTuple`, equal
-to a plain tuple of its values; that cache only ever receives schemes
-from `validate_scheme`, so its keys cannot collide with another type.
+`asymptotics.are`.  The base is the family law's quantile of one float
+(`FamilyLaw.base`), and every entry of the table and the record is a
+Python float: the module imports no numpy, and only
+`sample_trimmed_moment`, on a data array, loads it when called.  A
+`TrimmingScheme` is a `typing.NamedTuple`, equal to a plain tuple of
+its values; that cache only ever receives schemes from
+`validate_scheme`, so its keys cannot collide with another type.
 
 The c form is the one convention the estimators read.  The paper
 writes the Frechet constants with Delta(u) = log(-log u) = -G(u): its
@@ -38,9 +42,7 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
-import numpy as np
-
-from .models import SPECS, Family, ParameterVector, _libm
+from .families import EULER_GAMMA, LAWS, Family, ParameterVector
 from .quadrature import integrate
 
 __all__ = [
@@ -56,7 +58,13 @@ __all__ = [
     "zeta_constants",
     "population_moments",
     "window_moments",
+    "MAX_SIZE",
 ]
+
+# Largest sample size, replicate count and repetition count, which size
+# a study's arrays (`simulation.StudyConfig`), and most points a CLI
+# 'start:stop:step' grid may have.
+MAX_SIZE = 10 ** 6
 
 
 class SchemeError(ValueError):
@@ -150,7 +158,11 @@ def sample_trimmed_moment(data, a, b, h):
 
     The data are sorted, the lowest floor(n*a) and highest floor(n*b)
     observations are discarded, and h is averaged over the kept block.
+    The one function of the module on arrays, it imports numpy when
+    called.
     """
+    import numpy as np
+
     x = np.sort(np.asarray(data, dtype=float))
     n = x.size
     if n == 0:
@@ -173,7 +185,7 @@ def _phi_terms(z: float) -> tuple:
 
 # The Gumbel law's complete moments E G^k, k = 1..4, the integrals of G^k
 # over (0, 1), with Euler's gamma and zeta(3).
-_GAMMA = np.euler_gamma
+_GAMMA = EULER_GAMMA
 _ZETA3 = 1.2020569031595942854
 _PI2 = math.pi ** 2
 _GUMBEL_COMPLETE = (
@@ -185,15 +197,11 @@ _GUMBEL_COMPLETE = (
 # Where a Gumbel segment from u = 0 starts: below x = -4, |x|^4 g(x) <
 # 3e-20.
 _GUMBEL_START = -4.0
-# The Gumbel density g(x) = exp(-x - e^-x), with libm's rounding.
-_gumbel_density = _libm(lambda x: math.exp(-x - math.exp(-x)))
 
 
-def _gumbel_powers(x):
-    """x^k g(x), k = 1..4, at the nodes x."""
-    g = _gumbel_density(x)
-    x2 = x * x
-    return x * g, x2 * g, x2 * x * g, x2 * x2 * g
+def _gumbel_density(x: float) -> float:
+    """The Gumbel density g(x) = exp(-x - e^-x), with libm's rounding."""
+    return math.exp(-x - math.exp(-x))
 
 
 @lru_cache(maxsize=None)
@@ -207,22 +215,23 @@ def _segment(base, lo: float, hi: float) -> tuple:
     terms vanish at u = 0 and 1 (z infinite).  For the Gumbel G, x =
     G(u) gives du = g(x) dx, so M_k is the integral of x^k g(x) over
     [G(lo), G(hi)], smooth and bounded, on the fixed Kronrod panels of
-    `quadrature.integrate` (all four powers from one integrand call):
+    `quadrature.integrate` (all four powers from one density call per
+    node):
     from _GUMBEL_START where lo = 0, and as the complete moments less
     the segment [0, lo] where hi = 1 (G is infinite at both)."""
-    if base is SPECS[Family.NORMAL].base_quantile:
-        a, b = map(_phi_terms, base(np.array((lo, hi))).tolist())
+    if base is LAWS[Family.NORMAL].base:
+        a, b = _phi_terms(base(lo)), _phi_terms(base(hi))
         width = hi - lo
         return (a[0] - b[0], width + a[1] - b[1], a[2] - b[2],
                 3.0 * width + a[3] - b[3])
     if hi == 1.0:
         head = _segment(base, 0.0, lo) if lo > 0.0 else (0.0,) * 4
         return tuple(c - h for c, h in zip(_GUMBEL_COMPLETE, head))
-    start = float(base(lo)) if lo > 0.0 else _GUMBEL_START
-    end = float(base(hi))
+    start = base(lo) if lo > 0.0 else _GUMBEL_START
+    end = base(hi)
     if not start < end:
         return (0.0,) * 4
-    return tuple(integrate(_gumbel_powers, start, end).tolist())
+    return integrate(_gumbel_density, start, end)
 
 
 def window_moments(base, *points):
@@ -335,7 +344,7 @@ def scheme_record(base, scheme: TrimmingScheme) -> SchemeRecord:
     # The base diverges at 0 and 1; every term of V that holds it there
     # has a zero factor (u, 1 - u or an empty window), so 0.0 stands in.
     z = {0.0: 0.0, 1.0: 0.0}
-    z.update(zip(inner, base(np.array(inner)).tolist()))
+    z.update((u, base(u)) for u in inner)
     g1 = 1.0 / (1.0 - scheme.a1 - scheme.b1)
     g2 = 1.0 / (1.0 - scheme.a2 - scheme.b2)
     lin, half_sq = (1, 1.0), (2, 0.5)
@@ -358,7 +367,7 @@ def scheme_record(base, scheme: TrimmingScheme) -> SchemeRecord:
 def eta_constants(family: Family, scheme: TrimmingScheme) -> MomentConstants:
     """Location-scale constants c and the eta quadratic forms (for
     Frechet, c of the Gumbel base), read from the cached `scheme_record`."""
-    return scheme_record(SPECS[family].base_quantile, scheme).c
+    return scheme_record(LAWS[family].base, scheme).c
 
 
 def zeta_constants(scheme: TrimmingScheme) -> MomentConstants:
@@ -374,7 +383,7 @@ def population_moments(family: Family, params: ParameterVector,
     """Population trimmed moments (T1, T2) of the transformed data: X
     itself for normal data, log X for lognormal and Frechet data."""
     params.validate(family)
-    loc, scale = SPECS[family].location_scale(params)
+    loc, scale = LAWS[family].location_scale(params)
     c = eta_constants(family, scheme)
     t1 = loc + scale * c.m1_11
     t2 = loc * loc + 2.0 * loc * scale * c.m1_22 + scale * scale * c.m2_22

@@ -37,8 +37,9 @@ import numpy as np
 
 from .asymptotics import det2, s_mle
 from .estimators import EstimationError, fit_rows, squares_overflow
-from .models import SPECS, Family, ParameterVector
-from .moments import TrimmingScheme, eta_constants
+from .families import LAWS, Family, ParameterVector
+from .models import SPECS
+from .moments import MAX_SIZE, TrimmingScheme, eta_constants
 
 __all__ = ["StudyConfig", "SchemeSummary", "StudyResult", "finite_re",
            "run_study", "MLE_LABEL"]
@@ -51,10 +52,6 @@ BLOCK_ELEMENTS = 2 ** 17
 
 # Largest share of replicates an estimator may fail on.
 MAX_FAILURE_RATE = 0.01
-
-# Largest sample size, replicate count and repetition count, which size
-# a study's arrays, and most points a CLI 'start:stop:step' grid may have.
-MAX_SIZE = 10 ** 6
 
 
 class StudyConfig(NamedTuple):
@@ -80,7 +77,7 @@ class StudyConfig(NamedTuple):
             raise ValueError("parameters out of range: squares of draws overflow")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if 0.0 in SPECS[self.family].estimates(self.params):
+        if 0.0 in LAWS[self.family].estimates(self.params):
             raise ValueError("true parameters must be nonzero: the study "
                              "reports estimate/truth ratios")
 
@@ -124,7 +121,7 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
         raise ValueError("estimates must be an (m, 2) array with m >= 2")
     cov = s_mle(family, params)
     sd = np.sqrt(np.diag(cov))
-    z = (est - np.array(SPECS[family].estimates(params))) / sd
+    z = (est - np.array(LAWS[family].estimates(params))) / sd
     try:
         with np.errstate(over="raise"):
             det = det2(z.T @ z / z.shape[0])
@@ -230,7 +227,7 @@ def _estimates(spec, loc, scale) -> np.ndarray:
     row whose parameters overflow (a Frechet sigma = exp(location) above
     the float range), found by splitting the rows in halves."""
     try:
-        return np.transpose(spec.estimates(spec.params(loc, scale)))
+        return np.transpose(spec.law.estimates(spec.params(loc, scale)))
     except OverflowError:
         if len(loc) == 1:
             return np.full((1, 2), np.nan)
@@ -258,7 +255,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     config.validate()
     family, params, n = config.family, config.params, config.n
     spec = SPECS[family]
-    truth = np.array(spec.estimates(params))
+    truth = np.array(spec.law.estimates(params))
     constants = [eta_constants(family, s) for s in config.schemes]
 
     labels = [MLE_LABEL] + [s.label() for s in config.schemes]

@@ -16,7 +16,8 @@ models: the quantile, pdf and cdf of each family.  For the constants:
 the window averages c_k and the paper's kappa_k, the sigma of the plus
 scale candidate, and the Gumbel segment moments to 30 digits and by the
 adaptive rule.  For the integrals of quantile powers over (0, 1), whose
-endpoints may be singular: an adaptive Gauss-Kronrod 7/15 integrator."""
+endpoints may be singular: an adaptive Gauss-Kronrod 7/15 integrator.
+For the package's fixed rule: the same rule summed by numpy."""
 
 import heapq
 import math
@@ -26,6 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from trimmoments import quadrature
 from trimmoments.asymptotics import (
     AreResult,
     SingularityError,
@@ -36,6 +38,7 @@ from trimmoments.asymptotics import (
     sigma_T,
 )
 from trimmoments.estimators import Branch, candidate_scales, solve_scale
+from trimmoments.families import LAWS
 from trimmoments.models import (
     _MLE_MAX_ITER,
     _MLE_RESIDUAL,
@@ -55,7 +58,9 @@ from trimmoments.moments import (
     trim_counts,
     window_moments,
 )
-from trimmoments.quadrature import _WK, _XK
+
+# The package's K15 abscissae and weights, as arrays.
+_XK, _WK = np.array(quadrature._XK), np.array(quadrature._WK)
 
 
 # Adaptive quadrature for integrands that may diverge (integrably) at 0
@@ -200,7 +205,7 @@ def cdf(family: Family, params: ParameterVector, x):
     standardised transformed data."""
     params.validate(family)
     spec = SPECS[family]
-    loc, scale = spec.location_scale(params)
+    loc, scale = spec.law.location_scale(params)
     z = (spec.transform(np.asarray(x, dtype=float)) - loc) / scale
     return np.exp(-np.exp(-z)) if family is Family.FRECHET else ndtr(z)
 
@@ -210,12 +215,12 @@ def c_k(family: Family, a: float, bbar: float, k: int) -> float:
     if family is Family.FRECHET:
         raise ValueError("c_k is defined for the location-scale families; "
                          "use kappa_k")
-    return _checked_window_mean(SPECS[family].base_quantile, a, bbar, k)
+    return _checked_window_mean(LAWS[family].base, a, bbar, k)
 
 
 def kappa_k(a: float, bbar: float, k: int) -> float:
     """Window-averaged k-th power of Delta(u) = log(-log u) = -G(u)."""
-    base = SPECS[Family.FRECHET].base_quantile
+    base = LAWS[Family.FRECHET].base
     return (-1) ** k * _checked_window_mean(base, a, bbar, k)
 
 
@@ -265,6 +270,20 @@ def gumbel_segment_adaptive(lo: float, hi: float) -> np.ndarray:
     return integrate(powers, a, b)
 
 
+def integrate_numpy(f, a, b):
+    """The package's fixed K15 rule summed by numpy: f is vectorised,
+    called once on every node of every panel, and may return a (k,
+    nodes) stack of k components; the result is a float, or the k
+    integrals.  The reference of `quadrature.integrate`, the same rule
+    on Python floats."""
+    cuts = np.array([a, *(k for k in quadrature._KNOTS if a < k < b), b])
+    half = 0.5 * np.diff(cuts)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    y = np.asarray(f((mid[:, None] + half[:, None] * _XK).ravel()),
+                   dtype=float)
+    return (y.reshape(*y.shape[:-1], half.size, _XK.size) @ _WK) @ half
+
+
 def plus_sigma(family: Family, t1, t2, scheme: TrimmingScheme):
     """The reported sigma of the plus scale candidate at moments (t1, t2),
     the sigma the Frechet Jacobian rows take at population moments."""
@@ -275,8 +294,7 @@ def plus_sigma(family: Family, t1, t2, scheme: TrimmingScheme):
 
 def lambda_entries(scheme: TrimmingScheme) -> dict:
     """Location-scale covariance constants Lambda_ijk (parameter-free)."""
-    return dict(scheme_record(SPECS[Family.NORMAL].base_quantile,
-                              scheme).lam)
+    return dict(scheme_record(LAWS[Family.NORMAL].base, scheme).lam)
 
 
 def psi_entries(scheme: TrimmingScheme) -> dict:
@@ -284,7 +302,7 @@ def psi_entries(scheme: TrimmingScheme) -> dict:
     paper's Delta = -G base: the entries pairing one base factor with
     one half-square (k = 2) change sign."""
     return {k: -v if k[2] == "2" else v
-            for k, v in scheme_record(SPECS[Family.FRECHET].base_quantile,
+            for k, v in scheme_record(LAWS[Family.FRECHET].base,
                                       scheme).lam.items()}
 
 

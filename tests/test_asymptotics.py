@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from trimmoments import asymptotics, models, moments
+from trimmoments import asymptotics, moments
 from trimmoments.asymptotics import (
     SingularityError,
     are,
@@ -21,8 +21,9 @@ from trimmoments.estimators import (
     fit_frechet,
     fit_location_scale,
 )
+from trimmoments.families import LAWS
 from trimmoments.gof import load_dataset
-from trimmoments.models import SPECS, Family, ParameterVector, sample
+from trimmoments.models import Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeError,
     eta_constants,
@@ -509,7 +510,7 @@ class TestAre:
             calls.append((a, b))
             return integrate(f, a, b)
 
-        gumbel = SPECS[Family.FRECHET].base_quantile
+        gumbel = LAWS[Family.FRECHET].base
 
         def limits(lo, hi):
             start = -4.0 if lo == 0.0 else gumbel(lo)
@@ -540,15 +541,14 @@ class TestAre:
             return integrate(g, a, b)
 
         monkeypatch.setattr(moments, "integrate", counted)
-        for family, kernel_name in ((Family.NORMAL, "_ndtri_libm"),
-                                    (Family.FRECHET, "_gumbel_libm")):
-            base_points, original = [], getattr(models, kernel_name)
+        for family in (Family.NORMAL, Family.FRECHET):
+            base_points, law = [], LAWS[family]
 
-            def counted_base(u, original=original, base_points=base_points):
+            def counted_base(u, original=law.base, base_points=base_points):
                 base_points.append(np.size(u))
                 return original(u)
 
-            monkeypatch.setattr(models, kernel_name, counted_base)
+            monkeypatch.setitem(LAWS, family, law._replace(base=counted_base))
             segments = _count_segments(monkeypatch)
             visited.clear()
             clear_caches()
@@ -665,7 +665,7 @@ class TestWarmAre:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_warm_point_equals_cold_point(self, monkeypatch, family):
-        own = SPECS[family].names[0]
+        own = LAWS[family].names[0]
         points = [(ParameterVector(**{own: v, "sigma": 2.0}),
                    validate_scheme(*quad))
                   for quad in REFERENCE_SCHEMES for v in (0.5, 1.0, 2.5)]
@@ -689,7 +689,7 @@ class TestWarmAre:
     def test_s_mle_array_holds_the_spec_rows(self, rng, family):
         for _ in range(5):
             params = random_params(rng, family)
-            rows = SPECS[family].s_mle(params)
+            rows = LAWS[family].s_mle(params)
             assert type(rows) is tuple
             assert all(type(v) is float for row in rows for v in row)
             got = s_mle(family, params)

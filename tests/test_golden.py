@@ -8,6 +8,11 @@ before the Monte Carlo study was vectorised.  The ``help`` files hold
 the ``--help`` texts of the program and its subcommands at 80 columns
 (``COLUMNS=80``).  Regenerate them only for a deliberate change of
 printed output, with ``python tests/test_golden.py --write``.
+
+``are_edges.json`` holds the stdout, stderr and exit code of ``are`` at
+extreme parameters, schemes and grids, as the package gave them while
+its ARE constants were still computed with numpy; it is not rewritten
+by ``--write``.
 """
 
 import json
@@ -81,6 +86,17 @@ def test_reference_invocation_stdout_is_unchanged(name, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / name).read_bytes()
+
+
+EDGES = json.loads((GOLDEN / "are_edges.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_are_edge_case_is_unchanged(name, capsys):
+    case = EDGES[name]
+    assert main(case["argv"]) == case["code"]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
 
 
 HELP_CASES = {"help.txt": ["--help"], **{

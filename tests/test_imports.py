@@ -1,6 +1,12 @@
-"""The import contract: scipy loads only at the first Monte Carlo draw of
-a normal family.
+"""The import contract: numpy loads only for `fit`, `simulate` and `gof`,
+and scipy only at the first Monte Carlo draw of a normal family.
 
+`import trimmoments`, `import trimmoments.cli`, every `--help` and
+`are` for all three models run without numpy: the command line module
+imports only the numpy-free modules (`families`, `moments`,
+`quadrature`, `asymptotics`), which compute an ARE point on Python
+floats, and imports the array modules (`estimators`, `gof`,
+`simulation`, `models`) inside the subcommands that use them.
 Importing the package, and every `fit`, `are` and `gof` run, leave scipy
 unloaded (it is most of the CLI's start-up time).  The normal families'
 base quantile is one function, a port of Cephes `ndtri` that equals
@@ -17,13 +23,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.special
 
 import trimmoments
 from trimmoments import models
 from trimmoments.models import SPECS, Family, ParameterVector
 
 PACKAGE = Path(trimmoments.__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
+GOLDEN = Path(__file__).with_name("golden")
 
 FIT_FRECHET = ["fit", "--model", "frechet", "--data", "hurricane",
                "--a1", "1/30", "--b1", "1/30", "--a2", "1/30", "--b2", "1/30"]
@@ -63,6 +70,88 @@ def _scipy_loaded(*runs):
     return json.loads(proc.stdout)
 
 
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy raises ImportError
+import trimmoments
+import trimmoments.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = trimmoments.cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    runs.append([code, out.getvalue(), sys.modules.get("numpy") is not None])
+print(json.dumps(runs))
+"""
+
+
+def _numpy_probe(runs, blocked):
+    """[exit code, stdout, numpy loaded] after each CLI run of `runs` in
+    turn, in one fresh interpreter, where numpy cannot be imported if
+    `blocked`."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(runs),
+         "blocked" if blocked else "free"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(proc.stdout)
+
+
+def test_import_help_and_are_run_without_numpy():
+    invocations = json.loads((ROOT / "bench" / "reference.json")
+                             .read_text())["cli"]["invocations"]
+    are_lognormal = ["are", "--model", "lognormal", "--sigma", "0.5",
+                     "--theta=-2,0,3", "--scheme", "0.05,0.05,0,0.10",
+                     "--scheme", "0.1,0.1,0.1,0.1"]
+    runs = [["--help"], *([command, "--help"]
+                          for command in ("fit", "are", "simulate", "gof")),
+            invocations["are-normal"], invocations["are-frechet"],
+            are_lognormal]
+    blocked = _numpy_probe(runs, blocked=True)
+    free = _numpy_probe(runs, blocked=False)
+    assert [code for code, _, _ in blocked] == [0] * len(runs)
+    assert [out for _, out, _ in blocked] == [out for _, out, _ in free]
+    assert all(out for _, out, _ in free)
+    # With numpy installed, none of these runs loads it either.
+    assert [loaded for _, _, loaded in free] == [False] * len(runs)
+
+
+def test_fit_after_are_imports_the_array_modules():
+    (are_code, _, after_are), (fit_code, out, after_fit) = _numpy_probe(
+        [ARE_FRECHET, FIT_FRECHET], blocked=False)
+    assert (are_code, after_are, fit_code, after_fit) == (0, False, 0, True)
+    assert out == (GOLDEN / "fit_frechet.json").read_text()
+
+
+def _top_level_imports(tree):
+    """The package modules a module imports at import time, by their
+    relative imports outside function bodies."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_cli_imports_exactly_the_numpy_free_modules():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    numpy_free = {name for name, tree in trees.items()
+                  if not any(m.split(".")[0] == "numpy"
+                             for m in _import_time_modules(tree))}
+    assert numpy_free == {"__init__", "families", "quadrature", "moments",
+                          "asymptotics", "cli"}
+    assert set(_top_level_imports(trees["cli"])) == numpy_free - {
+        "__init__", "cli", "quadrature"}
+
+
 def test_cli_import_and_frechet_runs_leave_scipy_unloaded():
     assert _scipy_loaded(FIT_FRECHET, ARE_FRECHET) == [False, False, False]
 
@@ -74,9 +163,12 @@ def test_only_a_normal_draw_loads_scipy():
 
 
 def test_normal_base_quantile_is_one_function(monkeypatch):
-    # The base quantile reads no scipy; the first draw imports ndtri.  The
-    # caches keyed on the base quantile (the segment table and the scheme
-    # records of `moments`) must see the same object throughout.
+    # The base quantile reads no scipy; the first draw imports ndtri, and
+    # the base quantile stays the same object throughout.  (scipy is
+    # imported here, not at the top: the numpy-free tests above run
+    # without it.)
+    import scipy.special
+
     monkeypatch.setattr(models, "_scipy_ndtri", None)
     base = SPECS[Family.NORMAL].base_quantile
     assert SPECS[Family.LOGNORMAL].base_quantile is base
@@ -105,6 +197,8 @@ def _tail_points():
 
 
 def test_normal_base_quantile_is_ndtri_bit_for_bit():
+    import scipy.special
+
     base, ndtri = SPECS[Family.NORMAL].base_quantile, scipy.special.ndtri
     u = _tail_points()
     assert u.size == 10 ** 6

@@ -158,7 +158,7 @@ def test_draw_transforms_its_uniforms_in_place(family):
     # Bit for bit the out-of-place loc + scale * base_quantile(clipped u),
     # in u's own buffer, the extremes 0 and 1 - 2**-53 included.
     spec, p = SPECS[family], PARAMS[family]
-    loc, scale = spec.location_scale(p)
+    loc, scale = spec.law.location_scale(p)
     u0 = np.random.default_rng(3).random((4, 50))
     u0[0, :2] = 0.0, 1.0 - 2.0 ** -53
     want = loc + scale * spec.base_quantile(np.clip(u0, 1e-300, 1 - 1e-16))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from trimmoments import moments
+from trimmoments.families import EULER_GAMMA, LAWS
 from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeError,
@@ -225,7 +226,7 @@ class TestSegmentTable:
 
     @pytest.mark.parametrize("a, b", WINDOWS)
     def test_normal_first_and_second_powers(self, a, b):
-        moment = window_moments(SPECS[Family.NORMAL].base_quantile, a, b)
+        moment = window_moments(LAWS[Family.NORMAL].base, a, b)
         za, zb = ndtri(a), ndtri(b)
         assert moment(a, b, 1) == pytest.approx(_phi(za) - _phi(zb),
                                                 rel=0.0, abs=1e-15)
@@ -235,7 +236,7 @@ class TestSegmentTable:
     @pytest.mark.parametrize("a, b", WINDOWS)
     def test_normal_third_and_fourth_powers(self, a, b):
         # z^3 phi = -d[(z^2 + 2) phi] and z^4 phi = 3 phi - d[(z^3 + 3z) phi].
-        moment = window_moments(SPECS[Family.NORMAL].base_quantile, a, b)
+        moment = window_moments(LAWS[Family.NORMAL].base, a, b)
         za, zb = ndtri(a), ndtri(b)
 
         def cubic(z):
@@ -251,10 +252,29 @@ class TestSegmentTable:
             rel=0.0, abs=1e-15)
 
     def test_normal_moments_on_the_unit_interval(self):
-        moment = window_moments(SPECS[Family.NORMAL].base_quantile, 0.0, 1.0)
+        moment = window_moments(LAWS[Family.NORMAL].base, 0.0, 1.0)
         for k, expected in zip((1, 2, 3, 4), (0.0, 1.0, 0.0, 3.0)):
             assert moment(0.0, 1.0, k) == pytest.approx(expected, rel=0.0,
                                                         abs=1e-15)
+
+    def test_entries_are_python_floats(self):
+        # The segment table and the scheme records hold Python floats,
+        # never numpy scalars, for both bases.
+        s = validate_scheme(0.05, 0.05, 0.0, 0.1)
+        for family in (Family.NORMAL, Family.FRECHET):
+            base = LAWS[family].base
+            record = moments.scheme_record(base, s)
+            values = [*record.c, *record.lam.values(), *record[2:]]
+            assert [type(v) for v in values] == [float] * len(values)
+            for lo, hi in [(0.0, 0.05), (0.05, 0.9), (0.9, 0.95),
+                           (0.95, 1.0)]:
+                segment = moments._segment(base, lo, hi)
+                assert [type(m) for m in segment] == [float] * 4
+
+    def test_euler_gamma_is_numpys_bit_for_bit(self):
+        assert type(EULER_GAMMA) is float
+        assert EULER_GAMMA.hex() == float(np.euler_gamma).hex()
+        assert moments._GUMBEL_COMPLETE[0] == np.euler_gamma
 
     def test_gumbel_moments_on_the_unit_interval(self):
         g, p2 = GAMMA, math.pi ** 2
@@ -262,7 +282,7 @@ class TestSegmentTable:
                     g ** 3 + g * p2 / 2.0 + 2.0 * ZETA3,
                     g ** 4 + g * g * p2 + 8.0 * g * ZETA3
                     + 3.0 * p2 * p2 / 20.0)
-        moment = window_moments(SPECS[Family.FRECHET].base_quantile, 0.0, 1.0)
+        moment = window_moments(LAWS[Family.FRECHET].base, 0.0, 1.0)
         for k, value in zip((1, 2, 3, 4), expected):
             assert moment(0.0, 1.0, k) == pytest.approx(value, rel=0.0,
                                                         abs=1e-13)
@@ -275,7 +295,7 @@ class TestSegmentTable:
     def test_gumbel_segments_against_a_30_digit_reference(self, lo, hi):
         # Lattice segments, segments from 0 and to 1 (the complete
         # moments less [0, lo]), and the far tails of G.
-        moment = window_moments(SPECS[Family.FRECHET].base_quantile, lo, hi)
+        moment = window_moments(LAWS[Family.FRECHET].base, lo, hi)
         for k, value in zip((1, 2, 3, 4), gumbel_segment(lo, hi)):
             assert moment(lo, hi, k) == pytest.approx(value, rel=0.0,
                                                       abs=1e-13)
@@ -283,7 +303,7 @@ class TestSegmentTable:
     def test_gumbel_lattice_segments_against_the_adaptive_rule(self):
         # Every segment between the lattice points k/100 of both tails
         # and the far tails of G, touching 0 and 1 included.
-        base = SPECS[Family.FRECHET].base_quantile
+        base = LAWS[Family.FRECHET].base
         points = sorted({k / 100 for k in (*range(31), *range(70, 101))}
                         | {1e-300, 1e-12, 1.0 - 1e-9, 1.0 - 2.0 ** -53})
         worst = max(
@@ -294,7 +314,7 @@ class TestSegmentTable:
         assert worst <= 1e-13
 
     def test_window_is_the_sum_of_its_segments(self):
-        base = SPECS[Family.FRECHET].base_quantile
+        base = LAWS[Family.FRECHET].base
         points = (0.0, 0.05, 0.9, 1.0)
         moment = window_moments(base, *points)
         for k in (1, 2, 3, 4):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from oracles import IntegrationError, integrate
+from oracles import IntegrationError, integrate, integrate_numpy
 from trimmoments import quadrature
+from trimmoments.families import LAWS, Family
 
 GAMMA = 0.57721566490153286
 
@@ -111,23 +113,69 @@ def test_against_midpoint_oracle(rng):
             _midpoint(f, a, b), abs=1e-6)
 
 
+def _exp_moment(k, a, b):
+    """The integral of x^k e^-x over [a, b]: the antiderivative is
+    -e^-x times the sum of k!/j! x^j over j = 0..k."""
+    def anti(x):
+        return -math.exp(-x) * sum(math.factorial(k) / math.factorial(j)
+                                   * x ** j for j in range(k + 1))
+    return anti(b) - anti(a)
+
+
 @pytest.mark.parametrize("a, b", [(-4.0, -3.3), (-4.0, 36.7), (-1.0, 1.0),
                                   (0.2, 0.3), (-3.5, 32.0), (1e-3, 40.0)])
 def test_fixed_rule_takes_one_integrand_call(a, b):
     # The package's rule: one K15 panel per piece between the knots
-    # strictly inside (a, b), every node in one call, none adaptive.
+    # strictly inside (a, b), none adaptive, and one call of the density
+    # on each node, a Python float, from which one loop forms all four
+    # moments x^k g(x), k = 1..4.
     calls = []
 
-    def f(x):
+    def g(x):
         calls.append(x)
-        return np.stack([np.ones_like(x), x, x * x, np.exp(-x)])
+        return math.exp(-x)
 
-    got = quadrature.integrate(f, a, b)
+    got = quadrature.integrate(g, a, b)
     inside = [k for k in quadrature._KNOTS if a < k < b]
-    assert len(calls) == 1
-    assert calls[0].shape == (15 * (1 + len(inside)),)
-    assert np.all((a < calls[0]) & (calls[0] < b))
-    assert got.shape == (4,)
-    exact = [b - a, (b * b - a * a) / 2.0, (b ** 3 - a ** 3) / 3.0,
-             math.exp(-a) - math.exp(-b)]
+    assert len(calls) == 15 * (1 + len(inside))
+    assert all(type(x) is float and a < x < b for x in calls)
+    assert type(got) is tuple and [type(m) for m in got] == [float] * 4
+    exact = [_exp_moment(k, a, b) for k in (1, 2, 3, 4)]
     assert got == pytest.approx(exact, rel=1e-13)
+
+
+def _gumbel_density(x):
+    return math.exp(-x - math.exp(-x))
+
+
+def _gumbel_powers(x):
+    """x^k g(x), k = 1..4, at the nodes x, as the package formed them on
+    arrays: the density with libm's rounding, then the same products."""
+    g = np.array([_gumbel_density(v) for v in x])
+    x2 = x * x
+    return x * g, x2 * g, x2 * x * g, x2 * x2 * g
+
+
+def test_python_rule_matches_the_numpy_rule():
+    # Every Gumbel segment between the points k/100 (k <= 30 or k >= 70)
+    # and the far tails of G, from x = -4 at u = 0.  The two sums differ
+    # only in their order of rounding, which is relative to the integral
+    # of |x|^k g(x): the integral itself wherever x^k does not change
+    # sign, that is all but the odd moments of segments across x = 0.
+    # There M1 may nearly cancel (-0.0025 on [1e-12, 0.75]), so a sum's
+    # own rounding is larger relative to it.
+    gumbel = LAWS[Family.FRECHET].base
+    points = sorted({k / 100 for k in (*range(31), *range(70, 100))}
+                    | {1e-300, 1e-12, 1.0 - 1e-9, 1.0 - 2.0 ** -53})
+    worst = 0.0
+    for lo, hi in itertools.combinations(points, 2):
+        a = -4.0 if lo == 0.0 else gumbel(lo)
+        b = gumbel(hi)
+        if not a < b:
+            continue  # [0, 1e-300]: empty in the Gumbel variable
+        got = quadrature.integrate(_gumbel_density, a, b)
+        want = integrate_numpy(_gumbel_powers, a, b)
+        size = integrate_numpy(lambda x: np.abs(_gumbel_powers(x)), a, b)
+        worst = max(worst, *(abs(g - w) / s
+                             for g, w, s in zip(got, want, size)))
+    assert worst <= 1e-15
