@@ -71,7 +71,10 @@ def det2(m) -> float:
 
 def _in_range(det: float, name: str) -> float:
     """det S_MLE or det S_T, which the ARE ratio needs to be a positive
-    normal float; otherwise the parameters are out of range."""
+    normal float; otherwise the parameters are out of range.  From
+    finite entries a NaN det is inf - inf: both products overflowed."""
+    if math.isnan(det):
+        raise ValueError(f"parameters out of range: det {name} overflows")
     if not sys.float_info.min <= det < math.inf:
         raise ValueError(f"parameters out of range: det {name} is {det}")
     return det

@@ -39,6 +39,8 @@ __all__ = [
     "mle_frechet",
     "candidate_scales",
     "solve_scale",
+    "row_moments",
+    "solve_rows",
     "fit_rows",
     "fit",
     "fit_location_scale",
@@ -141,12 +143,10 @@ def solve_scale(t1, t2, constants, tag: SchemeTag,
     return float(scale), _branch(tag, take), pair
 
 
-def fit_rows(ys, squares, schemes: Sequence[TrimmingScheme],
-             constants: Sequence[MomentConstants],
-             mle_scale: Callable[[], np.ndarray]):
-    """The trimmed-moment fits of each row of ys, sorted samples of
+def row_moments(ys, squares, schemes: Sequence[TrimmingScheme], out=None):
+    """The trimmed moments of each row of ys, sorted samples of
     transformed data (R, n), given their squares ys * ys, for every
-    scheme of schemes with its constants (`eta_constants`).
+    scheme of schemes: the first step of `fit_rows`.
 
     The columns are cut at every scheme's trimmed counts, and each
     segment between consecutive cuts is summed once, in ys and in the
@@ -158,12 +158,9 @@ def fit_rows(ys, squares, schemes: Sequence[TrimmingScheme],
     bits from its fit alone (`fit` passes one scheme); each row's stay
     independent of the other rows.
 
-    Yields, one scheme at a time, (location, scale, branch, pair, t1,
-    t2), arrays over the rows as `solve_scale` gives them; a row fails
-    where scale is not positive.  A constant row (its first sorted value
-    equal to its last) fails on every scheme: it has no scale, yet a
-    nested scheme's plus root is positive on it, and an equal scheme's
-    root is a rounding residue of its moments.
+    Returns (t, constant): t (len(schemes), 2, R) holds each scheme's t1
+    and t2 (written into out when given), and constant flags the rows
+    whose first sorted value equals their last.
     """
     n = ys.shape[1]
     windows = [(trim_counts(n, s.a1, s.b1), trim_counts(n, s.a2, s.b2))
@@ -172,27 +169,54 @@ def fit_rows(ys, squares, schemes: Sequence[TrimmingScheme],
     at = {c: i for i, c in enumerate(cuts)}
     segments = [(ys[:, a:b].sum(axis=1), squares[:, a:b].sum(axis=1))
                 for a, b in zip(cuts, cuts[1:])]
+    if out is None:
+        out = np.empty((len(schemes), 2, len(ys)))
+    for t, window in zip(out, windows):
+        for k, (lo, hi) in enumerate(window):
+            sums = [seg[k] for seg in segments[at[lo]:at[n - hi]]]
+            np.divide(sum(sums[1:], sums[0]), n - lo - hi, out=t[k])
+    return out, ys[:, 0] == ys[:, -1]
 
-    def moment(lo, hi, k):
-        sums = [seg[k] for seg in segments[at[lo]:at[n - hi]]]
-        return sum(sums[1:], sums[0]) / (n - lo - hi)
 
-    constant = ys[:, 0] == ys[:, -1]
-    for scheme, c, ((lo1, hi1), (lo2, hi2)) in zip(schemes, constants,
-                                                   windows):
-        t1, t2 = moment(lo1, hi1, 0), moment(lo2, hi2, 1)
+def solve_rows(t, constant, schemes: Sequence[TrimmingScheme],
+               constants: Sequence[MomentConstants],
+               mle_scale: Callable[[], np.ndarray]):
+    """The fits from `row_moments`' (t, constant), for every scheme of
+    schemes with its constants (`eta_constants`): the second step of
+    `fit_rows`, one `solve_scale` call per scheme over all the rows.
+
+    Yields, one scheme at a time, (location, scale, branch, pair, t1,
+    t2), arrays over the rows as `solve_scale` gives them; a row fails
+    where scale is not positive.  A constant row fails on every scheme:
+    it has no scale, yet a nested scheme's plus root is positive on it,
+    and an equal scheme's root is a rounding residue of its moments.
+    """
+    for scheme, c, (t1, t2) in zip(schemes, constants, t):
         scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
         scale = np.where(constant, np.nan, scale)
         yield t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
+
+
+def fit_rows(ys, squares, schemes: Sequence[TrimmingScheme],
+             constants: Sequence[MomentConstants],
+             mle_scale: Callable[[], np.ndarray]):
+    """The trimmed-moment fits of each row of ys, sorted samples of
+    transformed data (R, n), given their squares ys * ys, for every
+    scheme of schemes with its constants: `solve_rows` on the
+    `row_moments` of the rows, the steps `simulation.run_study` takes
+    per block of rows and per repetition.
+    """
+    return solve_rows(*row_moments(ys, squares, schemes), schemes,
+                      constants, mle_scale)
 
 
 def fit(data, scheme: TrimmingScheme,
         family: Family = Family.NORMAL) -> FitResult:
     """Fit the family's parameters by the location-scale trimmed-moment
     estimator on transformed data (see `models.SPECS`), as the one-row,
-    one-scheme case of `fit_rows`; the reference MLE, computed only if
-    needed, is the one-row case of `mle_rows`, as in
-    `simulation.run_study`.
+    one-scheme case of `fit_rows` (`row_moments`, then `solve_rows`);
+    the reference MLE, computed only if needed, is the one-row case of
+    `mle_rows`, as in `simulation.run_study`.
 
     Normal data are fitted as they are; lognormal data are
     log-transformed and (theta, sigma) reported on the log scale;

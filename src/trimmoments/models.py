@@ -107,11 +107,13 @@ def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:
     return spec.inverse(spec.draw(params, u))
 
 
-def _normal_rows(y):
+def _normal_rows(y, work=None):
     """Normal MLE of each row of y (R, n): the mean and the
-    1/n-variance standard deviation."""
+    1/n-variance standard deviation.  The squared deviations are formed
+    in work[0] when a workspace (2, R, n) is given (see `FamilySpec`)."""
     mu = y.mean(axis=1)
-    return mu, np.sqrt(((y - mu[:, None]) ** 2).mean(axis=1))
+    dev = np.subtract(y, mu[:, None], out=None if work is None else work[0])
+    return mu, np.sqrt(np.square(dev, out=dev).mean(axis=1))
 
 
 def mle_normal(data):
@@ -128,7 +130,7 @@ def mle_normal(data):
 _MLE_RTOL, _MLE_MAX_ITER, _MLE_RESIDUAL = 1e-9, 100, 1e-10
 
 
-def _frechet_rows(logx):
+def _frechet_rows(logx, work=None):
     """Frechet MLE of each row of log-data (R, n) as (log sigma, beta).
 
     beta solves the score xi(b) = b + E_w[l] - mean(l) = 0, E_w the mean
@@ -139,22 +141,25 @@ def _frechet_rows(logx):
     to bisection when they leave the bracket unconverged; only unconverged
     rows are iterated.  Constant rows (no root), no convergence within
     _MLE_MAX_ITER steps and a residual |xi| > 1e-10 leave the row NaN.
-    sigma follows in closed form.
+    sigma follows in closed form.  With a workspace work (2, R, n) (see
+    `FamilySpec`), the shifted data and the scratch array are its two
+    halves, and only the shrinking copy of the iterated rows is new.
     """
     n = logx.shape[1]
     lmin = logx.min(axis=1)
+    if work is None:
+        work = np.empty((2,) + logx.shape)
     # xi is shift invariant; d >= 0 keeps the weights exp(-d / b) <= 1.
-    d = logx - lmin[:, None]
-    dbar = d.mean(axis=1)
-    loc, beta = np.full(len(d), np.nan), np.full(len(d), np.nan)
+    shifted = np.subtract(logx, lmin[:, None], out=work[0])
+    dbar = shifted.mean(axis=1)
+    loc, beta = np.full(len(logx), np.nan), np.full(len(logx), np.nan)
     rows = np.flatnonzero(np.isfinite(dbar) & (dbar > 0.0))
-    if rows.size < len(d):
-        d = d[rows]
+    d = shifted if rows.size == len(logx) else shifted[rows]
     lo, hi = np.zeros(rows.size), dbar[rows]
     # Every block-sized step writes into one scratch array, whose leading
     # rows hold the rows still iterated; the weighted sums of d and d^2
     # are formed without writing their products.
-    w = np.empty_like(d)
+    w = work[1, :rows.size]
     np.subtract(d, hi[:, None], out=w)
     sd = np.sqrt(np.square(w, out=w).mean(axis=1))
     b = np.minimum(math.sqrt(6.0) / math.pi * sd, hi)
@@ -178,8 +183,11 @@ def _frechet_rows(logx):
         b = b - step
         b = np.where(last | ((lo < b) & (b <= hi)), b, 0.5 * (lo + hi))
         if not keep.all():
-            rows, d, b, lo, hi, last = (v[keep]
-                                        for v in (rows, d, b, lo, hi, last))
+            rows, b, lo, hi, last = (v[keep] for v in (rows, b, lo, hi, last))
+            # The rows still iterated are copied from the shifted data
+            # once the previous copy is let go, so one copy at most is held.
+            del d
+            d = shifted[rows]
     return loc, beta
 
 
@@ -257,7 +265,10 @@ class FamilySpec(NamedTuple):
     distribution function of the family is derived from these.
     `params` maps (location, scale), floats or arrays, to the reported
     parameters.  `mle_rows` fits each row of transformed data (R, n), as
-    (location, scale) arrays that are NaN where no estimate exists.
+    (location, scale) arrays that are NaN where no estimate exists; its
+    optional second argument, a workspace (2, R, n), holds its
+    row-sized temporaries, so that a caller fitting block after block
+    (`simulation.run_study`) allocates them once.
     """
 
     law: FamilyLaw
@@ -267,7 +278,7 @@ class FamilySpec(NamedTuple):
     base_quantile: Callable
     base_logpdf: Callable
     params: Callable[[float, float], ParameterVector]
-    mle_rows: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    mle_rows: Callable[..., Tuple[np.ndarray, np.ndarray]]
 
     def mle(self, x) -> ParameterVector:
         """The MLE of one raw sample x: row 0 of `mle_rows` on its

@@ -9,14 +9,20 @@ do not depend on how replicates are grouped.  The streams of a block are
 not built one SeedSequence at a time: their PCG64 states are derived
 together in uint64 array arithmetic that reproduces numpy's seeding bit
 for bit (`_pcg64_states`), and one reused generator draws each row.
-Replicates are processed in blocks of at most BLOCK_ELEMENTS values: a
+A repetition is worked in two parts.  Everything that reads the n
+values of a replicate runs per block of at most BLOCK_ELEMENTS values: a
 block is drawn directly on the transformed scale the estimators fit,
 y = loc + scale * base_quantile(u), transformed in its uniforms buffer
-(`FamilySpec.draw`), gets its reference MLE (`FamilySpec.mle_rows`,
-which iterates in one scratch array) on the rows as drawn, is sorted
-once and squared once, and one `estimators.fit_rows` call fits every
-estimator to all its rows, from sums of the block and squares over the
-segments between the schemes' cuts, formed once.  A
+(`FamilySpec.draw`), gets its reference MLE (`FamilySpec.mle_rows`, in
+its workspace) on the rows as drawn, is sorted once and squared once,
+and one `estimators.row_moments` call gives every scheme's t1 and t2 of
+its rows, from sums of the block and squares over the segments between
+the schemes' cuts, formed once.  The uniforms buffer and the workspace
+are allocated once per study; every block reuses them, a shorter last
+block their leading rows.  Everything that works per replicate and
+scheme runs once per repetition, on all its replicates: one
+`estimators.solve_rows` pass solves each scheme's scale from the kept
+moments, and the estimates, ratios and RE of each estimator follow.  A
 replicate whose fit fails, whose fitted parameters overflow, or whose
 MLE fails where the MLE row or a proximity rule needs it, counts in
 that estimator's failures and is left out of its ratios and RE (a
@@ -30,13 +36,15 @@ from the finished rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
 from .asymptotics import det2, s_mle
-from .estimators import EstimationError, fit_rows, squares_overflow
+from .estimators import (EstimationError, row_moments, solve_rows,
+                         squares_overflow)
 from .families import LAWS, Family, ParameterVector
 from .models import SPECS
 from .moments import MAX_SIZE, TrimmingScheme, eta_constants
@@ -47,7 +55,12 @@ __all__ = ["StudyConfig", "SchemeSummary", "StudyResult", "finite_re",
 MLE_LABEL = "MLE"
 
 # Values per block of replicates (rows x n: 1310 x 100, 131 x 1000).  A
-# study holds a few blocks' worth of memory whatever its size.
+# study holds three blocks (the uniforms and the MLE's two-half
+# workspace), and the Frechet MLE a fourth at most, whatever its size.  A
+# repetition's arrays grow with its replicates: 16 bytes each for every
+# scheme's t1, t2 and for the MLE are kept, and the solve and estimates
+# of one estimator take up to about 155 more: about 365 bytes a
+# replicate with 12 schemes, 365 MB at MAX_SIZE replicates.
 BLOCK_ELEMENTS = 2 ** 17
 
 # Largest share of replicates an estimator may fail on.
@@ -203,8 +216,10 @@ def _pcg64_states(seed: int, rep: int, ks):
         yield ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def _uniforms(seed: int, rep: int, start: int, stop: int, n: int):
-    """The uniform draws of replicates start..stop-1 of repetition rep.
+def _uniforms(seed: int, rep: int, start: int, stop: int, n: int,
+              out=None):
+    """The uniform draws of replicates start..stop-1 of repetition rep,
+    written into out (stop - start, n) when given.
 
     Row i is default_rng(SeedSequence((seed, rep, start + i))).random(n):
     the rows' PCG64 states are derived in bulk (`_pcg64_states`) and
@@ -213,7 +228,7 @@ def _uniforms(seed: int, rep: int, start: int, stop: int, n: int):
     ks = np.arange(start, stop, dtype=np.uint64)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    u = np.empty((stop - start, n))
+    u = np.empty((stop - start, n)) if out is None else out
     for row, (state, inc) in zip(u, _pcg64_states(seed, rep, ks)):
         bitgen.state = {"bit_generator": "PCG64",
                         "state": {"state": state, "inc": inc},
@@ -254,35 +269,48 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Run the full Monte Carlo study described by config."""
     config.validate()
     family, params, n = config.family, config.params, config.n
+    schemes, replicates = config.schemes, config.replicates
     spec = SPECS[family]
     truth = np.array(spec.law.estimates(params))
-    constants = [eta_constants(family, s) for s in config.schemes]
+    constants = [eta_constants(family, s) for s in schemes]
 
-    labels = [MLE_LABEL] + [s.label() for s in config.schemes]
+    labels = [MLE_LABEL] + [s.label() for s in schemes]
     nlab = len(labels)
     ratio_reps = np.full((config.repetitions, nlab, 2), np.nan)
     re_reps = np.full((config.repetitions, nlab), np.nan)
     failures = np.zeros(nlab, dtype=int)
     block = max(1, BLOCK_ELEMENTS // n)
+    # The block-sized buffers, reused by every block (a shorter last
+    # block takes their leading rows): the uniforms, which the draw
+    # turns into the data, and the MLE's workspace, whose first half
+    # then takes the squares of the sorted data.
+    u = np.empty((min(block, replicates), n))
+    work = np.empty((2,) + u.shape)
+    # Per repetition: the MLE and every scheme's t1, t2 of each row.
+    mle = np.empty((2, replicates))
+    t = np.empty((len(schemes), 2, replicates))
+    constant = np.empty(replicates, dtype=bool)
 
     for rep in range(config.repetitions):
-        est = np.full((nlab, config.replicates, 2), np.nan)
-        for start in range(0, config.replicates, block):
-            stop = min(start + block, config.replicates)
-            y = spec.draw(params, _uniforms(config.seed, rep, start, stop, n))
-            mle = spec.mle_rows(y)
+        for start in range(0, replicates, block):
+            stop = min(start + block, replicates)
+            size = stop - start
+            y = spec.draw(params, _uniforms(config.seed, rep, start, stop, n,
+                                            u[:size]))
+            mle[:, start:stop] = spec.mle_rows(y, work[:, :size])
             y.sort(axis=1)
-            # A constant row has no MLE, as in `fit_rows`.
-            mle = mle[0], np.where(y[:, 0] == y[:, -1], np.nan, mle[1])
-            est[0, start:stop] = _estimates(spec, *mle)
-            fits = fit_rows(y, y * y, config.schemes, constants,
-                            lambda: mle[1])
-            for idx, (loc, scale, *_) in enumerate(fits, 1):
-                est[idx, start:stop] = _estimates(
-                    spec, loc, np.where(scale > 0.0, scale, np.nan))
-        for idx in range(nlab):
-            arr = est[idx][~np.isnan(est[idx]).any(axis=1)]
-            failures[idx] += config.replicates - arr.shape[0]
+            _, constant[start:stop] = row_moments(
+                y, np.multiply(y, y, out=work[0, :size]), schemes,
+                t[:, :, start:stop])
+        # A constant row has no MLE, as it has no fit (`solve_rows`).
+        mle[1, constant] = np.nan
+        fits = ((loc, np.where(scale > 0.0, scale, np.nan))
+                for loc, scale, *_ in solve_rows(t, constant, schemes,
+                                                 constants, lambda: mle[1]))
+        for idx, (loc, scale) in enumerate(itertools.chain([mle], fits)):
+            est = _estimates(spec, loc, scale)
+            arr = est[~np.isnan(est).any(axis=1)]
+            failures[idx] += replicates - arr.shape[0]
             if arr.shape[0] < 2:
                 continue
             try:
@@ -296,7 +324,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             except ValueError:
                 pass  # singular: this repetition's RE stays NaN
 
-    total = config.replicates * config.repetitions
+    total = replicates * config.repetitions
     rows = []
     for idx, label in enumerate(labels):
         frate = failures[idx] / total

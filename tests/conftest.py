@@ -17,6 +17,15 @@ def clear_caches():
                     value.cache_clear()
 
 
+# The simulation table's schemes, as the benchmark's Monte Carlo studies
+# fit them.
+STUDY_SCHEMES = [validate_scheme(*q) for q in (
+    (0.0, 0.0, 0.0, 0.0), (0.0, 0.05, 0.0, 0.05), (0.0, 0.1, 0.0, 0.1),
+    (0.1, 0.0, 0.05, 0.05), (0.05, 0.05, 0.0, 0.1), (0.1, 0.1, 0.0, 0.2),
+    (0.15, 0.15, 0.0, 0.3), (0.0, 0.1, 0.05, 0.05), (0.05, 0.05, 0.1, 0.0),
+    (0.1, 0.1, 0.2, 0.0), (0.15, 0.15, 0.3, 0.0), (0.25, 0.5, 0.5, 0.25))]
+
+
 def scheme(a1, b1, a2, b2):
     return validate_scheme(a1, b1, a2, b2)
 

@@ -447,6 +447,18 @@ class TestDeltaAndSMle:
         r = are(Family.NORMAL, ParameterVector(theta=3.0, sigma=2.0), s)
         assert r.are == pytest.approx(1.0, abs=1e-6)
 
+    def test_overflowed_det_products_read_as_overflow(self):
+        # At beta = 1e150 both rows of the Frechet S_MLE are finite (about
+        # 6e299 and 4.8e300), but the products of det2 overflow to
+        # inf - inf: the det overflows, it is not a NaN of the inputs.
+        params = ParameterVector(sigma=2.0, beta=1e150)
+        rows = LAWS[Family.FRECHET].s_mle(params)
+        assert all(math.isfinite(x) for row in rows for x in row)
+        assert math.isnan(asymptotics.det2(rows))
+        with pytest.raises(ValueError, match=r"^parameters out of range: "
+                                             r"det S_MLE overflows$"):
+            s_mle(Family.FRECHET, params)
+
 
 class TestAre:
     def test_normal_equal_scheme_constant_in_theta(self):

@@ -27,7 +27,7 @@ from trimmoments.moments import (
     validate_scheme,
     zeta_constants,
 )
-from conftest import random_params, random_scheme
+from conftest import STUDY_SCHEMES, random_params, random_scheme
 from oracles import (
     c_k,
     fit_rows_by_slices,
@@ -419,15 +419,6 @@ class TestFitRows:
             for row in spec.inverse(y[:3]):
                 with pytest.raises(EstimationError):
                     fit(row, s, family)
-
-
-# The simulation table's schemes, as the benchmark's Monte Carlo studies
-# fit them.
-STUDY_SCHEMES = [validate_scheme(*q) for q in (
-    (0.0, 0.0, 0.0, 0.0), (0.0, 0.05, 0.0, 0.05), (0.0, 0.1, 0.0, 0.1),
-    (0.1, 0.0, 0.05, 0.05), (0.05, 0.05, 0.0, 0.1), (0.1, 0.1, 0.0, 0.2),
-    (0.15, 0.15, 0.0, 0.3), (0.0, 0.1, 0.05, 0.05), (0.05, 0.05, 0.1, 0.0),
-    (0.1, 0.1, 0.2, 0.0), (0.15, 0.15, 0.3, 0.0), (0.25, 0.5, 0.5, 0.25))]
 
 
 class TestSegmentSums:

@@ -197,6 +197,24 @@ def test_monte_carlo_kernels_make_no_block_sized_temporaries():
     assert _peak_blocks(y, SPECS[Family.FRECHET].mle_rows, y) <= 3.0
 
 
+def test_mle_in_a_workspace_allocates_only_its_row_copy():
+    # Given a workspace, the MLE's block-sized arrays are its halves: the
+    # Frechet MLE allocates only the copy of the rows it still iterates
+    # (at most one block), the normal MLE no block-sized array.
+    u = np.random.default_rng(5).random((131, 1000))
+    work = np.empty((2,) + u.shape)
+    y = SPECS[Family.FRECHET].draw(PARAMS[Family.FRECHET], u.copy())
+    assert _peak_blocks(y, SPECS[Family.FRECHET].mle_rows, y, work) <= 1.0
+    y = SPECS[Family.NORMAL].draw(PARAMS[Family.NORMAL], u.copy())
+    assert _peak_blocks(y, SPECS[Family.NORMAL].mle_rows, y, work) < 0.1
+    # Row for row, the workspace changes no estimate.
+    for family in (Family.FRECHET, Family.NORMAL):
+        y = SPECS[family].draw(PARAMS[family], u.copy())
+        for alone, in_work in zip(SPECS[family].mle_rows(y),
+                                  SPECS[family].mle_rows(y, work)):
+            assert np.array_equal(alone, in_work, equal_nan=True)
+
+
 def test_h_functions():
     x = np.array([1.0, math.e, math.e ** 2])
     # The moment transforms are h1 = transform, h2 = transform ** 2.

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trimmoments import simulation
+from trimmoments import estimators, simulation
 from trimmoments.estimators import EstimationError
 from trimmoments.models import SPECS, Family, ParameterVector
 from trimmoments.moments import validate_scheme
@@ -15,6 +16,7 @@ from trimmoments.simulation import (
     finite_re,
     run_study,
 )
+from conftest import STUDY_SCHEMES
 
 NORMAL = ParameterVector(theta=0.1, sigma=5.0)
 FRECHET = ParameterVector(sigma=2.0, beta=5.0)
@@ -185,6 +187,49 @@ class TestRunStudy:
             assert run_study(cfg).rows == whole
             monkeypatch.undo()
 
+    def test_solve_scale_runs_once_per_scheme_and_repetition(
+            self, monkeypatch):
+        # Four blocks of 131 rows a repetition: the moments come per
+        # block, but each scheme is solved once over all 400 rows.
+        calls = []
+        solve = estimators.solve_scale
+
+        def counted(t1, *args):
+            calls.append(len(t1))
+            return solve(t1, *args)
+
+        monkeypatch.setattr(estimators, "solve_scale", counted)
+        schemes = STUDY_SCHEMES[:3]
+        cfg = StudyConfig(Family.FRECHET, FRECHET, 1000, schemes,
+                          replicates=400, repetitions=2, seed=3)
+        run_study(cfg)
+        assert calls == [400] * (len(schemes) * 2)
+
+    def test_study_memory_is_its_workspace_and_repetition_arrays(self):
+        # One mc-frechet round: n = 1000 (blocks of 131 rows), 2000
+        # replicates, the 12 reference schemes.  Its traced peak is at
+        # most the block workspace (the uniforms and the MLE's two
+        # halves), the repetition's MLE, t1, t2 and constant-row flags,
+        # and a slack of one block (the MLE's shrinking copy of its
+        # iterated rows) plus 512 KiB (the solve and estimates over the
+        # repetition's rows, and each block's row sums).
+        cfg = StudyConfig(Family.FRECHET, FRECHET, 1000, STUDY_SCHEMES,
+                          replicates=2000, repetitions=1, seed=8)
+        run_study(cfg._replace(replicates=100))  # fills the constant caches
+        block = (simulation.BLOCK_ELEMENTS // cfg.n) * cfg.n * 8
+        workspace = 3 * block
+        repetition = cfg.replicates * (8 * (2 + 2 * len(STUDY_SCHEMES)) + 1)
+        slack = block + 2 ** 19
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_study(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= workspace + repetition + slack
+
     def test_failed_mle_is_counted_not_fatal(self, monkeypatch):
         # Replicate 0 of each repetition is squeezed toward its median
         # (not constant), and its MLE is made to fail.  That fails the
@@ -195,13 +240,13 @@ class TestRunStudy:
         draw = simulation._uniforms
         spec = SPECS[Family.FRECHET]
 
-        def first_squeezed(seed, rep, start, stop, n):
+        def first_squeezed(seed, rep, start, stop, n, out):
             u = draw(seed, rep, start, stop, n)
             if start == 0:
                 u[0] = 0.5 + 0.1 * (u[0] - 0.5)
             return u
 
-        def first_fails(y):
+        def first_fails(y, work):
             loc, scale = spec.mle_rows(y)
             loc[0] = scale[0] = np.nan
             return loc, scale
@@ -223,7 +268,7 @@ class TestRunStudy:
         # A constant replicate has no MLE and no scale on any scheme.
         draw = simulation._uniforms
 
-        def first_constant(seed, rep, start, stop, n):
+        def first_constant(seed, rep, start, stop, n, out):
             u = draw(seed, rep, start, stop, n)
             if start == 0:
                 u[0] = 0.5
@@ -242,7 +287,7 @@ class TestRunStudy:
         # residue (2.8e-17), not a likelihood maximum.
         draw = simulation._uniforms
 
-        def first_constant(seed, rep, start, stop, n):
+        def first_constant(seed, rep, start, stop, n, out):
             u = draw(seed, rep, start, stop, n)
             if start == 0:
                 u[0] = 0.5
@@ -257,7 +302,7 @@ class TestRunStudy:
         # Two of 100 replicates constant: 2% MLE failures > the 1% limit.
         draw = simulation._uniforms
 
-        def two_constant(seed, rep, start, stop, n):
+        def two_constant(seed, rep, start, stop, n, out):
             u = draw(seed, rep, start, stop, n)
             if start == 0:
                 u[:2] = 0.5
