@@ -31,9 +31,7 @@ from .moments import (
 )
 
 __all__ = [
-    "Branch",
     "CandidatePair",
-    "EstimationError",
     "FitResult",
     "mle_normal",
     "mle_frechet",
@@ -41,7 +39,6 @@ __all__ = [
     "solve_scale",
     "row_moments",
     "solve_rows",
-    "fit_rows",
     "fit",
     "fit_location_scale",
     "fit_frechet",
@@ -102,51 +99,37 @@ def squares_overflow(y, n: int) -> bool:
     return not math.isfinite(n * m * m)
 
 
-def _branch(tag: SchemeTag, minus) -> Branch:
-    if tag is SchemeTag.EQUAL:
-        return Branch.EQUAL_TRIM
-    return Branch.MINUS if minus else Branch.PLUS
-
-
 def solve_scale(t1, t2, constants, tag: SchemeTag,
-                mle_scale: Callable[[], float]):
+                mle_scale: Callable[[], np.ndarray]):
     """Select the scale estimate per the sign-disambiguation algorithm,
-    for one sample or elementwise over arrays of moments.
+    elementwise over arrays of moments (floats give 0-d results).
 
     mle_scale is a zero-argument callable so the reference MLE is only
-    computed when the proximity rule actually needs it; for arrays it
-    gives every sample's reference, NaN where the MLE failed.  Returns
-    (scale, branch, pair).  For arrays, scale is NaN where no candidate
-    is admissible (none positive, or two and no reference) and branch is
-    True where minus was taken; one sample gets a Branch, and an
-    EstimationError instead of NaN.
+    computed when the proximity rule actually needs it; it gives every
+    sample's reference, NaN where the MLE failed.  Returns (scale, minus,
+    pair): scale is NaN where no candidate is admissible (none positive,
+    or two and no reference), and minus is True where minus was taken.
+    An equal scheme's scale is FT as it is, which may be 0.
     """
     pair = candidate_scales(t1, t2, constants)
     minus, plus = pair.minus, pair.plus
-    take = np.zeros(np.shape(minus), dtype=bool)
     if tag is SchemeTag.EQUAL:
-        scale = pair.ft
-    else:
-        take = (minus > 0.0) & ~(plus > 0.0)
-        scale = np.where(take, minus, np.where(plus > 0.0, plus, np.nan))
-        both = (minus > 0.0) & (plus > 0.0)
-        if np.any(both):
-            ref = mle_scale()
-            take = take | both & (np.abs(minus - ref) < np.abs(plus - ref))
-            scale = np.where(both & np.isnan(ref), np.nan,
-                             np.where(take, minus, scale))
-    if np.ndim(t1) > 0:
-        return scale, take, pair
-    if np.isnan(scale):
-        raise EstimationError(
-            "no admissible scale candidate; update trimming proportions")
-    return float(scale), _branch(tag, take), pair
+        return pair.ft, np.zeros(np.shape(minus), dtype=bool), pair
+    take = (minus > 0.0) & ~(plus > 0.0)
+    scale = np.where(take, minus, np.where(plus > 0.0, plus, np.nan))
+    both = (minus > 0.0) & (plus > 0.0)
+    if np.any(both):
+        ref = mle_scale()
+        take = take | both & (np.abs(minus - ref) < np.abs(plus - ref))
+        scale = np.where(both & np.isnan(ref), np.nan,
+                         np.where(take, minus, scale))
+    return scale, take, pair
 
 
 def row_moments(ys, squares, schemes: Sequence[TrimmingScheme], out=None):
     """The trimmed moments of each row of ys, sorted samples of
     transformed data (R, n), given their squares ys * ys, for every
-    scheme of schemes: the first step of `fit_rows`.
+    scheme of schemes: the first step of a fit, before `solve_rows`.
 
     The columns are cut at every scheme's trimmed counts, and each
     segment between consecutive cuts is summed once, in ys and in the
@@ -182,41 +165,30 @@ def solve_rows(t, constant, schemes: Sequence[TrimmingScheme],
                constants: Sequence[MomentConstants],
                mle_scale: Callable[[], np.ndarray]):
     """The fits from `row_moments`' (t, constant), for every scheme of
-    schemes with its constants (`eta_constants`): the second step of
-    `fit_rows`, one `solve_scale` call per scheme over all the rows.
+    schemes with its constants (`eta_constants`): the second step of a
+    fit, one `solve_scale` call per scheme over all the rows.
 
-    Yields, one scheme at a time, (location, scale, branch, pair, t1,
-    t2), arrays over the rows as `solve_scale` gives them; a row fails
-    where scale is not positive.  A constant row fails on every scheme:
-    it has no scale, yet a nested scheme's plus root is positive on it,
-    and an equal scheme's root is a rounding residue of its moments.
+    Yields, one scheme at a time, (location, scale, minus, pair, t1, t2),
+    arrays over the rows as `solve_scale` gives them, except that
+    location and scale are NaN in every row that fails: where scale is
+    not positive, and in a constant row.  A constant row has no scale,
+    yet a nested scheme's plus root is positive on it, and an equal
+    scheme's root is a rounding residue of its moments.
     """
     for scheme, c, (t1, t2) in zip(schemes, constants, t):
-        scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
-        scale = np.where(constant, np.nan, scale)
-        yield t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
-
-
-def fit_rows(ys, squares, schemes: Sequence[TrimmingScheme],
-             constants: Sequence[MomentConstants],
-             mle_scale: Callable[[], np.ndarray]):
-    """The trimmed-moment fits of each row of ys, sorted samples of
-    transformed data (R, n), given their squares ys * ys, for every
-    scheme of schemes with its constants: `solve_rows` on the
-    `row_moments` of the rows, the steps `simulation.run_study` takes
-    per block of rows and per repetition.
-    """
-    return solve_rows(*row_moments(ys, squares, schemes), schemes,
-                      constants, mle_scale)
+        scale, minus, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
+        scale = np.where(constant | ~(scale > 0.0), np.nan, scale)
+        yield t1 - c.m1_11 * scale, scale, minus, pair, t1, t2
 
 
 def fit(data, scheme: TrimmingScheme,
         family: Family = Family.NORMAL) -> FitResult:
     """Fit the family's parameters by the location-scale trimmed-moment
     estimator on transformed data (see `models.SPECS`), as the one-row,
-    one-scheme case of `fit_rows` (`row_moments`, then `solve_rows`);
-    the reference MLE, computed only if needed, is the one-row case of
-    `mle_rows`, as in `simulation.run_study`.
+    one-scheme case of `row_moments`, then `solve_rows`, and the only
+    place that raises EstimationError for a failed row or builds its
+    `Branch`; the reference MLE, computed only if needed, is the one-row
+    case of `mle_rows`, as in `simulation.run_study`.
 
     Normal data are fitted as they are; lognormal data are
     log-transformed and (theta, sigma) reported on the log scale;
@@ -235,14 +207,17 @@ def fit(data, scheme: TrimmingScheme,
     if 0.0 < float(np.max(np.abs(y))) < 2.0 ** -485:
         raise ValueError("data out of range: their squares underflow")
     ys = np.sort(y).reshape(1, -1)
-    loc, scale, minus, pair, t1, t2 = next(fit_rows(
-        ys, ys * ys, [scheme], [eta_constants(family, scheme)],
+    loc, scale, minus, pair, t1, t2 = next(solve_rows(
+        *row_moments(ys, ys * ys, [scheme]), [scheme],
+        [eta_constants(family, scheme)],
         lambda: spec.mle_rows(y.reshape(1, -1))[1]))
-    if not scale[0] > 0.0:
+    if np.isnan(scale[0]):
         raise EstimationError("no admissible scale candidate: constant "
                               "data, or update trimming proportions")
     params = spec.params(float(loc[0]), float(scale[0]))
-    return FitResult(family, scheme, params, _branch(scheme.tag, minus[0]),
+    branch = (Branch.EQUAL_TRIM if scheme.tag is SchemeTag.EQUAL
+              else Branch.MINUS if minus[0] else Branch.PLUS)
+    return FitResult(family, scheme, params, branch,
                      float(t1[0]), float(t2[0]), y.size,
                      bool(pair.discriminant_negative[0]))
 

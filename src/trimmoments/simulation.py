@@ -43,9 +43,8 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .asymptotics import det2, s_mle
-from .estimators import (EstimationError, row_moments, solve_rows,
-                         squares_overflow)
-from .families import LAWS, Family, ParameterVector
+from .estimators import row_moments, solve_rows, squares_overflow
+from .families import LAWS, EstimationError, Family, ParameterVector
 from .models import SPECS
 from .moments import MAX_SIZE, TrimmingScheme, eta_constants
 
@@ -304,9 +303,8 @@ def run_study(config: StudyConfig) -> StudyResult:
                 t[:, :, start:stop])
         # A constant row has no MLE, as it has no fit (`solve_rows`).
         mle[1, constant] = np.nan
-        fits = ((loc, np.where(scale > 0.0, scale, np.nan))
-                for loc, scale, *_ in solve_rows(t, constant, schemes,
-                                                 constants, lambda: mle[1]))
+        fits = (fit[:2] for fit in solve_rows(t, constant, schemes,
+                                              constants, lambda: mle[1]))
         for idx, (loc, scale) in enumerate(itertools.chain([mle], fits)):
             est = _estimates(spec, loc, scale)
             arr = est[~np.isnan(est).any(axis=1)]

@@ -37,8 +37,8 @@ from trimmoments.asymptotics import (
     s_mle,
     sigma_T,
 )
-from trimmoments.estimators import Branch, candidate_scales, solve_scale
-from trimmoments.families import LAWS
+from trimmoments.estimators import candidate_scales, solve_scale
+from trimmoments.families import LAWS, Branch
 from trimmoments.models import (
     _MLE_MAX_ITER,
     _MLE_RESIDUAL,
@@ -562,14 +562,15 @@ def frechet_rows_allocating(logx):
 
 
 def fit_rows_by_slices(ys, squares, scheme: TrimmingScheme, c, mle_scale):
-    """`estimators.fit_rows` for one scheme, each moment the plain mean
-    over its kept column slice of ys or of the squares; returns the
-    scheme's (location, scale, branch, pair, t1, t2)."""
+    """`estimators.row_moments`, then `solve_rows`, for one scheme, each
+    moment the plain mean over its kept column slice of ys or of the
+    squares; returns the scheme's (location, scale, minus, pair, t1,
+    t2)."""
     n = ys.shape[1]
     lo1, hi1 = trim_counts(n, scheme.a1, scheme.b1)
     lo2, hi2 = trim_counts(n, scheme.a2, scheme.b2)
     t1 = ys[:, lo1:n - hi1].mean(axis=1)
     t2 = squares[:, lo2:n - hi2].mean(axis=1)
-    scale, branch, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
-    scale = np.where(ys[:, 0] == ys[:, -1], np.nan, scale)
-    return t1 - c.m1_11 * scale, scale, branch, pair, t1, t2
+    scale, minus, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
+    scale = np.where((ys[:, 0] == ys[:, -1]) | ~(scale > 0.0), np.nan, scale)
+    return t1 - c.m1_11 * scale, scale, minus, pair, t1, t2

@@ -16,12 +16,11 @@ from trimmoments.asymptotics import (
     sigma_T,
 )
 from trimmoments.estimators import (
-    Branch,
     fit,
     fit_frechet,
     fit_location_scale,
 )
-from trimmoments.families import LAWS
+from trimmoments.families import LAWS, Branch
 from trimmoments.gof import load_dataset
 from trimmoments.models import Family, ParameterVector, sample
 from trimmoments.moments import (

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from trimmoments import simulation
 from trimmoments.estimators import (
-    Branch,
-    EstimationError,
     candidate_scales,
     fit,
     fit_frechet,
     fit_location_scale,
-    fit_rows,
     mle_frechet,
     mle_normal,
+    row_moments,
+    solve_rows,
     solve_scale,
 )
+from trimmoments.families import Branch, EstimationError
 from trimmoments.models import SPECS, Family, ParameterVector, sample
 from trimmoments.moments import (
     SchemeTag,
@@ -200,8 +200,8 @@ class TestSolveScale:
         def must_not_call():
             raise AssertionError("MLE must not be needed for Equal schemes")
 
-        scale, branch, pair = solve_scale(1.0, 2.0, con, s.tag, must_not_call)
-        assert branch is Branch.EQUAL_TRIM
+        scale, minus, pair = solve_scale(1.0, 2.0, con, s.tag, must_not_call)
+        assert not minus
         assert scale == pair.ft
 
     def test_both_nonpositive_raises(self):
@@ -210,8 +210,8 @@ class TestSolveScale:
         # t1 < 0 makes ST < 0; t2 = eta_r*t1^2 makes FT = 0.
         t1 = -2.0
         t2 = con.eta_r * t1 * t1
-        with pytest.raises(EstimationError, match="update trimming"):
-            solve_scale(t1, t2, con, s.tag, lambda: 1.0)
+        scale, _, _ = solve_scale(t1, t2, con, s.tag, lambda: 1.0)
+        assert np.isnan(scale)
 
     def test_arrays_fail_per_sample(self):
         # Elementwise: NaN where both candidates are nonpositive, or both
@@ -234,13 +234,13 @@ class TestSolveScale:
         t2 = con.eta_r * t1 * t1 + 0.01  # small FT: both candidates positive
         pair = candidate_scales(t1, t2, con)
         assert pair.minus > 0.0 and pair.plus > 0.0
-        scale, branch, _ = solve_scale(t1, t2, con, s.tag, lambda: pair.minus)
-        assert branch is Branch.MINUS and scale == pair.minus
-        scale, branch, _ = solve_scale(t1, t2, con, s.tag, lambda: pair.plus)
-        assert branch is Branch.PLUS and scale == pair.plus
+        scale, minus, _ = solve_scale(t1, t2, con, s.tag, lambda: pair.minus)
+        assert minus and scale == pair.minus
+        scale, minus, _ = solve_scale(t1, t2, con, s.tag, lambda: pair.plus)
+        assert not minus and scale == pair.plus
         mid = 0.5 * (pair.minus + pair.plus)  # exact tie
-        scale, branch, _ = solve_scale(t1, t2, con, s.tag, lambda: mid)
-        assert branch is Branch.PLUS
+        scale, minus, _ = solve_scale(t1, t2, con, s.tag, lambda: mid)
+        assert not minus
 
 
 class TestFitLocationScale:
@@ -378,8 +378,9 @@ class TestFitRows:
                 s = random_scheme(rng, lo=0.0)
                 con = eta_constants(family, s)
                 ys = np.sort(y, axis=1)
-                loc, scale, minus, pair, t1, t2 = next(fit_rows(
-                    ys, ys * ys, [s], [con], lambda: mle[1]))
+                loc, scale, minus, pair, t1, t2 = next(solve_rows(
+                    *row_moments(ys, ys * ys, [s]), [s], [con],
+                    lambda: mle[1]))
                 for i, row in enumerate(x):
                     if not scale[i] > 0.0:
                         with pytest.raises(EstimationError):
@@ -413,16 +414,30 @@ class TestFitRows:
         for quad in [(0.1, 0.1, 0.1, 0.1), (0.0, 0.0, 0.0, 0.0),
                      (0.1, 0.1, 0.2, 0.0), (0.05, 0.05, 0.0, 0.1)]:
             s = validate_scheme(*quad)
-            scale = next(fit_rows(y, y * y, [s], [eta_constants(family, s)],
-                                  lambda: spec.mle_rows(y)[1]))[1]
+            scale = next(solve_rows(*row_moments(y, y * y, [s]), [s],
+                                    [eta_constants(family, s)],
+                                    lambda: spec.mle_rows(y)[1]))[1]
             assert np.isnan(scale[:3]).all() and scale[3] > 0.0
             for row in spec.inverse(y[:3]):
                 with pytest.raises(EstimationError):
                     fit(row, s, family)
 
+    def test_zero_equal_root_fails(self):
+        # The kept window [5, 5, 5] is constant and the row is not: the
+        # equal scheme's root is exactly 0, and the row fails.
+        s = validate_scheme(0.2, 0.2, 0.2, 0.2)
+        ys = np.array([[0.0, 5.0, 5.0, 5.0, 10.0]])
+        t, constant = row_moments(ys, ys * ys, [s])
+        loc, scale, _, pair, _, _ = next(solve_rows(
+            t, constant, [s], [eta_constants(Family.NORMAL, s)], None))
+        assert not constant[0] and pair.ft[0] == 0.0
+        assert np.isnan(scale[0]) and np.isnan(loc[0])
+        with pytest.raises(EstimationError, match="update trimming"):
+            fit(ys[0], s)
+
 
 class TestSegmentSums:
-    """`fit_rows` over a scheme set sums each segment between the
+    """`row_moments` over a scheme set sums each segment between the
     schemes' cuts once; every scheme's moments are its slice means to
     rounding, exactly where its window is one segment, and no value
     beyond the cuts reaches them."""
@@ -447,7 +462,8 @@ class TestSegmentSums:
         windows = [(trim_counts(n, s.a1, s.b1), trim_counts(n, s.a2, s.b2))
                    for s in schemes]
         cuts = {c for w in windows for lo, hi in w for c in (lo, n - hi)}
-        fits = fit_rows(ys, squares, schemes, constants, lambda: ref)
+        fits = solve_rows(*row_moments(ys, squares, schemes), schemes,
+                          constants, lambda: ref)
         exact = 0
         for s, c, w, got in zip(schemes, constants, windows, fits):
             want = fit_rows_by_slices(ys, squares, s, c, lambda: ref)
@@ -491,8 +507,9 @@ class TestSegmentSums:
         with np.errstate(over="ignore"):
             squares = ys * ys
         constants = [eta_constants(family, s) for s in schemes]
-        for _, _, _, pair, t1, t2 in fit_rows(ys, squares, schemes, constants,
-                                              lambda: np.ones(2)):
+        for _, _, _, pair, t1, t2 in solve_rows(
+                *row_moments(ys, squares, schemes), schemes, constants,
+                lambda: np.ones(2)):
             assert np.isfinite(t2).all()
             assert t1[0] == t1[1] and t2[0] == t2[1]
             assert pair.minus[0] == pair.minus[1]
@@ -542,8 +559,9 @@ class TestContaminationInvariance:
         con = eta_constants(family, s)
         y = spec.transform(np.array([x, moved]))
         ys = np.sort(y, axis=1)
-        _, scale, _, pair, t1, t2 = next(fit_rows(
-            ys, ys * ys, [s], [con], lambda: spec.mle_rows(y)[1]))
+        _, scale, _, pair, t1, t2 = next(solve_rows(
+            *row_moments(ys, ys * ys, [s]), [s], [con],
+            lambda: spec.mle_rows(y)[1]))
         assert t1[0] == t1[1] and t2[0] == t2[1]
         assert pair.minus[0] == pair.minus[1]
         assert pair.plus[0] == pair.plus[1]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimmoments import estimators, simulation
-from trimmoments.estimators import EstimationError
+from trimmoments.families import EstimationError
 from trimmoments.models import SPECS, Family, ParameterVector
 from trimmoments.moments import validate_scheme
 from trimmoments.simulation import (
