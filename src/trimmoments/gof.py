@@ -1,10 +1,13 @@
 """Goodness-of-fit reporting and the hurricane-damage case study.
 
-A `GofReport` holds the fitted params, FIT, AIC and BIC.  FIT is the
+A `GofReport` holds the fitted params, FIT, AIC and BIC, all read from
+the family's `models.FamilySpec` on the log data y = log x.  FIT is the
 mean absolute deviation between the fitted log-quantiles loc + scale *
-base_quantile(u) at u = (j - 0.5)/n and the log order statistics.  AIC
-and BIC use the log-likelihood, the sum of `models.logpdf` (plug-in for
-trimmed-moment estimates); they are inf when a fitted density underflows.
+G(u), G the law's base quantile at each u = (j - 0.5)/n, and the
+sorted y.  AIC and BIC use the log-likelihood, the sum over the data of
+the base log-density at (y - loc) / scale, less log scale, plus the
+log-Jacobian (plug-in for trimmed-moment estimates); they are inf when
+a fitted density underflows.
 
 The bundled dataset holds the 30 largest US hurricane damages of
 1925-95 in billions of dollars; the analysis pipeline rescales to
@@ -22,15 +25,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .estimators import fit
-from .families import LAWS, Family, ParameterVector
-from .models import SPECS, logpdf, transformed_quantile
+from .families import Family, ParameterVector
+from .models import SPECS
 from .moments import TrimmingScheme
 
 __all__ = [
     "GofReport",
-    "fit_statistic",
-    "log_likelihood",
-    "information_criteria",
     "modify_dataset",
     "load_dataset",
     "gof_report",
@@ -46,31 +46,6 @@ class GofReport(NamedTuple):
     fit: float
     aic: float
     bic: float
-
-
-def fit_statistic(family: Family, params: ParameterVector, data) -> float:
-    """Mean absolute log-quantile deviation at positions (j - 0.5)/n."""
-    x = np.sort(np.asarray(data, dtype=float))
-    if x.size < 1:
-        raise ValueError("data must be nonempty")
-    if np.any(x <= 0.0):
-        raise ValueError("data must be positive (log scale comparison)")
-    u = (np.arange(1, x.size + 1) - 0.5) / x.size
-    log_q = transformed_quantile(family, params, u)
-    return float(np.mean(np.abs(log_q - np.log(x))))
-
-
-def log_likelihood(family: Family, params: ParameterVector, data) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.sum(logpdf(family, params, data)))
-
-
-def information_criteria(family: Family, params: ParameterVector, data):
-    """(AIC, BIC) at the supplied estimates (plug-in likelihood)."""
-    k = len(LAWS[family].names)
-    n = len(np.asarray(data))
-    ll = log_likelihood(family, params, data)
-    return 2.0 * k - 2.0 * ll, k * math.log(n) - 2.0 * ll
 
 
 def modify_dataset(data):
@@ -117,10 +92,20 @@ def gof_report(family: Family, data,
     ValueError."""
     if family is Family.NORMAL:
         raise ValueError("the case study fits lognormal or Frechet models")
+    spec = SPECS[family]
     x = np.asarray(data, dtype=float)
     if scheme is None:
-        params = SPECS[family].mle(x)
+        params = spec.mle(x)
     else:
         params = fit(x, scheme, family).params
-    return GofReport(params, fit_statistic(family, params, x),
-                     *information_criteria(family, params, x))
+    y = spec.transform(x)
+    loc, scale = spec.law.location_scale(params)
+    n = y.size
+    q = np.array([spec.law.base((j - 0.5) / n) for j in range(1, n + 1)])
+    fit_value = float(np.mean(np.abs(loc + scale * q - np.sort(y))))
+    with np.errstate(over="ignore"):
+        ll = float(np.sum(spec.base_logpdf((y - loc) / scale)
+                          - math.log(scale) + spec.log_jacobian(y)))
+    k = len(spec.law.names)
+    return GofReport(params, fit_value, 2.0 * k - 2.0 * ll,
+                     k * math.log(n) - 2.0 * ll)

@@ -13,17 +13,17 @@ onto it:
 - Frechet: y = log x = log sigma + beta * G with G = -log(-log U) the
   standard Gumbel quantile, so location = log sigma and scale = beta.
 
-The transformed quantile, the log-density and sampling are written
-once from the spec: the base law of Z (normal or standard Gumbel), the
-transform, its inverse and its log-Jacobian.  The base quantile on
-arrays is the law's `base` element by element (`_ndtri`, the Cephes
-port that equals scipy's `ndtri` bit for bit, and the Gumbel G); only
-the Monte Carlo draw, a whole block of uniforms at once, forwards to
-scipy's `ndtri` (imported at its first call) and to numpy's logs.
-Importing the package, `fit`, `are` and `gof` leave scipy unloaded.
-Off the draw, every log reaching the 17 printed digits (the Gumbel
-quantile, the log transform of the data) is libm's `math.log`, whose
-rounding does not depend on the host's SIMD extensions.
+Every distribution function of a family is written from its spec:
+the base law of Z (normal or standard Gumbel), the transform, its
+inverse and its log-Jacobian.  The scalar base quantile is the law's
+`base` (the Cephes port that equals scipy's `ndtri` bit for bit, and
+the Gumbel G); the spec's `base_quantile` is the Monte Carlo draw's
+block kernel, which forwards a whole block of uniforms to scipy's
+`ndtri` (imported at its first call) or to numpy's logs.  Importing
+the package, `fit`, `are` and `gof` leave scipy unloaded.  Off the
+draw, every log reaching the 17 printed digits (the Gumbel quantile,
+the log transform of the data) is libm's `math.log`, whose rounding
+does not depend on the host's SIMD extensions.
 
 Parameters
 ----------
@@ -49,8 +49,6 @@ from .families import (
     Family,
     FamilyLaw,
     ParameterVector,
-    _gumbel_float,
-    _ndtri_float,
 )
 
 __all__ = [
@@ -58,40 +56,10 @@ __all__ = [
     "ParameterVector",
     "FamilySpec",
     "SPECS",
-    "transformed_quantile",
-    "logpdf",
     "sample",
     "mle_normal",
     "mle_frechet",
 ]
-
-
-def _check_u(u):
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("u must lie strictly inside (0, 1)")
-    return u
-
-
-def _location_scale(family: Family, params: ParameterVector):
-    params.validate(family)
-    spec = SPECS[family]
-    return (spec, *spec.law.location_scale(params))
-
-
-def transformed_quantile(family: Family, params: ParameterVector, u):
-    """loc + scale * base_quantile(u), F^{-1}(u) on the transformed scale."""
-    spec, loc, scale = _location_scale(family, params)
-    return loc + scale * spec.base_quantile(_check_u(u))
-
-
-def logpdf(family: Family, params: ParameterVector, x):
-    """Log-density: the base log-density at the standardised transformed
-    data, minus log scale, plus the transform's log-Jacobian."""
-    spec, loc, scale = _location_scale(family, params)
-    y = spec.transform(np.asarray(x, dtype=float))
-    return (spec.base_logpdf((y - loc) / scale) - math.log(scale)
-            + spec.log_jacobian(y))
 
 
 def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:
@@ -102,7 +70,8 @@ def sample(family: Family, params: ParameterVector, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec = _location_scale(family, params)[0]
+    params.validate(family)
+    spec = SPECS[family]
     u = np.random.default_rng(seed).random(n)
     return spec.inverse(spec.draw(params, u))
 
@@ -208,37 +177,24 @@ def _libm(f):
 
 
 _log, _exp = _libm(math.log), _libm(math.exp)
-_gumbel_libm = _libm(_gumbel_float)
 
 
-def _gumbel_quantile(u, out=None):
-    """Standard Gumbel quantile G(u) = -log(-log u): log X for the unit
-    Frechet model, written into `out` when given (a ufunc's `out`).
-
-    Without `out` (`gof`'s quantiles) it is the law's G at each point,
-    with libm's logs; the draw's block keeps numpy's.
-    """
-    if out is None:
-        return _gumbel_libm(u)
+def _gumbel_quantile(u, out):
+    """Standard Gumbel quantile G(u) = -log(-log u) of a block of
+    uniforms, log X for the unit Frechet model, written into `out` with
+    numpy's logs (a ufunc's `out`)."""
     return np.negative(np.log(np.negative(np.log(u, out=out), out=out),
                               out=out), out=out)
 
 
-_ndtri_libm = _libm(_ndtri_float)
 _scipy_ndtri = None
 
 
-def _ndtri(u, out=None):
-    """Standard normal quantile Phi^{-1}(u), bit for bit scipy.special.ndtri.
-
-    Without `out` (`gof`'s quantiles) it is the law's Cephes port at
-    each point, about 1.5 us a point.  With `out`, the draw's whole block
-    of uniforms, it forwards to scipy's ufunc, imported on the first
-    such call.  This one function stays the normal families'
-    base_quantile.
-    """
-    if out is None:
-        return _ndtri_libm(u)
+def _ndtri(u, out):
+    """Standard normal quantile Phi^{-1}(u) of a block of uniforms,
+    written into `out`: scipy's `ndtri` ufunc, imported on the first
+    call.  This one function stays the normal families' base_quantile;
+    the law's `base` is the same quantile at one float, bit for bit."""
     global _scipy_ndtri
     if _scipy_ndtri is None:
         from scipy.special import ndtri as _scipy_ndtri
@@ -260,9 +216,10 @@ class FamilySpec(NamedTuple):
 
     The data y = transform(x) (x = inverse(y), with log |dy/dx| =
     log_jacobian(y)) follow y = loc + scale * Z, where Z has the base
-    law given by `base_quantile` (the law's `base` over a float or an
-    array, which, like a ufunc, takes `out=`) and `base_logpdf`; every
-    distribution function of the family is derived from these.
+    law given by the law's `base`, its quantile at one float, and
+    `base_logpdf`; every distribution function of the family is derived
+    from these.  `base_quantile` is the draw's block kernel: the base
+    quantile of an array of uniforms, written into `out`.
     `params` maps (location, scale), floats or arrays, to the reported
     parameters.  `mle_rows` fits each row of transformed data (R, n), as
     (location, scale) arrays that are NaN where no estimate exists; its

@@ -46,8 +46,6 @@ from trimmoments.models import (
     SPECS,
     Family,
     ParameterVector,
-    logpdf,
-    transformed_quantile,
 )
 from trimmoments.moments import (
     SchemeError,
@@ -192,12 +190,27 @@ def integrate(f, a, b):
 
 
 def quantile(family: Family, params: ParameterVector, u):
-    """F^{-1}(u): the inverse transform of `transformed_quantile`."""
-    return SPECS[family].inverse(transformed_quantile(family, params, u))
+    """F^{-1}(u): the inverse transform of loc + scale * G(u), G the
+    law's base quantile taken at each point."""
+    params.validate(family)
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise ValueError("u must lie strictly inside (0, 1)")
+    spec = SPECS[family]
+    loc, scale = spec.law.location_scale(params)
+    base = np.vectorize(spec.law.base, otypes=[float])
+    return spec.inverse(loc + scale * base(u))
 
 
 def pdf(family: Family, params: ParameterVector, x):
-    return np.exp(logpdf(family, params, x))
+    """The base density at the standardised transformed data, over the
+    scale, times the transform's Jacobian."""
+    params.validate(family)
+    spec = SPECS[family]
+    loc, scale = spec.law.location_scale(params)
+    y = spec.transform(np.asarray(x, dtype=float))
+    return np.exp(spec.base_logpdf((y - loc) / scale) - math.log(scale)
+                  + spec.log_jacobian(y))
 
 
 def cdf(family: Family, params: ParameterVector, x):
@@ -258,9 +271,9 @@ def gumbel_segment_adaptive(lo: float, hi: float) -> np.ndarray:
     G(hi)], with u = 0 and 1 at x = -4 and 60 (|x|^4 g(x) < 3e-20 below
     -4 and < 2e-19 above 60; an adaptive pass started much further down
     can step over the steep rise of g)."""
-    base = SPECS[Family.FRECHET].base_quantile
-    a = -4.0 if lo == 0.0 else float(base(lo))
-    b = 60.0 if hi == 1.0 else float(base(hi))
+    base = LAWS[Family.FRECHET].base
+    a = -4.0 if lo == 0.0 else base(lo)
+    b = 60.0 if hi == 1.0 else base(hi)
     if not a < b:
         return np.zeros(4)
 

@@ -2,19 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import invweibull, lognorm
 
 from trimmoments.gof import (
     DATA_SCALE,
-    fit_statistic,
     gof_report,
-    information_criteria,
     load_dataset,
-    log_likelihood,
     modify_dataset,
 )
-from trimmoments.models import Family, ParameterVector
+from trimmoments.models import Family
 from trimmoments.moments import validate_scheme
-from oracles import quantile
 
 T3 = validate_scheme(1 / 30, 1 / 30, 1 / 30, 1 / 30)
 
@@ -34,17 +31,10 @@ class TestDataset:
 
 
 class TestFitStatistic:
-    def test_zero_on_exact_quantiles(self):
-        params = ParameterVector(theta=1.0, sigma=0.5)
-        n = 25
-        u = (np.arange(1, n + 1) - 0.5) / n
-        data = quantile(Family.LOGNORMAL, params, u)
-        assert fit_statistic(Family.LOGNORMAL, params, data) == pytest.approx(
-            0.0, abs=1e-12)
-
     def test_nonpositive_data_rejected(self):
-        with pytest.raises(ValueError):
-            fit_statistic(Family.LOGNORMAL, ParameterVector(), [1.0, -2.0])
+        for family in (Family.LOGNORMAL, Family.FRECHET):
+            with pytest.raises(ValueError, match="must be positive"):
+                gof_report(family, [1.0, -2.0])
 
     def test_lognormal_mle_fit_value(self, damages):
         rep = gof_report(Family.LOGNORMAL, damages, None)
@@ -60,7 +50,34 @@ class TestFitStatistic:
         assert r1.fit == pytest.approx(r2.fit, abs=1e-12)
 
 
+def _scipy_law(family, params):
+    if family is Family.LOGNORMAL:
+        return lognorm(s=params.sigma, scale=math.exp(params.theta))
+    return invweibull(c=1.0 / params.beta, scale=params.sigma)
+
+
 class TestGofReport:
+    @pytest.mark.parametrize("modified", [False, True],
+                             ids=["original", "modified"])
+    @pytest.mark.parametrize("scheme", [None, T3], ids=["mle", "t3"])
+    @pytest.mark.parametrize("family", [Family.LOGNORMAL, Family.FRECHET],
+                             ids=["lognormal", "frechet"])
+    def test_matches_scipy_oracle(self, damages, family, scheme, modified):
+        # FIT on the log scale from the scipy quantile function, and AIC
+        # and BIC from the scipy log-density, at the report's own params.
+        # The bundled damages are sorted; the report gets them reversed.
+        x = modify_dataset(damages) if modified else damages
+        rep = gof_report(family, x[::-1], scheme)
+        law = _scipy_law(family, rep.params)
+        n = x.size
+        u = (np.arange(1, n + 1) - 0.5) / n
+        fit = np.mean(np.abs(np.log(law.ppf(u)) - np.log(np.sort(x))))
+        ll = np.sum(law.logpdf(x))
+        assert rep.fit == pytest.approx(fit, rel=1e-10)
+        assert rep.aic == pytest.approx(4.0 - 2.0 * ll, rel=1e-10)
+        assert rep.bic == pytest.approx(2.0 * math.log(n) - 2.0 * ll,
+                                        rel=1e-10)
+
     def test_normal_family_rejected(self, damages):
         # The case study compares the two log families; gof_report is a
         # library call, and the CLI never passes it the normal family.
@@ -84,14 +101,6 @@ class TestInformationCriteria:
         mle = gof_report(Family.LOGNORMAL, damages, None)
         mtm = gof_report(Family.LOGNORMAL, damages, T3)
         assert mle.aic <= mtm.aic
-
-    def test_log_likelihood_normal_closed_form(self):
-        x = np.array([0.0, 1.0, 2.0])
-        p = ParameterVector(theta=1.0, sigma=2.0)
-        manual = sum(
-            -0.5 * ((v - 1.0) / 2.0) ** 2 - math.log(2.0)
-            - 0.5 * math.log(2.0 * math.pi) for v in x)
-        assert log_likelihood(Family.NORMAL, p, x) == pytest.approx(manual)
 
 
 class TestModifyDataset:
