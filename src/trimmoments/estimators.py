@@ -133,13 +133,16 @@ def row_moments(ys, squares, schemes: Sequence[TrimmingScheme], out=None):
 
     The columns are cut at every scheme's trimmed counts, and each
     segment between consecutive cuts is summed once, in ys and in the
-    squares; a moment is its window's segment sums added left to right
-    and divided by the kept count.  A window that is a single segment is
-    the plain mean of its column slice, and no moment reaches values
-    beyond its scheme's trimmed order statistics.  As the segments come
-    from the whole scheme set, a scheme's moments may differ in the last
-    bits from its fit alone (`fit` passes one scheme); each row's stay
-    independent of the other rows.
+    squares.  Each distinct window start opens one running sum, and
+    every segment advances all the open sums with one add, so a window's
+    sum is its segment sums added left to right, whatever the number of
+    rows (numpy's sum over a column of 8 or more adds pairwise); a moment
+    is that sum divided by the kept count.  A window that is a single
+    segment is the plain mean of its column slice, and no moment reaches
+    values beyond its scheme's trimmed order statistics.  As the segments
+    come from the whole scheme set, a scheme's moments may differ in the
+    last bits from its fit alone (`fit` passes one scheme); each row's
+    stay independent of the other rows.
 
     Returns (t, constant): t (len(schemes), 2, R) holds each scheme's t1
     and t2 (written into out when given), and constant flags the rows
@@ -149,15 +152,26 @@ def row_moments(ys, squares, schemes: Sequence[TrimmingScheme], out=None):
     windows = [(trim_counts(n, s.a1, s.b1), trim_counts(n, s.a2, s.b2))
                for s in schemes]
     cuts = sorted({c for w in windows for lo, hi in w for c in (lo, n - hi)})
-    at = {c: i for i, c in enumerate(cuts)}
-    segments = [(ys[:, a:b].sum(axis=1), squares[:, a:b].sum(axis=1))
-                for a, b in zip(cuts, cuts[1:])]
+    starts = sorted({lo for w in windows for lo, _ in w})
     if out is None:
         out = np.empty((len(schemes), 2, len(ys)))
+    closing = {}
     for t, window in zip(out, windows):
         for k, (lo, hi) in enumerate(window):
-            sums = [seg[k] for seg in segments[at[lo]:at[n - hi]]]
-            np.divide(sum(sums[1:], sums[0]), n - lo - hi, out=t[k])
+            closing.setdefault(n - hi, []).append(
+                (t[k], starts.index(lo), k, n - lo - hi))
+    seg = np.empty((2, len(ys)))
+    runs = np.empty((len(starts), 2, len(ys)))
+    opened = 0
+    for a, b in zip(cuts, cuts[1:]):
+        ys[:, a:b].sum(axis=1, out=seg[0])
+        squares[:, a:b].sum(axis=1, out=seg[1])
+        runs[:opened] += seg
+        if opened < len(starts) and starts[opened] == a:
+            runs[opened] = seg
+            opened += 1
+        for t, i, k, kept in closing.get(b, ()):
+            np.divide(runs[i, k], kept, out=t)
     return out, ys[:, 0] == ys[:, -1]
 
 

@@ -94,9 +94,10 @@ def mle_normal(data):
     return float(theta[0]), float(sigma[0])
 
 
-# Once a Newton step is below _MLE_RTOL of beta, the next iterate is within
-# rounding of the root (convergence is quadratic) and is the row's last.
-_MLE_RTOL, _MLE_MAX_ITER, _MLE_RESIDUAL = 1e-9, 100, 1e-10
+# A row converges at the Newton step that is at most _MLE_RTOL of beta: the
+# stepped iterate is then within rounding of the root (convergence is
+# quadratic), so the row is recorded there and iterated no further.
+_MLE_RTOL, _MLE_MAX_ITER = 1e-9, 100
 
 
 def _frechet_rows(logx, work=None):
@@ -106,13 +107,19 @@ def _frechet_rows(logx, work=None):
     of l = log x under weights exp(-l / b).  xi has slope
     1 + Var_w(l) / b^2 >= 1 and rises from min(l) - mean(l) < 0 at 0+ to
     >= 0 at mean(l) - min(l), which brackets the root.  Newton steps
-    start from the log-moment estimate sqrt(6) / pi * sd(l) and fall back
-    to bisection when they leave the bracket unconverged; only unconverged
-    rows are iterated.  Constant rows (no root), no convergence within
-    _MLE_MAX_ITER steps and a residual |xi| > 1e-10 leave the row NaN.
-    sigma follows in closed form.  With a workspace work (2, R, n) (see
-    `FamilySpec`), the shifted data and the scratch array are its two
-    halves, and only the shrinking copy of the iterated rows is new.
+    start from the log-moment estimate sqrt(6) / pi * sd(l), with sd^2 =
+    E[d^2] - mean(d)^2 of the shifted data d = l - min(l) (mean(d) / 2,
+    inside the bracket, where rounding leaves that not positive), and fall
+    back to bisection when they leave the bracket unconverged; only
+    unconverged rows are iterated.  A row converges at the iterate b whose
+    step s is at most _MLE_RTOL * b, with beta = b - s and
+    log sigma = min(l) - beta * (log(mean(exp(-d / b))) - E_w[d] * s / b^2),
+    the first-order move of the log-mean from b to beta (its second-order
+    term is below 1e-18 relative).  Constant rows (no root), non-finite
+    rows and no convergence within _MLE_MAX_ITER steps leave the row NaN.
+    With a workspace work (2, R, n) (see `FamilySpec`), the shifted data
+    and the scratch array are its two halves, and only the shrinking copy
+    of the iterated rows is new.
     """
     n = logx.shape[1]
     lmin = logx.min(axis=1)
@@ -125,38 +132,38 @@ def _frechet_rows(logx, work=None):
     rows = np.flatnonzero(np.isfinite(dbar) & (dbar > 0.0))
     d = shifted if rows.size == len(logx) else shifted[rows]
     lo, hi = np.zeros(rows.size), dbar[rows]
+    sd = np.sqrt(np.maximum(np.einsum("ij,ij->i", d, d) / n - hi * hi, 0.0))
+    b = np.where(sd > 0.0, np.minimum(math.sqrt(6.0) / math.pi * sd, hi),
+                 0.5 * hi)
     # Every block-sized step writes into one scratch array, whose leading
     # rows hold the rows still iterated; the weighted sums of d and d^2
     # are formed without writing their products.
-    w = work[1, :rows.size]
-    np.subtract(d, hi[:, None], out=w)
-    sd = np.sqrt(np.square(w, out=w).mean(axis=1))
-    b = np.minimum(math.sqrt(6.0) / math.pi * sd, hi)
-    last = np.zeros(rows.size, dtype=bool)
     for _ in range(_MLE_MAX_ITER):
         if rows.size == 0:
             break
-        e = w[:rows.size]
+        e = work[1, :rows.size]
         np.exp(np.divide(d, -b[:, None], out=e), out=e)
         s0 = e.sum(axis=1)
         m1 = np.einsum("ij,ij->i", e, d) / s0
         xi = b + m1 - dbar[rows]
-        good = last & (np.abs(xi) <= _MLE_RESIDUAL)
-        beta[rows[good]] = b[good]
-        loc[rows[good]] = lmin[rows[good]] - b[good] * np.log(s0[good] / n)
         m2 = np.einsum("ij,ij,ij->i", e, d, d) / s0
         step = xi / (1.0 + (m2 - m1 * m1) / (b * b))
-        below = xi < 0.0
-        lo, hi = np.where(below, b, lo), np.where(below, hi, b)
-        keep, last = ~last, np.abs(step) <= _MLE_RTOL * b
-        b = b - step
-        b = np.where(last | ((lo < b) & (b <= hi)), b, 0.5 * (lo + hi))
-        if not keep.all():
-            rows, b, lo, hi, last = (v[keep] for v in (rows, b, lo, hi, last))
+        done, nxt = np.abs(step) <= _MLE_RTOL * b, b - step
+        if done.any():
+            r, bd = rows[done], b[done]
+            beta[r] = nxt[done]
+            loc[r] = lmin[r] - beta[r] * (np.log(s0[done] / n)
+                                          - m1[done] * step[done] / (bd * bd))
+            keep = ~done
+            rows, b, nxt, xi, lo, hi = (
+                v[keep] for v in (rows, b, nxt, xi, lo, hi))
             # The rows still iterated are copied from the shifted data
             # once the previous copy is let go, so one copy at most is held.
             del d
             d = shifted[rows]
+        below = xi < 0.0
+        lo, hi = np.where(below, b, lo), np.where(below, hi, b)
+        b = np.where((lo < nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
     return loc, beta
 
 

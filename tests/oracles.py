@@ -41,7 +41,6 @@ from trimmoments.estimators import candidate_scales, solve_scale
 from trimmoments.families import LAWS, Branch
 from trimmoments.models import (
     _MLE_MAX_ITER,
-    _MLE_RESIDUAL,
     _MLE_RTOL,
     SPECS,
     Family,
@@ -550,9 +549,9 @@ def frechet_rows_allocating(logx):
     loc, beta = np.full(len(d), np.nan), np.full(len(d), np.nan)
     rows = np.flatnonzero(np.isfinite(dbar) & (dbar > 0.0))
     d, lo, hi = d[rows], np.zeros(rows.size), dbar[rows]
-    sd = np.sqrt(((d - hi[:, None]) ** 2).mean(axis=1))
-    b = np.minimum(math.sqrt(6.0) / math.pi * sd, hi)
-    last = np.zeros(rows.size, dtype=bool)
+    sd = np.sqrt(np.maximum(np.einsum("ij,ij->i", d, d) / n - hi * hi, 0.0))
+    b = np.where(sd > 0.0, np.minimum(math.sqrt(6.0) / math.pi * sd, hi),
+                 0.5 * hi)
     for _ in range(_MLE_MAX_ITER):
         if rows.size == 0:
             break
@@ -560,17 +559,19 @@ def frechet_rows_allocating(logx):
         s0 = w.sum(axis=1)
         m1 = np.einsum("ij,ij->i", w, d) / s0
         xi = b + m1 - dbar[rows]
-        good = last & (np.abs(xi) <= _MLE_RESIDUAL)
-        beta[rows[good]] = b[good]
-        loc[rows[good]] = lmin[rows[good]] - b[good] * np.log(s0[good] / n)
         m2 = np.einsum("ij,ij,ij->i", w, d, d) / s0
         step = xi / (1.0 + (m2 - m1 * m1) / (b * b))
+        done, nxt = np.abs(step) <= _MLE_RTOL * b, b - step
+        r, bd = rows[done], b[done]
+        beta[r] = nxt[done]
+        loc[r] = lmin[r] - beta[r] * (np.log(s0[done] / n)
+                                      - m1[done] * step[done] / (bd * bd))
+        keep = ~done
+        rows, d, b, nxt, xi, lo, hi = (
+            v[keep] for v in (rows, d, b, nxt, xi, lo, hi))
         below = xi < 0.0
         lo, hi = np.where(below, b, lo), np.where(below, hi, b)
-        keep, last = ~last, np.abs(step) <= _MLE_RTOL * b
-        b = b - step
-        b = np.where(last | ((lo < b) & (b <= hi)), b, 0.5 * (lo + hi))
-        rows, d, b, lo, hi, last = (v[keep] for v in (rows, d, b, lo, hi, last))
+        b = np.where((lo < nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
     return loc, beta
 
 

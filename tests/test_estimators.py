@@ -151,6 +151,20 @@ class TestMleFrechet:
         assert np.isnan(loc[1]) and np.isnan(beta[1])
         assert np.isfinite(loc[[0, 2]]).all() and np.isfinite(beta[[0, 2]]).all()
 
+    @pytest.mark.parametrize("beta", [1e5, 1e6, 1e8])
+    def test_rows_converge_at_a_large_beta(self, beta):
+        # Log-data of scale beta: beta-hat is beta times that of the same
+        # uniforms at beta = 1, and no row fails.  The score's terms are of
+        # order beta, so no absolute bound on it can mark convergence.
+        spec = SPECS[Family.FRECHET]
+        u = np.random.default_rng(5).random((20, 400))
+        unit = spec.mle_rows(spec.draw(ParameterVector(sigma=2.0, beta=1.0),
+                                       u.copy()))[1]
+        got = spec.mle_rows(spec.draw(ParameterVector(sigma=2.0, beta=beta),
+                                      u.copy()))[1]
+        assert not np.isnan(got).any()
+        assert got == pytest.approx(beta * unit, rel=1e-13, abs=0.0)
+
 
 class TestCandidateScales:
     def test_note_values_narrow_window(self):

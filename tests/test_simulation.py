@@ -187,6 +187,21 @@ class TestRunStudy:
             assert run_study(cfg).rows == whole
             monkeypatch.undo()
 
+    def test_block_budget_does_not_change_rows_on_study_schemes(
+            self, monkeypatch):
+        # The reference schemes cut n = 100 into 14 segments, and 20 of
+        # their 24 windows span 8 or more.  Blocks of one row, as a
+        # study's last block may be, must still add each window's segment
+        # sums left to right: numpy sums a column of 8 or more pairwise.
+        for family, params in ((Family.NORMAL, NORMAL),
+                               (Family.FRECHET, FRECHET)):
+            cfg = StudyConfig(family, params, 100, STUDY_SCHEMES,
+                              replicates=100, repetitions=3, seed=6)
+            whole = run_study(cfg).rows
+            monkeypatch.setattr(simulation, "BLOCK_ELEMENTS", 100 + 7)
+            assert run_study(cfg).rows == whole
+            monkeypatch.undo()
+
     def test_solve_scale_runs_once_per_scheme_and_repetition(
             self, monkeypatch):
         # Four blocks of 131 rows a repetition: the moments come per
