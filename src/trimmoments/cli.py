@@ -59,10 +59,10 @@ def _parse_grid(spec: str):
             raise ValueError("grid step must be positive")
         if stop < start:
             raise ValueError(f"grid range {spec!r} is descending")
-        span = (stop - start) / step
+        span = (stop - start) / step * (1.0 + 1e-12)  # as in trim_counts
         if not all(map(math.isfinite, (start, stop, step, span))):
             raise ValueError(f"grid range {spec!r} is not finite")
-        points = round(span) + 1
+        points = math.floor(span) + 1
         if points > MAX_SIZE:
             raise ValueError(f"grid range {spec!r} has more than "
                              f"{MAX_SIZE} points")

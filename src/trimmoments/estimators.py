@@ -4,11 +4,10 @@ Every family is fitted by one location-scale estimator on transformed
 data (`models.SPECS`): the Frechet tail index is the scale of log-data.
 The formulas read the family's c-form constants (`moments.eta_constants`).
 The scale solves a quadratic in the trimmed moments, so two candidates
-exist: minus = -FT + ST and plus = FT + ST, where FT is
-the square-root term and ST the linear term.  Equal per-moment trimming
-forces ST = 0 and the plus candidate is taken directly; otherwise the
-sign is resolved by positivity and, when both candidates are positive,
-by proximity to the full-sample MLE, one row of `FamilySpec.mle_rows`.
+exist: minus = -FT + ST and plus = FT + ST, where FT is the square-root
+term and ST the linear term.  Every scheme takes the positive candidate,
+and when both are positive the one nearer the full-sample MLE, one row
+of `FamilySpec.mle_rows`; an equal scheme's ST is 0, so it takes FT.
 `mle_normal` and `mle_frechet` are re-exported here only for the span
 tracer of bench/spans.py.
 """
@@ -99,8 +98,7 @@ def squares_overflow(y, n: int) -> bool:
     return not math.isfinite(n * m * m)
 
 
-def solve_scale(t1, t2, constants, tag: SchemeTag,
-                mle_scale: Callable[[], np.ndarray]):
+def solve_scale(t1, t2, constants, mle_scale: Callable[[], np.ndarray]):
     """Select the scale estimate per the sign-disambiguation algorithm,
     elementwise over arrays of moments (floats give 0-d results).
 
@@ -109,15 +107,13 @@ def solve_scale(t1, t2, constants, tag: SchemeTag,
     sample's reference, NaN where the MLE failed.  Returns (scale, minus,
     pair): scale is NaN where no candidate is admissible (none positive,
     or two and no reference), and minus is True where minus was taken.
-    An equal scheme's scale is FT as it is, which may be 0.
+    An equal scheme (ST = 0) gets FT, NaN where FT = 0, without the MLE.
     """
     pair = candidate_scales(t1, t2, constants)
     minus, plus = pair.minus, pair.plus
-    if tag is SchemeTag.EQUAL:
-        return pair.ft, np.zeros(np.shape(minus), dtype=bool), pair
-    take = (minus > 0.0) & ~(plus > 0.0)
-    scale = np.where(take, minus, np.where(plus > 0.0, plus, np.nan))
-    both = (minus > 0.0) & (plus > 0.0)
+    pos_minus, pos_plus = minus > 0.0, plus > 0.0
+    take, both = pos_minus & ~pos_plus, pos_minus & pos_plus
+    scale = np.where(take, minus, np.where(pos_plus, plus, np.nan))
     if np.any(both):
         ref = mle_scale()
         take = take | both & (np.abs(minus - ref) < np.abs(plus - ref))
@@ -175,12 +171,12 @@ def row_moments(ys, squares, schemes: Sequence[TrimmingScheme], out=None):
     return out, ys[:, 0] == ys[:, -1]
 
 
-def solve_rows(t, constant, schemes: Sequence[TrimmingScheme],
-               constants: Sequence[MomentConstants],
+def solve_rows(t, constant, family: Family,
+               schemes: Sequence[TrimmingScheme],
                mle_scale: Callable[[], np.ndarray]):
     """The fits from `row_moments`' (t, constant), for every scheme of
-    schemes with its constants (`eta_constants`): the second step of a
-    fit, one `solve_scale` call per scheme over all the rows.
+    schemes, each by `solve_scale`'s one rule with the family's constants
+    (`eta_constants`) over all the rows: the second step of a fit.
 
     Yields, one scheme at a time, (location, scale, minus, pair, t1, t2),
     arrays over the rows as `solve_scale` gives them, except that
@@ -189,8 +185,9 @@ def solve_rows(t, constant, schemes: Sequence[TrimmingScheme],
     yet a nested scheme's plus root is positive on it, and an equal
     scheme's root is a rounding residue of its moments.
     """
-    for scheme, c, (t1, t2) in zip(schemes, constants, t):
-        scale, minus, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
+    for scheme, (t1, t2) in zip(schemes, t):
+        c = eta_constants(family, scheme)
+        scale, minus, pair = solve_scale(t1, t2, c, mle_scale=mle_scale)
         scale = np.where(constant | ~(scale > 0.0), np.nan, scale)
         yield t1 - c.m1_11 * scale, scale, minus, pair, t1, t2
 
@@ -222,8 +219,7 @@ def fit(data, scheme: TrimmingScheme,
         raise ValueError("data out of range: their squares underflow")
     ys = np.sort(y).reshape(1, -1)
     loc, scale, minus, pair, t1, t2 = next(solve_rows(
-        *row_moments(ys, ys * ys, [scheme]), [scheme],
-        [eta_constants(family, scheme)],
+        *row_moments(ys, ys * ys, [scheme]), family, [scheme],
         lambda: spec.mle_rows(y.reshape(1, -1))[1]))
     if np.isnan(scale[0]):
         raise EstimationError("no admissible scale candidate: constant "

@@ -28,7 +28,8 @@ __all__ = [
 
 
 class EstimationError(Exception):
-    """No admissible scale candidate; update the trimming proportions."""
+    """A fit with no admissible scale candidate, an MLE (`FamilySpec.mle`)
+    with no likelihood maximum, or a study past its failure limit."""
 
 
 class Family(enum.Enum):

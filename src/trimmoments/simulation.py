@@ -46,7 +46,7 @@ from .asymptotics import det2, s_mle
 from .estimators import row_moments, solve_rows, squares_overflow
 from .families import LAWS, EstimationError, Family, ParameterVector
 from .models import SPECS
-from .moments import MAX_SIZE, TrimmingScheme, eta_constants
+from .moments import MAX_SIZE, TrimmingScheme
 
 __all__ = ["StudyConfig", "SchemeSummary", "StudyResult", "finite_re",
            "run_study", "MLE_LABEL"]
@@ -271,7 +271,6 @@ def run_study(config: StudyConfig) -> StudyResult:
     schemes, replicates = config.schemes, config.replicates
     spec = SPECS[family]
     truth = np.array(spec.law.estimates(params))
-    constants = [eta_constants(family, s) for s in schemes]
 
     labels = [MLE_LABEL] + [s.label() for s in schemes]
     nlab = len(labels)
@@ -303,8 +302,8 @@ def run_study(config: StudyConfig) -> StudyResult:
                 t[:, :, start:stop])
         # A constant row has no MLE, as it has no fit (`solve_rows`).
         mle[1, constant] = np.nan
-        fits = (fit[:2] for fit in solve_rows(t, constant, schemes,
-                                              constants, lambda: mle[1]))
+        fits = (fit[:2] for fit in solve_rows(t, constant, family, schemes,
+                                              lambda: mle[1]))
         for idx, (loc, scale) in enumerate(itertools.chain([mle], fits)):
             est = _estimates(spec, loc, scale)
             arr = est[~np.isnan(est).any(axis=1)]

@@ -585,6 +585,6 @@ def fit_rows_by_slices(ys, squares, scheme: TrimmingScheme, c, mle_scale):
     lo2, hi2 = trim_counts(n, scheme.a2, scheme.b2)
     t1 = ys[:, lo1:n - hi1].mean(axis=1)
     t2 = squares[:, lo2:n - hi2].mean(axis=1)
-    scale, minus, pair = solve_scale(t1, t2, c, scheme.tag, mle_scale)
+    scale, minus, pair = solve_scale(t1, t2, c, mle_scale)
     scale = np.where((ys[:, 0] == ys[:, -1]) | ~(scale > 0.0), np.nan, scale)
     return t1 - c.m1_11 * scale, scale, minus, pair, t1, t2

@@ -420,12 +420,12 @@ def test_criterion_9_property_suites_over_50_randomized_schemes():
             assert t2 - fcon.eta_r * t1 * t1 >= -1e-10
             if family is Family.FRECHET:
                 beta, _, _ = solve_scale(t1, t2, eta_constants(family, s),
-                                         s.tag, lambda: params.beta)
+                                         lambda: params.beta)
                 sigma = math.exp(t1 + beta * fcon.m1_11)
                 assert beta == pytest.approx(params.beta, abs=1e-8)
                 assert sigma == pytest.approx(params.sigma, abs=1e-8)
             else:
-                sigma, _, _ = solve_scale(t1, t2, fcon, s.tag,
+                sigma, _, _ = solve_scale(t1, t2, fcon,
                                           lambda: params.sigma)
                 theta = t1 - fcon.m1_11 * sigma
                 assert sigma == pytest.approx(params.sigma, abs=1e-8)

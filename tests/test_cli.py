@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimmoments import asymptotics, gof, simulation
-from trimmoments.cli import main
+from trimmoments.cli import _parse_grid, main
 from trimmoments.estimators import mle_normal
 from trimmoments.models import Family
 from trimmoments.moments import eta_constants, validate_scheme
@@ -96,6 +96,21 @@ class TestFit:
 
 
 class TestAre:
+    def test_grid_range_stops_at_its_stop(self, capsys):
+        # A range keeps the steps at or below its inclusive stop, read
+        # through the rounding of the division, so 0:1:0.1 keeps 1.0.
+        assert _parse_grid("0:1:0.35") == [0.0, 0.35, 0.7]
+        assert len(_parse_grid("-1:1:0.7")) == 3
+        assert _parse_grid("20:30:7") == [20.0, 27.0]
+        assert _parse_grid("20:30:6") == [20.0, 26.0]
+        grid = _parse_grid("0:1:0.1")
+        assert len(grid) == 11 and grid[-1] == 1.0
+        code, out, _ = run(capsys, "are", "--model", "normal", "--sigma",
+                           "1", "--theta=0:1:0.35",
+                           "--scheme", "0.1,0.1,0.1,0.1")
+        assert code == 0
+        assert out.splitlines()[0] == "scheme,theta=0,theta=0.35,theta=0.7"
+
     def test_equal_scheme_row_constant(self, capsys):
         code, out, _ = run(capsys, "are", "--model", "normal", "--sigma", "3",
                            "--theta=-25:25:5",

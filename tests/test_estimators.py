@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,9 +215,33 @@ class TestSolveScale:
         def must_not_call():
             raise AssertionError("MLE must not be needed for Equal schemes")
 
-        scale, minus, pair = solve_scale(1.0, 2.0, con, s.tag, must_not_call)
+        scale, minus, pair = solve_scale(1.0, 2.0, con, must_not_call)
         assert not minus
         assert scale == pair.ft
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equal_schemes_take_ft_by_the_one_rule(self, family):
+        # Equal windows make ST = 0, so the one sign rule takes plus = FT
+        # where FT > 0, fails where FT = 0 and never consults the MLE.
+        def must_not_call():
+            raise AssertionError("MLE must not be needed for Equal schemes")
+
+        t1 = np.repeat([-3.0, 0.5, 2.0], 3)
+        t2 = t1 * t1 * np.tile([0.5, 1.0, 2.0], 3)
+        for a in PROPORTIONS:
+            for b in PROPORTIONS:
+                s = validate_scheme(a, b, a, b)
+                con = eta_constants(family, s)
+                scale, minus, pair = solve_scale(t1, t2, con, must_not_call)
+                assert (pair.ft == 0.0).sum() == 3
+                assert np.array_equal(
+                    scale, np.where(pair.ft > 0.0, pair.ft, np.nan),
+                    equal_nan=True)
+                assert not minus.any()
+        x = np.random.default_rng(1).normal(5.0, 1.0, 200)
+        scheme = validate_scheme(0.1, 0.2, 0.1, 0.2)
+        fitted = fit(SPECS[family].inverse(x), scheme, family)
+        assert fitted.branch is Branch.EQUAL_TRIM
 
     def test_both_nonpositive_raises(self):
         s = validate_scheme(0.05, 0.05, 0.00, 0.10)
@@ -224,7 +249,7 @@ class TestSolveScale:
         # t1 < 0 makes ST < 0; t2 = eta_r*t1^2 makes FT = 0.
         t1 = -2.0
         t2 = con.eta_r * t1 * t1
-        scale, _, _ = solve_scale(t1, t2, con, s.tag, lambda: 1.0)
+        scale, _, _ = solve_scale(t1, t2, con, lambda: 1.0)
         assert np.isnan(scale)
 
     def test_arrays_fail_per_sample(self):
@@ -236,7 +261,7 @@ class TestSolveScale:
         t2 = con.eta_r * t1 * t1 + np.array([0.0, 0.01, 0.01, 1e3])
         pair = candidate_scales(t1, t2, con)
         ref = np.array([1.0, pair.minus[1], np.nan, np.nan])
-        scale, minus, _ = solve_scale(t1, t2, con, s.tag, lambda: ref)
+        scale, minus, _ = solve_scale(t1, t2, con, lambda: ref)
         assert np.isnan(scale[:3]).tolist() == [True, False, True]
         assert scale[1] == pair.minus[1] and minus[1]
         assert pair.minus[3] <= 0.0 and scale[3] == pair.plus[3]
@@ -248,13 +273,31 @@ class TestSolveScale:
         t2 = con.eta_r * t1 * t1 + 0.01  # small FT: both candidates positive
         pair = candidate_scales(t1, t2, con)
         assert pair.minus > 0.0 and pair.plus > 0.0
-        scale, minus, _ = solve_scale(t1, t2, con, s.tag, lambda: pair.minus)
+        scale, minus, _ = solve_scale(t1, t2, con, lambda: pair.minus)
         assert minus and scale == pair.minus
-        scale, minus, _ = solve_scale(t1, t2, con, s.tag, lambda: pair.plus)
+        scale, minus, _ = solve_scale(t1, t2, con, lambda: pair.plus)
         assert not minus and scale == pair.plus
         mid = 0.5 * (pair.minus + pair.plus)  # exact tie
-        scale, minus, _ = solve_scale(t1, t2, con, s.tag, lambda: mid)
+        scale, minus, _ = solve_scale(t1, t2, con, lambda: mid)
         assert not minus
+
+
+def test_tracer_sees_the_mle_reference(monkeypatch):
+    # bench/spans.py counts the solves that consult the MLE reference by
+    # wrapping solve_scale's mle_scale, given by keyword or 5th argument.
+    # A nested scheme's minus branch consults it; an equal one does not.
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    x = np.random.default_rng(1).normal(5, 1, 200)
+    for quad, consulted in [((0.05, 0.05, 0.0, 0.1), 1),
+                            ((0.1, 0.1, 0.1, 0.1), 0)]:
+        with spans.Tracer() as tracer:
+            fitted = fit(x, validate_scheme(*quad))
+        assert tracer.counters["reference_consulted"] == consulted
+        assert fitted.branch is (Branch.MINUS if consulted
+                                 else Branch.EQUAL_TRIM)
 
 
 class TestFitLocationScale:
@@ -280,8 +323,7 @@ class TestFitLocationScale:
             params = random_params(rng, Family.NORMAL)
             con = eta_constants(Family.NORMAL, s)
             t1, t2 = population_moments(Family.NORMAL, params, s)
-            sigma, _, _ = solve_scale(t1, t2, con, s.tag,
-                                      lambda: params.sigma)
+            sigma, _, _ = solve_scale(t1, t2, con, lambda: params.sigma)
             theta = t1 - con.m1_11 * sigma
             assert sigma == pytest.approx(params.sigma, abs=1e-8)
             assert theta == pytest.approx(params.theta, abs=1e-8)
@@ -293,7 +335,7 @@ class TestFitLocationScale:
             con = zeta_constants(s)
             t1, t2 = population_moments(Family.FRECHET, params, s)
             beta, _, _ = solve_scale(t1, t2, eta_constants(Family.FRECHET, s),
-                                     s.tag, lambda: params.beta)
+                                     lambda: params.beta)
             sigma = math.exp(t1 + beta * con.m1_11)
             assert beta == pytest.approx(params.beta, abs=1e-8)
             assert sigma == pytest.approx(params.sigma, abs=1e-8)
@@ -390,10 +432,9 @@ class TestFitRows:
             mle = spec.mle_rows(y)
             for _ in range(4):
                 s = random_scheme(rng, lo=0.0)
-                con = eta_constants(family, s)
                 ys = np.sort(y, axis=1)
                 loc, scale, minus, pair, t1, t2 = next(solve_rows(
-                    *row_moments(ys, ys * ys, [s]), [s], [con],
+                    *row_moments(ys, ys * ys, [s]), family, [s],
                     lambda: mle[1]))
                 for i, row in enumerate(x):
                     if not scale[i] > 0.0:
@@ -428,9 +469,8 @@ class TestFitRows:
         for quad in [(0.1, 0.1, 0.1, 0.1), (0.0, 0.0, 0.0, 0.0),
                      (0.1, 0.1, 0.2, 0.0), (0.05, 0.05, 0.0, 0.1)]:
             s = validate_scheme(*quad)
-            scale = next(solve_rows(*row_moments(y, y * y, [s]), [s],
-                                    [eta_constants(family, s)],
-                                    lambda: spec.mle_rows(y)[1]))[1]
+            scale = next(solve_rows(*row_moments(y, y * y, [s]), family,
+                                    [s], lambda: spec.mle_rows(y)[1]))[1]
             assert np.isnan(scale[:3]).all() and scale[3] > 0.0
             for row in spec.inverse(y[:3]):
                 with pytest.raises(EstimationError):
@@ -443,7 +483,7 @@ class TestFitRows:
         ys = np.array([[0.0, 5.0, 5.0, 5.0, 10.0]])
         t, constant = row_moments(ys, ys * ys, [s])
         loc, scale, _, pair, _, _ = next(solve_rows(
-            t, constant, [s], [eta_constants(Family.NORMAL, s)], None))
+            t, constant, Family.NORMAL, [s], None))
         assert not constant[0] and pair.ft[0] == 0.0
         assert np.isnan(scale[0]) and np.isnan(loc[0])
         with pytest.raises(EstimationError, match="update trimming"):
@@ -476,8 +516,8 @@ class TestSegmentSums:
         windows = [(trim_counts(n, s.a1, s.b1), trim_counts(n, s.a2, s.b2))
                    for s in schemes]
         cuts = {c for w in windows for lo, hi in w for c in (lo, n - hi)}
-        fits = solve_rows(*row_moments(ys, squares, schemes), schemes,
-                          constants, lambda: ref)
+        fits = solve_rows(*row_moments(ys, squares, schemes), family,
+                          schemes, lambda: ref)
         exact = 0
         for s, c, w, got in zip(schemes, constants, windows, fits):
             want = fit_rows_by_slices(ys, squares, s, c, lambda: ref)
@@ -520,9 +560,8 @@ class TestSegmentSums:
         ys = np.array([x, moved])
         with np.errstate(over="ignore"):
             squares = ys * ys
-        constants = [eta_constants(family, s) for s in schemes]
         for _, _, _, pair, t1, t2 in solve_rows(
-                *row_moments(ys, squares, schemes), schemes, constants,
+                *row_moments(ys, squares, schemes), family, schemes,
                 lambda: np.ones(2)):
             assert np.isfinite(t2).all()
             assert t1[0] == t1[1] and t2[0] == t2[1]
@@ -570,11 +609,10 @@ class TestContaminationInvariance:
             moved[:lo] -= move[:lo]
             moved[hi:] += move[hi:]
         rng.shuffle(moved)
-        con = eta_constants(family, s)
         y = spec.transform(np.array([x, moved]))
         ys = np.sort(y, axis=1)
         _, scale, _, pair, t1, t2 = next(solve_rows(
-            *row_moments(ys, ys * ys, [s]), [s], [con],
+            *row_moments(ys, ys * ys, [s]), family, [s],
             lambda: spec.mle_rows(y)[1]))
         assert t1[0] == t1[1] and t2[0] == t2[1]
         assert pair.minus[0] == pair.minus[1]

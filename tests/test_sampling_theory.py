@@ -91,10 +91,9 @@ def _estimates(index):
     y = spec.draw(params, np.random.default_rng((SEED, index)).random((R, N)))
     mle = spec.mle_rows(y)
     y.sort(axis=1)
-    constants = [eta_constants(family, s) for s in schemes]
     return [np.transpose(spec.law.estimates(spec.params(loc, scale)))
             for loc, scale, *_ in solve_rows(*row_moments(y, y * y, schemes),
-                                             schemes, constants,
+                                             family, schemes,
                                              lambda: mle[1])]
 
 

@@ -209,9 +209,9 @@ class TestRunStudy:
         calls = []
         solve = estimators.solve_scale
 
-        def counted(t1, *args):
+        def counted(t1, *args, **kwargs):
             calls.append(len(t1))
-            return solve(t1, *args)
+            return solve(t1, *args, **kwargs)
 
         monkeypatch.setattr(estimators, "solve_scale", counted)
         schemes = STUDY_SCHEMES[:3]
