@@ -8,7 +8,11 @@ default_rng(SeedSequence((seed, r, k))), so results are reproducible and
 do not depend on how replicates are grouped.  The streams of a block are
 not built one SeedSequence at a time: their PCG64 states are derived
 together in uint64 array arithmetic that reproduces numpy's seeding bit
-for bit (`_pcg64_states`), and one reused generator draws each row.
+for bit (`_pcg64_states`, the 128-bit LCG step in 32-bit limbs), and one
+reused generator draws each row.  A row's state is written through
+numpy's state pointer (`PCG64.ctypes.state_address`), in the word order
+probed once per process: one known state is set through numpy's dict
+setter and read back from the struct.
 A repetition is worked in two parts.  Everything that reads the n
 values of a replicate runs per block of at most BLOCK_ELEMENTS values: a
 block is drawn directly on the transformed scale the estimators fit,
@@ -27,15 +31,18 @@ replicate whose fit fails, whose fitted parameters overflow, or whose
 MLE fails where the MLE row or a proximity rule needs it, counts in
 that estimator's failures and is left out of its ratios and RE (a
 constant replicate fails every estimator, the MLE too); a singular RE
-leaves that repetition's RE NaN.  Mean ratios and REs are computed per
-repetition and averaged, with standard deviations across repetitions
-alongside; a true parameter so small that the ratios estimate / truth
-overflow puts the study out of range.  The `StudyResult` is built once,
-from the finished rows.
+leaves that repetition's RE NaN.  Past MAX_FAILURE_RATE the study
+stops; its message names the overflow where most of that estimator's
+failures are overflowed sigmas, and the trimming otherwise.  Mean ratios
+and REs are computed per repetition and averaged, with standard
+deviations across repetitions alongside; a true parameter so small that
+the ratios estimate / truth overflow puts the study out of range.  The
+`StudyResult` is built once, from the finished rows.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from typing import List, NamedTuple, Sequence
@@ -56,10 +63,12 @@ MLE_LABEL = "MLE"
 # Values per block of replicates (rows x n: 1310 x 100, 131 x 1000).  A
 # study holds three blocks (the uniforms and the MLE's two-half
 # workspace), and the Frechet MLE a fourth at most, whatever its size.  A
-# repetition's arrays grow with its replicates: 16 bytes each for every
-# scheme's t1, t2 and for the MLE are kept, and the solve and estimates
-# of one estimator take up to about 155 more: about 365 bytes a
-# replicate with 12 schemes, 365 MB at MAX_SIZE replicates.
+# repetition's arrays grow with its replicates and schemes: 16 bytes each
+# for every scheme's t1, t2 and for the MLE are kept, and the solve and
+# estimates of one estimator take more.  The tracemalloc peak at n = 20
+# is 388 bytes a replicate with 12 schemes and 964 with 48, so about
+# 1 GB at MAX_SIZE replicates and 48 schemes; the number of --scheme
+# options is unbounded.
 BLOCK_ELEMENTS = 2 ** 17
 
 # Largest share of replicates an estimator may fail on.
@@ -150,7 +159,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
+_MASK32, _MASK64 = 2 ** 32 - 1, 2 ** 64 - 1
+_PCG64_MULT_LIMBS = [_PCG64_MULT >> s & _MASK32 for s in range(0, 128, 32)]
 _POOL_SIZE = 4
 
 
@@ -181,15 +191,30 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
+def _limb_sum(a, b):
+    """a + b mod 2**128, on four 32-bit limbs each, low limb first."""
+    out, carry = [], 0
+    for x, y in zip(a, b):
+        total = x + y + carry
+        out.append(total & _MASK32)
+        carry = total >> 32
+    return out
+
+
 def _pcg64_states(seed: int, rep: int, ks):
-    """The PCG64 (state, inc) of default_rng(SeedSequence((seed, rep, k)))
-    for each k of the uint64 array ks, as Python ints.
+    """The PCG64 state and increment of
+    default_rng(SeedSequence((seed, rep, k))) for each k of the uint64
+    array ks, as a (len(ks), 4) uint64 array: the state's two 64-bit
+    words, then the increment's two, each low word first.
 
     SeedSequence's pool mix and generate_state(4, uint64) run on uint64
     arrays of 32-bit words, one element per k.  The entropy is the words
     of seed, rep and k; a k below 2**32 has no high word, and its zero
     there stands for numpy's zero padding inside the pool (seed and rep
-    give at least two words) and is skipped beyond it.
+    give at least two words) and is skipped beyond it.  PCG64's seeding,
+    ((inc + initstate) * MULT + inc) mod 2**128 with inc = initseq << 1 | 1,
+    runs on the same arrays in 32-bit limbs: a limb product plus a limb
+    and a carry fits in a uint64.
     """
     prefix = _words(seed) + _words(rep)
     high = ks >> 32
@@ -208,11 +233,68 @@ def _pcg64_states(seed: int, rep: int, ks):
             pool[dst] = np.where(i < length, mixed, pool[dst])
     hashmix = _hasher(_INIT_B, _MULT_B)
     words = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
-    for s0, s1, s2, s3 in zip(*(
-            (words[2 * j] | words[2 * j + 1] << 32).tolist() for j in range(4))):
-        # pcg_setseq_128_srandom_r(initstate, initseq) from state 0.
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        yield ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
+    # generate_state's uint64 word j is 32-bit words 2j (low) and 2j + 1:
+    # words 0 and 1 are initstate's high and low halves, 2 and 3 initseq's.
+    # Then pcg_setseq_128_srandom_r from state 0, on limbs low first.
+    initstate = words[2:4] + words[0:2]
+    initseq = words[6:8] + words[4:6]
+    # Each limb of inc takes the top bit of the limb below, the low
+    # limb a 1.
+    inc = [(w << 1 | lower >> 31) & _MASK32
+           for w, lower in zip(initseq, [1 << 31] + initseq[:3])]
+    base = _limb_sum(inc, initstate)
+    state = [0] * 4  # base * MULT mod 2**128, schoolbook
+    for i, limb in enumerate(base):
+        carry = 0
+        for j, mult in enumerate(_PCG64_MULT_LIMBS[:4 - i]):
+            total = limb * mult + state[i + j] + carry
+            state[i + j] = total & _MASK32
+            carry = total >> 32
+    state = _limb_sum(state, inc)
+    limbs = state + inc
+    out = np.empty(ks.shape + (4,), np.uint64)
+    for col in range(4):
+        out[:, col] = limbs[2 * col] | limbs[2 * col + 1] << 32
+    return out
+
+
+_PROBE_STATE = 0x0123456789ABCDEF_FEDCBA9876543210
+_PROBE_INC = 0x0F1E2D3C4B5A6978_8796A5B4C3D2E1F1
+
+
+def _struct_order(words) -> tuple:
+    """The columns of a `_pcg64_states` row in the order of the four
+    uint64 words of a pcg64_random_t, given the words of one that holds
+    _PROBE_STATE and _PROBE_INC: low word first where numpy stores them
+    as __uint128_t, high word first where it has no 128-bit integer."""
+    halves = [_PROBE_STATE & _MASK64, _PROBE_STATE >> 64,
+              _PROBE_INC & _MASK64, _PROBE_INC >> 64]
+    for order in ((0, 1, 2, 3), (1, 0, 3, 2)):
+        if [halves[c] for c in order] == list(words):
+            return order
+    raise RuntimeError("numpy's PCG64 state struct has an unknown layout")
+
+
+def _state_words(bitgen):
+    """The four uint64 words of bitgen's pcg64_random_t, as a ctypes
+    array on them: the struct that the first field of numpy's state
+    struct, at `bitgen.ctypes.state_address`, points to."""
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address)
+    return (ctypes.c_uint64 * 4).from_address(address.value)
+
+
+def _probe_word_order() -> tuple:
+    """`_struct_order` of this numpy: one known state is set through the
+    dict setter and read back from the struct."""
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": _PROBE_STATE, "inc": _PROBE_INC},
+                    "has_uint32": 0, "uinteger": 0}
+    return _struct_order(_state_words(bitgen))
+
+
+# Probed once per process, at import.
+_WORD_ORDER = _probe_word_order()
 
 
 def _uniforms(seed: int, rep: int, start: int, stop: int, n: int,
@@ -221,18 +303,24 @@ def _uniforms(seed: int, rep: int, start: int, stop: int, n: int,
     written into out (stop - start, n) when given.
 
     Row i is default_rng(SeedSequence((seed, rep, start + i))).random(n):
-    the rows' PCG64 states are derived in bulk (`_pcg64_states`) and
-    each row is drawn by one reused generator set to its state.
+    the rows' PCG64 states are derived in bulk (`_pcg64_states`) and put
+    in the struct's word order, probed once per process (`_WORD_ORDER`).
+    One reused generator draws every row, after the row's 32 bytes are
+    copied over its state through numpy's state pointer.  Its has_uint32
+    and uinteger stay 0, as `random` draws doubles only.
     """
     ks = np.arange(start, stop, dtype=np.uint64)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     u = np.empty((stop - start, n)) if out is None else out
-    for row, (state, inc) in zip(u, _pcg64_states(seed, rep, ks)):
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        gen.random(n, out=row)
+    states = np.ascontiguousarray(
+        _pcg64_states(seed, rep, ks)[:, _WORD_ORDER])
+    source = memoryview(states.view(np.uint8).ravel())
+    target = memoryview(_state_words(bitgen)).cast("B")
+    random = gen.random
+    for row, at in zip(u, range(0, source.nbytes, 32)):
+        target[:] = source[at:at + 32]
+        random(n, out=row)
     return u
 
 
@@ -277,6 +365,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     ratio_reps = np.full((config.repetitions, nlab, 2), np.nan)
     re_reps = np.full((config.repetitions, nlab), np.nan)
     failures = np.zeros(nlab, dtype=int)
+    # Failures of a finite (location, scale): the reported sigma overflowed.
+    overflows = np.zeros(nlab, dtype=int)
     block = max(1, BLOCK_ELEMENTS // n)
     # The block-sized buffers, reused by every block (a shorter last
     # block takes their leading rows): the uniforms, which the draw
@@ -306,8 +396,11 @@ def run_study(config: StudyConfig) -> StudyResult:
                                               lambda: mle[1]))
         for idx, (loc, scale) in enumerate(itertools.chain([mle], fits)):
             est = _estimates(spec, loc, scale)
-            arr = est[~np.isnan(est).any(axis=1)]
+            failed = np.isnan(est).any(axis=1)
+            arr = est[~failed]
             failures[idx] += replicates - arr.shape[0]
+            overflows[idx] += np.count_nonzero(
+                failed & np.isfinite(loc) & np.isfinite(scale))
             if arr.shape[0] < 2:
                 continue
             try:
@@ -326,10 +419,14 @@ def run_study(config: StudyConfig) -> StudyResult:
     for idx, label in enumerate(labels):
         frate = failures[idx] / total
         if frate > MAX_FAILURE_RATE:
+            cause = ("parameters out of range: the reported sigma = "
+                     "exp(location) overflows"
+                     if 2 * overflows[idx] > failures[idx]
+                     else "update trimming proportions")
             raise EstimationError(
                 f"estimator {label} failed on {100.0 * frate:.1f}% of "
                 f"replicates (limit {100.0 * MAX_FAILURE_RATE:.1f}%); "
-                "update trimming proportions"
+                + cause
             )
         means, sds = zip(*(_mean_sd(v) for v in (
             ratio_reps[:, idx, 0], ratio_reps[:, idx, 1], re_reps[:, idx])))

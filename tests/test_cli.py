@@ -282,6 +282,22 @@ def test_overflowing_fitted_sigma_is_an_estimator_failure(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_overflowing_fitted_sigma_is_named_as_the_cause(capsys):
+    # At beta = 1e4 the MLE converges on every row, but its log sigma
+    # has an SD near 0.15 beta, so sigma = exp(location) overflows on
+    # about 30% of rows: the failure names that, not the trimming.
+    code, out, err = run(capsys, "simulate", "--model", "frechet",
+                         "--sigma", "5", "--beta", "1e4", "--n", "50",
+                         "--replicates", "200", "--repetitions", "2",
+                         "--scheme", "0,0,0,0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("estimation failure: estimator MLE failed on")
+    assert err.rstrip().endswith("parameters out of range: the reported "
+                                 "sigma = exp(location) overflows")
+    assert len(err.splitlines()) == 1
+
+
 def test_negative_seed_exit_2(capsys):
     code, out, err = run(capsys, *SIMULATE, "--n", "20", *NORMAL,
                          "--seed", "-1")

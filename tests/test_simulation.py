@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 import warnings
 
@@ -66,6 +67,24 @@ def _numpy_streams(seed, rep, start, stop, n):
     return u
 
 
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seeding(seed, rep, k):
+    """numpy's PCG64 seeding from SeedSequence((seed, rep, k)), in
+    Python ints: pcg_setseq_128_srandom_r on generate_state's words."""
+    s0, s1, s2, s3 = (int(w) for w in np.random.SeedSequence(
+        (seed, rep, k)).generate_state(4, np.uint64))
+    inc = ((s2 << 64 | s3) << 1 | 1) % 2 ** 128
+    return ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) % 2 ** 128, inc
+
+
+def _halves(state, inc):
+    """A state and increment as four 64-bit words, low word first."""
+    mask = 2 ** 64 - 1
+    return [state & mask, state >> 64, inc & mask, inc >> 64]
+
+
 class TestUniforms:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 128 - 1), rep=st.integers(0, 2 ** 33 - 1),
@@ -80,6 +99,38 @@ class TestUniforms:
         u = simulation._uniforms(seed, rep, start, start + rows, n)
         assert np.array_equal(
             u, _numpy_streams(seed, rep, start, start + rows, n))
+
+    @pytest.mark.parametrize("seed", [7, 2 ** 32 + 9, 2 ** 64 + 2 ** 40 + 3])
+    @pytest.mark.parametrize("rep", [2, 2 ** 33 + 1, 2 ** 65 + 5])
+    def test_states_are_numpy_seeding_in_python_ints(self, seed, rep):
+        # k around 2**32 and 2**64 - 1, where the entropy gains a word.
+        ks = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64 - 2,
+              2 ** 64 - 1]
+        states = simulation._pcg64_states(seed, rep,
+                                          np.array(ks, dtype=np.uint64))
+        assert states.shape == (len(ks), 4) and states.dtype == np.uint64
+        for k, row in zip(ks, states.tolist()):
+            state, inc = _pcg64_seeding(seed, rep, k)
+            assert row == _halves(state, inc)
+            numpy_state = np.random.PCG64(
+                np.random.SeedSequence((seed, rep, k))).state["state"]
+            assert (state, inc) == (numpy_state["state"], numpy_state["inc"])
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2)])
+    def test_probe_accepts_either_word_order(self, order):
+        halves = _halves(simulation._PROBE_STATE, simulation._PROBE_INC)
+        struct = (ctypes.c_uint64 * 4)(*(halves[c] for c in order))
+        assert simulation._struct_order(struct) == order
+
+    @pytest.mark.parametrize("order", [(2, 3, 0, 1), (0, 1, 3, 2),
+                                       (1, 0, 2, 3), (3, 2, 1, 0), None])
+    def test_probe_rejects_an_unknown_word_order(self, order):
+        # None: a struct of zeros, as if the pointer missed the state.
+        halves = _halves(simulation._PROBE_STATE, simulation._PROBE_INC)
+        struct = (ctypes.c_uint64 * 4)(
+            *(halves[c] for c in order or ()))
+        with pytest.raises(RuntimeError, match="unknown layout"):
+            simulation._struct_order(struct)
 
 
 class TestFiniteRe:
@@ -328,6 +379,18 @@ class TestRunStudy:
                           [validate_scheme(0.10, 0.10, 0.10, 0.10)],
                           replicates=100, repetitions=1, seed=1)
         with pytest.raises(EstimationError, match="MLE failed on 2.0%"):
+            run_study(cfg)
+
+    def test_overflowed_sigma_names_its_cause(self):
+        # Every MLE row converges, but sigma = exp(location) overflows on
+        # most of the MLE's failures: the message says so.
+        cfg = StudyConfig(Family.FRECHET,
+                          ParameterVector(sigma=5.0, beta=1e4), 50,
+                          [validate_scheme(0.0, 0.0, 0.0, 0.0)],
+                          replicates=200, repetitions=2, seed=0)
+        with pytest.raises(EstimationError, match=r"MLE failed on .*; "
+                           r"parameters out of range: the reported "
+                           r"sigma = exp\(location\) overflows$"):
             run_study(cfg)
 
     def test_singular_re_is_nan_not_fatal(self, monkeypatch):
