@@ -123,8 +123,8 @@ def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
     the location-scale families, (tail index, scale) for Frechet, whose
     sigma = exp(location) row is the location row times sigma.  branch
     is a `Branch` or its value; EQUAL_TRIM takes the plus sign.  The
-    Frechet rows need the true (or fitted) sigma; the location-scale
-    rows do not read it.  An array."""
+    Frechet rows need the true (or fitted) sigma, a ValueError without
+    it; the location-scale rows do not read it.  An array."""
     import numpy as np
 
     sign = -1.0 if Branch(branch) is Branch.MINUS else 1.0
@@ -134,6 +134,8 @@ def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
             f"scale discriminant {disc:.4e} is vanishing or negative")
     root = math.sqrt(c.eta_12) * math.sqrt(disc)
     law = LAWS[family]
+    if law.exp_location and sigma is None:
+        raise ValueError(f"the {family.value} Jacobian needs sigma")
     ds1 = sign * (-c.eta_r * t1 / root) + (c.m1_11 - c.m1_22) / c.eta_12
     ds2 = sign / (2.0 * root)
     # The factor goes first so that the Frechet row keeps the rounding

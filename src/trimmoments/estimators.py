@@ -224,7 +224,7 @@ def fit(data, scheme: TrimmingScheme,
     if np.isnan(scale[0]):
         raise EstimationError("no admissible scale candidate: constant "
                               "data, or update trimming proportions")
-    params = spec.params(float(loc[0]), float(scale[0]))
+    params = spec.law.params(float(loc[0]), float(scale[0]))
     branch = (Branch.EQUAL_TRIM if scheme.tag is SchemeTag.EQUAL
               else Branch.MINUS if minus[0] else Branch.PLUS)
     return FitResult(family, scheme, params, branch,

@@ -2,7 +2,8 @@
 
 Every family is a location-scale model y = location + scale * Z of
 transformed data; its `FamilyLaw` in `LAWS` holds what an asymptotic
-relative efficiency or the command line's parser reads of it, and
+relative efficiency or the command line's parser reads of it, and the
+one map from a fit's (location, scale) to the reported parameters;
 `models` adds the data and sample side on arrays.  The error and
 outcome types that the scalar path shares with the array layer,
 `EstimationError` and the scale root a fit took, `Branch`, live here
@@ -181,7 +182,7 @@ class FamilyLaw(NamedTuple):
     MLE's asymptotic covariance (the inverse Fisher information) as two
     rows of Python floats.  `exp_location` is the one way a report
     departs from (location, scale): Frechet reports (scale,
-    exp(location)).
+    exp(location)), by `reported` and `params`.
     """
 
     names: Tuple[str, str]
@@ -198,6 +199,16 @@ class FamilyLaw(NamedTuple):
     def estimates(self, p: ParameterVector) -> tuple:
         """The reported parameters of p, in `names` order."""
         return (getattr(p, self.names[0]), getattr(p, self.names[1]))
+
+    def reported(self, loc, scale, exp) -> tuple:
+        """The reported parameters at (location, scale), in `names` order,
+        sigma = exp(loc) by the given exp where `exp_location` is set."""
+        return (scale, exp(loc)) if self.exp_location else (loc, scale)
+
+    def params(self, loc: float, scale: float) -> ParameterVector:
+        """`reported` of one fit with libm's exp, which may overflow."""
+        return ParameterVector(
+            **dict(zip(self.names, self.reported(loc, scale, math.exp))))
 
 
 _NORMAL_LAW = FamilyLaw(

@@ -23,7 +23,9 @@ block kernel, which forwards a whole block of uniforms to scipy's
 the package, `fit`, `are` and `gof` leave scipy unloaded.  Off the
 draw, every log reaching the 17 printed digits (the Gumbel quantile,
 the log transform of the data) is libm's `math.log`, whose rounding
-does not depend on the host's SIMD extensions.
+does not depend on the host's SIMD extensions, and the Frechet sigma =
+exp(location) of `FamilySpec.mle` and `estimators.fit` is libm's
+`math.exp` (`FamilyLaw.params`); a study's rows take numpy's exp.
 
 Parameters
 ----------
@@ -173,17 +175,15 @@ def mle_frechet(data):
     return p.beta, p.sigma
 
 
-def _libm(f):
-    """f elementwise over a float or an array, with libm's rounding (numpy's
-    SIMD log and exp may round differently, by host), so each row of a
+_log_each = np.frompyfunc(math.log, 1, 1)
+
+
+def _log(u):
+    """log elementwise over a float or an array, with libm's rounding
+    (numpy's SIMD log may round differently, by host), so each row of a
     batch fit equals the fit of that sample alone; a float or a 0-d array
-    gives a numpy float64, as a ufunc does.  An exception of f, such as
-    math.exp's OverflowError, propagates."""
-    each = np.frompyfunc(f, 1, 1)
-    return lambda u: np.asarray(each(u), dtype=float)[()]
-
-
-_log, _exp = _libm(math.log), _libm(math.exp)
+    gives a numpy float64, as a ufunc does."""
+    return np.asarray(_log_each(u), dtype=float)[()]
 
 
 def _gumbel_quantile(u, out):
@@ -226,13 +226,12 @@ class FamilySpec(NamedTuple):
     law given by the law's `base`, its quantile at one float, and
     `base_logpdf`; every distribution function of the family is derived
     from these.  `base_quantile` is the draw's block kernel: the base
-    quantile of an array of uniforms, written into `out`.
-    `params` maps (location, scale), floats or arrays, to the reported
-    parameters.  `mle_rows` fits each row of transformed data (R, n), as
-    (location, scale) arrays that are NaN where no estimate exists; its
-    optional second argument, a workspace (2, R, n), holds its
-    row-sized temporaries, so that a caller fitting block after block
-    (`simulation.run_study`) allocates them once.
+    quantile of an array of uniforms, written into `out`.  `mle_rows`
+    fits each row of transformed data (R, n), as (location, scale)
+    arrays that are NaN where no estimate exists; its optional second
+    argument, a workspace (2, R, n), holds its row-sized temporaries, so
+    that a caller fitting block after block (`simulation.run_study`)
+    allocates them once.
     """
 
     law: FamilyLaw
@@ -241,7 +240,6 @@ class FamilySpec(NamedTuple):
     log_jacobian: Callable[[np.ndarray], np.ndarray]
     base_quantile: Callable
     base_logpdf: Callable
-    params: Callable[[float, float], ParameterVector]
     mle_rows: Callable[..., Tuple[np.ndarray, np.ndarray]]
 
     def mle(self, x) -> ParameterVector:
@@ -257,7 +255,7 @@ class FamilySpec(NamedTuple):
         if not scale[0] > 0.0 or y.min() == y.max():
             raise EstimationError("no likelihood maximum: constant data "
                                   "or no convergence")
-        return self.params(float(loc[0]), float(scale[0]))
+        return self.law.params(float(loc[0]), float(scale[0]))
 
     def draw(self, p: ParameterVector, u: np.ndarray) -> np.ndarray:
         """Transformed data loc + scale * base_quantile(u) from a float
@@ -273,7 +271,6 @@ _NORMAL_MAPS = dict(
     law=LAWS[Family.NORMAL],
     base_quantile=_ndtri,
     base_logpdf=lambda z: -0.5 * (z * z + math.log(2.0 * math.pi)),
-    params=lambda loc, scale: ParameterVector(theta=loc, sigma=scale),
     mle_rows=_normal_rows,
 )
 
@@ -290,7 +287,5 @@ SPECS = {
         **_log_data("Frechet"),
         base_quantile=_gumbel_quantile,
         base_logpdf=lambda z: -z - np.exp(-z),
-        params=lambda loc, scale: ParameterVector(sigma=_exp(loc),
-                                                  beta=scale),
         mle_rows=_frechet_rows),
 }

@@ -26,14 +26,16 @@ are allocated once per study; every block reuses them, a shorter last
 block their leading rows.  Everything that works per replicate and
 scheme runs once per repetition, on all its replicates: one
 `estimators.solve_rows` pass solves each scheme's scale from the kept
-moments, and the estimates, ratios and RE of each estimator follow.  A
-replicate whose fit fails, whose fitted parameters overflow, or whose
-MLE fails where the MLE row or a proximity rule needs it, counts in
-that estimator's failures and is left out of its ratios and RE (a
-constant replicate fails every estimator, the MLE too); a singular RE
-leaves that repetition's RE NaN.  Past MAX_FAILURE_RATE the study
-stops; its message names the overflow where most of that estimator's
-failures are overflowed sigmas, and the trimming otherwise.  Mean ratios
+moments, and one `FamilyLaw.reported` pass, with numpy's exp, maps an
+estimator's rows to estimates, whose ratios and RE follow.  A
+replicate whose fit fails, whose estimates are not finite (an
+overflowed sigma = exp(location)), or whose MLE fails where the MLE
+row or a proximity rule needs it, counts in that estimator's failures
+and is left out of its ratios and RE (a constant replicate fails
+every estimator, the MLE too); a singular RE leaves that repetition's
+RE NaN.  Past MAX_FAILURE_RATE the study stops; its message names the
+overflow where most of that estimator's failures are inf sigmas,
+else the likelihood maximum (MLE) or the trimming (schemes).  Mean ratios
 and REs are computed per repetition and averaged, with standard
 deviations across repetitions alongside; a true parameter so small that
 the ratios estimate / truth overflow puts the study out of range.  The
@@ -324,20 +326,6 @@ def _uniforms(seed: int, rep: int, start: int, stop: int, n: int,
     return u
 
 
-def _estimates(spec, loc, scale) -> np.ndarray:
-    """The reported estimates of each row's (location, scale), NaN in a
-    row whose parameters overflow (a Frechet sigma = exp(location) above
-    the float range), found by splitting the rows in halves."""
-    try:
-        return np.transpose(spec.law.estimates(spec.params(loc, scale)))
-    except OverflowError:
-        if len(loc) == 1:
-            return np.full((1, 2), np.nan)
-        h = len(loc) // 2
-        return np.concatenate([_estimates(spec, loc[:h], scale[:h]),
-                               _estimates(spec, loc[h:], scale[h:])])
-
-
 def _mean_sd(values):
     """Mean and standard deviation of the repetitions that have a value
     (not NaN), both NaN when none has.  They are computed on the values
@@ -365,7 +353,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     ratio_reps = np.full((config.repetitions, nlab, 2), np.nan)
     re_reps = np.full((config.repetitions, nlab), np.nan)
     failures = np.zeros(nlab, dtype=int)
-    # Failures of a finite (location, scale): the reported sigma overflowed.
+    # Failures whose estimates hold inf: the reported sigma overflowed.
     overflows = np.zeros(nlab, dtype=int)
     block = max(1, BLOCK_ELEMENTS // n)
     # The block-sized buffers, reused by every block (a shorter last
@@ -395,12 +383,13 @@ def run_study(config: StudyConfig) -> StudyResult:
         fits = (fit[:2] for fit in solve_rows(t, constant, family, schemes,
                                               lambda: mle[1]))
         for idx, (loc, scale) in enumerate(itertools.chain([mle], fits)):
-            est = _estimates(spec, loc, scale)
-            failed = np.isnan(est).any(axis=1)
-            arr = est[~failed]
+            with np.errstate(over="ignore"):
+                est = np.transpose(spec.law.reported(loc, scale, np.exp))
+            kept = np.isfinite(est).all(axis=1)
+            arr = est[kept]
             failures[idx] += replicates - arr.shape[0]
             overflows[idx] += np.count_nonzero(
-                failed & np.isfinite(loc) & np.isfinite(scale))
+                np.isinf(est[~kept]).any(axis=1))
             if arr.shape[0] < 2:
                 continue
             try:
@@ -422,6 +411,8 @@ def run_study(config: StudyConfig) -> StudyResult:
             cause = ("parameters out of range: the reported sigma = "
                      "exp(location) overflows"
                      if 2 * overflows[idx] > failures[idx]
+                     else "no likelihood maximum: constant replicates or "
+                     "no convergence" if label == MLE_LABEL
                      else "update trimming proportions")
             raise EstimationError(
                 f"estimator {label} failed on {100.0 * frate:.1f}% of "

@@ -301,7 +301,7 @@ def plus_sigma(family: Family, t1, t2, scheme: TrimmingScheme):
     the sigma the Frechet Jacobian rows take at population moments."""
     c = eta_constants(family, scheme)
     plus = candidate_scales(t1, t2, c).plus
-    return SPECS[family].params(t1 - c.m1_11 * plus, plus).sigma
+    return LAWS[family].params(t1 - c.m1_11 * plus, plus).sigma
 
 
 def lambda_entries(scheme: TrimmingScheme) -> dict:

@@ -395,6 +395,13 @@ class TestJacobians:
         with pytest.raises(ValueError):
             jacobian_at_moments(Family.NORMAL, 1.0, 2.0, con, branch="both")
 
+    def test_frechet_rows_need_sigma(self):
+        # sigma = exp(location) scales the Frechet location row.
+        s = validate_scheme(0.1, 0.1, 0.1, 0.1)
+        con = eta_constants(Family.FRECHET, s)
+        with pytest.raises(ValueError, match="needs sigma"):
+            jacobian_at_moments(Family.FRECHET, 1.0, 5.0, con)
+
 
 class TestDeltaAndSMle:
     def test_identity_jacobian(self):

@@ -443,7 +443,7 @@ class TestFitRows:
                         continue
                     one = fit(row, s, family)
                     assert (one.t1, one.t2) == (t1[i], t2[i])
-                    assert one.params == spec.params(loc[i], scale[i])
+                    assert one.params == spec.law.params(loc[i], scale[i])
                     # ... and takes the row's branch.
                     assert one.branch is (
                         Branch.EQUAL_TRIM if s.tag is SchemeTag.EQUAL

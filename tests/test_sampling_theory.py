@@ -91,7 +91,7 @@ def _estimates(index):
     y = spec.draw(params, np.random.default_rng((SEED, index)).random((R, N)))
     mle = spec.mle_rows(y)
     y.sort(axis=1)
-    return [np.transpose(spec.law.estimates(spec.params(loc, scale)))
+    return [np.transpose(spec.law.reported(loc, scale, np.exp))
             for loc, scale, *_ in solve_rows(*row_moments(y, y * y, schemes),
                                              family, schemes,
                                              lambda: mle[1])]

@@ -381,6 +381,26 @@ class TestRunStudy:
         with pytest.raises(EstimationError, match="MLE failed on 2.0%"):
             run_study(cfg)
 
+    def test_mle_failure_limit_names_the_likelihood(self, monkeypatch):
+        # The MLE row has no trimming to update: past the limit, its
+        # message names the missing likelihood maximum.
+        draw = simulation._uniforms
+
+        def two_constant(seed, rep, start, stop, n, out):
+            u = draw(seed, rep, start, stop, n)
+            if start == 0:
+                u[:2] = 0.5
+            return u
+
+        monkeypatch.setattr(simulation, "_uniforms", two_constant)
+        cfg = StudyConfig(Family.FRECHET, FRECHET, 100,
+                          [validate_scheme(0.10, 0.10, 0.10, 0.10)],
+                          replicates=100, repetitions=1, seed=1)
+        with pytest.raises(EstimationError, match=r"MLE failed on 2\.0%.*; "
+                           r"no likelihood maximum: constant replicates "
+                           r"or no convergence$"):
+            run_study(cfg)
+
     def test_overflowed_sigma_names_its_cause(self):
         # Every MLE row converges, but sigma = exp(location) overflows on
         # most of the MLE's failures: the message says so.
@@ -388,7 +408,7 @@ class TestRunStudy:
                           ParameterVector(sigma=5.0, beta=1e4), 50,
                           [validate_scheme(0.0, 0.0, 0.0, 0.0)],
                           replicates=200, repetitions=2, seed=0)
-        with pytest.raises(EstimationError, match=r"MLE failed on .*; "
+        with pytest.raises(EstimationError, match=r"MLE failed on 29\.8%.*; "
                            r"parameters out of range: the reported "
                            r"sigma = exp\(location\) overflows$"):
             run_study(cfg)
