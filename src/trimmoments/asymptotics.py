@@ -9,8 +9,9 @@ alone, and come from one cached record per (base, scheme)
 (`moments.scheme_record`); this module reads that record and nothing
 else, and the raw double integral is a brute-force oracle in the tests.
 Every family is a location-scale model on transformed data, so Sigma_T
-and the Jacobian are written once in (location, scale) and mapped to
-the reported parameters by one flag of `families.LAWS`, `exp_location`
+and the Jacobian, whose rows are (d location, d scale), are written
+once in (location, scale).  Only `delta_method` maps them to the
+reported parameters, by one flag of `families.LAWS`, `exp_location`
 (Frechet's sigma = exp(location), reported after the scale).  S_T = D
 Sigma_T D', on the branch-aware Jacobian, is equivariant in the scale:
 `delta_method`, one pass per fit, forms S_T / scale^2 on the ratio
@@ -114,17 +115,12 @@ def sigma_T(family: Family, params: ParameterVector,
     return np.array([[s11, s12], [s12, s22]])
 
 
-def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
-                        branch=Branch.PLUS, sigma=None):
+def jacobian_at_moments(t1, t2, c: MomentConstants, branch=Branch.PLUS):
     """Jacobian of the estimator map (g1, g2) at moment values (t1, t2),
-    for the family's constants c (`eta_constants`).
-
-    Rows follow the family's reported parameters: (location, scale) for
-    the location-scale families, (tail index, scale) for Frechet, whose
-    sigma = exp(location) row is the location row times sigma.  branch
-    is a `Branch` or its value; EQUAL_TRIM takes the plus sign.  The
-    Frechet rows need the true (or fitted) sigma, a ValueError without
-    it; the location-scale rows do not read it.  An array."""
+    for a family's constants c (`eta_constants`): the rows (d location,
+    d scale) of the location-scale form, for every family; only
+    `delta_method` maps them to the reported parameters.  branch is a
+    `Branch` or its value; EQUAL_TRIM takes the plus sign.  An array."""
     import numpy as np
 
     sign = -1.0 if Branch(branch) is Branch.MINUS else 1.0
@@ -133,18 +129,9 @@ def jacobian_at_moments(family: Family, t1, t2, c: MomentConstants,
         raise SingularityError(
             f"scale discriminant {disc:.4e} is vanishing or negative")
     root = math.sqrt(c.eta_12) * math.sqrt(disc)
-    law = LAWS[family]
-    if law.exp_location and sigma is None:
-        raise ValueError(f"the {family.value} Jacobian needs sigma")
     ds1 = sign * (-c.eta_r * t1 / root) + (c.m1_11 - c.m1_22) / c.eta_12
     ds2 = sign / (2.0 * root)
-    # The factor goes first so that the Frechet row keeps the rounding
-    # of its published form sigma * ds2 * kappa_1.
-    f = law.location_factor(sigma)
-    location = (f * (1.0 - c.m1_11 * ds1), f * ds2 * -c.m1_11)
-    scale = (ds1, ds2)
-    return np.array((scale, location) if law.exp_location
-                    else (location, scale))
+    return np.array(((1.0 - c.m1_11 * ds1, ds2 * -c.m1_11), (ds1, ds2)))
 
 
 def _s_mle_rows(family: Family, params: ParameterVector):
@@ -226,7 +213,10 @@ def delta_method(fit):
     sqrt(S_T / n) on the diagonal, in `names` order.  D and Sigma_T are
     taken in units of the fitted scale s, like `are`'s: M / s^2 = D
     Sigma_T D' is symmetrized and multiplied by s^2 once, and S_T is M
-    with the location row and column times `location_factor`.  Each SE
+    with the location row and column times `location_factor`.  This is
+    the one place where a Jacobian meets the reported parameters: where
+    `exp_location` is set, the rows (d location, d scale) of
+    `jacobian_at_moments` and the factors are taken in reverse.  Each SE
     takes its square root before that factor, so a Frechet sigma's SE,
     sigma * sqrt(var / n), stays in range where sigma^2 underflows.
     ValueError when S_T overflows."""
@@ -235,11 +225,12 @@ def delta_method(fit):
     law = LAWS[fit.family]
     loc, s = law.location_scale(fit.params)
     record = scheme_record(law.base, fit.scheme)
-    jac = jacobian_at_moments(fit.family, fit.t1 / s, fit.t2 / s / s,
-                              record.c, fit.branch, 1.0)
+    jac = jacobian_at_moments(fit.t1 / s, fit.t2 / s / s, record.c,
+                              fit.branch)
     s11, s12, s22 = _sigma_entries(loc / s, 1.0, record.lam)
-    f = law.location_factor(fit.params.sigma)
-    factors = (1.0, f) if law.exp_location else (f, 1.0)
+    factors = (law.location_factor(fit.params.sigma), 1.0)
+    if law.exp_location:
+        jac, factors = jac[::-1], factors[::-1]
     try:
         with np.errstate(over="raise"):
             m = jac @ np.array([[s11, s12], [s12, s22]]) @ jac.T

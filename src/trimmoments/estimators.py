@@ -179,16 +179,16 @@ def solve_rows(t, constant, family: Family,
     (`eta_constants`) over all the rows: the second step of a fit.
 
     Yields, one scheme at a time, (location, scale, minus, pair, t1, t2),
-    arrays over the rows as `solve_scale` gives them, except that
-    location and scale are NaN in every row that fails: where scale is
-    not positive, and in a constant row.  A constant row has no scale,
-    yet a nested scheme's plus root is positive on it, and an equal
-    scheme's root is a rounding residue of its moments.
+    arrays over the rows as `solve_scale` gives them, positive or NaN,
+    except that location and scale are NaN in every constant row too.
+    A constant row has no scale, yet a nested scheme's plus root is
+    positive on it, and an equal scheme's root is a rounding residue of
+    its moments.
     """
     for scheme, (t1, t2) in zip(schemes, t):
         c = eta_constants(family, scheme)
         scale, minus, pair = solve_scale(t1, t2, c, mle_scale=mle_scale)
-        scale = np.where(constant | ~(scale > 0.0), np.nan, scale)
+        scale = np.where(constant, np.nan, scale)
         yield t1 - c.m1_11 * scale, scale, minus, pair, t1, t2
 
 
@@ -199,7 +199,8 @@ def fit(data, scheme: TrimmingScheme,
     one-scheme case of `row_moments`, then `solve_rows`, and the only
     place that raises EstimationError for a failed row or builds its
     `Branch`; the reference MLE, computed only if needed, is the one-row
-    case of `mle_rows`, as in `simulation.run_study`.
+    case of `mle_rows`, as in `simulation.run_study`.  Its message
+    names constant data where `row_moments` flags them.
 
     Normal data are fitted as they are; lognormal data are
     log-transformed and (theta, sigma) reported on the log scale;
@@ -218,12 +219,14 @@ def fit(data, scheme: TrimmingScheme,
     if 0.0 < float(np.max(np.abs(y))) < 2.0 ** -485:
         raise ValueError("data out of range: their squares underflow")
     ys = np.sort(y).reshape(1, -1)
+    t, constant = row_moments(ys, ys * ys, [scheme])
     loc, scale, minus, pair, t1, t2 = next(solve_rows(
-        *row_moments(ys, ys * ys, [scheme]), family, [scheme],
+        t, constant, family, [scheme],
         lambda: spec.mle_rows(y.reshape(1, -1))[1]))
     if np.isnan(scale[0]):
-        raise EstimationError("no admissible scale candidate: constant "
-                              "data, or update trimming proportions")
+        raise EstimationError("no admissible scale candidate: " + (
+            "constant data" if constant[0]
+            else "update trimming proportions"))
     params = spec.law.params(float(loc[0]), float(scale[0]))
     branch = (Branch.EQUAL_TRIM if scheme.tag is SchemeTag.EQUAL
               else Branch.MINUS if minus[0] else Branch.PLUS)

@@ -172,8 +172,8 @@ def _s_mle_frechet(p):
 class FamilyLaw(NamedTuple):
     """A family on the location-scale model, at a point.
 
-    `names` are its reported parameters, in the row order of estimator
-    Jacobians: (theta, sigma), or (beta, sigma) for Frechet.  `base` is
+    `names` are its reported parameters, in `delta_method`'s row
+    order: (theta, sigma), or (beta, sigma) for Frechet.  `base` is
     the quantile of the base law of Z at one float u, with libm's logs:
     the Cephes port Phi^{-1}, bit for bit scipy's `ndtri`, or for
     Frechet the standard Gumbel G(u) = -log(-log u), since log X = log
@@ -182,7 +182,7 @@ class FamilyLaw(NamedTuple):
     MLE's asymptotic covariance (the inverse Fisher information) as two
     rows of Python floats.  `exp_location` is the one way a report
     departs from (location, scale): Frechet reports (scale,
-    exp(location)), by `reported` and `params`.
+    exp(location)), by `reported`, `params` and `delta_method`.
     """
 
     names: Tuple[str, str]

@@ -35,8 +35,8 @@ and is left out of its ratios and RE (a constant replicate fails
 every estimator, the MLE too); a singular RE leaves that repetition's
 RE NaN.  Past MAX_FAILURE_RATE the study stops; its message names the
 overflow where most of that estimator's failures are inf sigmas,
-else the likelihood maximum (MLE) or the trimming (schemes).  Mean ratios
-and REs are computed per repetition and averaged, with standard
+else the likelihood maximum (MLE) or the missing root (schemes).  Mean
+ratios and REs are computed per repetition and averaged, with standard
 deviations across repetitions alongside; a true parameter so small that
 the ratios estimate / truth overflow puts the study out of range.  The
 `StudyResult` is built once, from the finished rows.
@@ -413,7 +413,8 @@ def run_study(config: StudyConfig) -> StudyResult:
                      if 2 * overflows[idx] > failures[idx]
                      else "no likelihood maximum: constant replicates or "
                      "no convergence" if label == MLE_LABEL
-                     else "update trimming proportions")
+                     else "no admissible scale candidate: update "
+                     "trimming proportions")
             raise EstimationError(
                 f"estimator {label} failed on {100.0 * frate:.1f}% of "
                 f"replicates (limit {100.0 * MAX_FAILURE_RATE:.1f}%); "

@@ -4,7 +4,8 @@ form for a parametrized model (the routine of `moments._v_pair` on
 any moment functions, each integral its own quadrature), the
 brute-force double integral that checks it, and the parameter-free
 entries Lambda_ijk and Psi_ijk.  For the ARE: the population-level
-Jacobian, the data-unit product S_T = D Sigma_T D' that checks
+Jacobian and the Jacobian's rows mapped to the reported parameters,
+the data-unit product S_T = D Sigma_T D' that checks
 `asymptotics.delta_method`, the ARE through that product, the
 reference for the closed-form determinant of `asymptotics.are`, and the
 correlation-scaled gap between two covariances.  For
@@ -318,13 +319,30 @@ def psi_entries(scheme: TrimmingScheme) -> dict:
                                       scheme).lam.items()}
 
 
+def jacobian_reported(family: Family, t1, t2, c, branch=Branch.PLUS,
+                      sigma=None) -> np.ndarray:
+    """`asymptotics.jacobian_at_moments` with its rows mapped to the
+    family's reported parameters, written apart from `delta_method`'s
+    map: (location, scale) for the location-scale families, (tail index,
+    scale) for Frechet, whose sigma = exp(location) row is the location
+    row times sigma.  The Frechet rows need the true (or fitted) sigma,
+    a ValueError without it."""
+    law = LAWS[family]
+    if law.exp_location and sigma is None:
+        raise ValueError(f"the {family.value} Jacobian needs sigma")
+    location, scale = jacobian_at_moments(t1, t2, c, branch)
+    location = location * law.location_factor(sigma)
+    return np.array((scale, location) if law.exp_location
+                    else (location, scale))
+
+
 def jacobian_location_scale(params: ParameterVector, scheme: TrimmingScheme,
                             branch=Branch.PLUS,
                             family: Family = Family.NORMAL) -> np.ndarray:
     """Population-level Jacobian for the given branch."""
     t1, t2 = population_moments(family, params, scheme)
-    return jacobian_at_moments(family, t1, t2, eta_constants(family, scheme),
-                               branch, params.sigma)
+    return jacobian_reported(family, t1, t2, eta_constants(family, scheme),
+                             branch, params.sigma)
 
 
 def delta_covariance(sigma_t: np.ndarray, jac: np.ndarray) -> np.ndarray:

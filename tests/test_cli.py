@@ -743,6 +743,8 @@ def test_contract_gof_far_low_outlier(capsys, tmp_path):
 ORDINARY_TOKENS = ("0.5", "1", "2")
 PARAMETER_TOKENS = ("0", "1", "-1", "1e-320", "5e-324", "1e-160", "1e60",
                     "1e77", "1e200", "1e308", "nan", "inf")
+# A study's overflowed sigma, constant replicates and cancelled roots.
+STUDY_TOKENS = ("1e-8", "100", "1e3", "1e4")
 DESCENDING_RANGES = ("1:0.5:0.1", "1e200:-1e200:1e199", "-1:-2:0.5")
 PREFIXES = ("validation error:", "estimation failure:", "I/O error:")
 
@@ -906,10 +908,14 @@ def _simulate_argv(draw, directory):
     model = draw(st.sampled_from(("normal", "lognormal", "frechet")))
     own = "beta" if model == "frechet" else "theta"
     token = st.one_of(st.sampled_from(ORDINARY_TOKENS),
-                      st.sampled_from(PARAMETER_TOKENS))
+                      st.sampled_from(PARAMETER_TOKENS),
+                      st.sampled_from(STUDY_TOKENS))
     argv = ["simulate", f"--model={model}", f"--sigma={draw(token)}",
-            f"--{own}={draw(token)}", "--n=20", "--replicates=100",
-            "--repetitions=1", f"--seed={draw(st.sampled_from((0, 1, -1)))}"]
+            f"--{own}={draw(token)}",
+            f"--n={draw(st.sampled_from((20, 37, 50)))}",
+            f"--replicates={draw(st.sampled_from((100, 200)))}",
+            f"--repetitions={draw(st.sampled_from((1, 2)))}",
+            f"--seed={draw(st.sampled_from((0, 1, -1, 2 ** 40)))}"]
     for scheme in draw(st.lists(_lattice_scheme(), min_size=1, max_size=2)):
         argv.append(f"--scheme={scheme}")
     return argv

@@ -489,6 +489,46 @@ class TestFitRows:
         with pytest.raises(EstimationError, match="update trimming"):
             fit(ys[0], s)
 
+    def test_no_root_names_constant_data_only_where_constant(self):
+        # A constant kept window in data that are not constant is a
+        # missing root; only constant data are named as such.
+        s = validate_scheme(0.2, 0.2, 0.2, 0.2)
+        with pytest.raises(EstimationError) as info:
+            fit([0.0, 5.0, 5.0, 5.0, 10.0], s)
+        assert str(info.value) == ("no admissible scale candidate: update "
+                                   "trimming proportions")
+        with pytest.raises(EstimationError) as info:
+            fit([5.0] * 5, s)
+        assert str(info.value) == ("no admissible scale candidate: "
+                                   "constant data")
+
+    @given(family=st.sampled_from(list(Family)),
+           quad=st.sampled_from([(0.1, 0.1, 0.1, 0.1), (0.05, 0.05, 0.0, 0.1),
+                                 (0.1, 0.1, 0.2, 0.0), (0.0, 0.0, 0.0, 0.0),
+                                 (0.0, 0.2, 0.0, 0.3), (0.0, 0.3, 0.2, 0.1)]),
+           rows=st.lists(st.tuples(
+               st.floats(-50.0, 50.0), st.floats(-0.5, 0.5),
+               st.one_of(st.just(math.nan), st.floats(0.0, 1e3)),
+               st.booleans()), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_solve_rows_fails_only_rootless_and_constant_rows(
+            self, family, quad, rows):
+        # `solve_scale` gives a positive scale or NaN, at any moments (a
+        # negative discriminant too), on every scheme ordering and with
+        # references that may be NaN; so `solve_rows` fails the rows of
+        # the rule of `fit_rows_by_slices`, constant | ~(scale > 0).
+        s = validate_scheme(*quad)
+        c = eta_constants(family, s)
+        t1, gap, ref, constant = (np.array(v) for v in zip(*rows))
+        t2 = c.eta_r * t1 * t1 + gap * (1.0 + t1 * t1)
+        raw = solve_scale(t1, t2, c, lambda: ref)[0]
+        assert ((raw > 0.0) | np.isnan(raw)).all()
+        expected = np.where(constant | ~(raw > 0.0), np.nan, raw)
+        loc, scale = next(solve_rows(np.array([[t1, t2]]), constant, family,
+                                     [s], lambda: ref))[:2]
+        assert np.array_equal(scale, expected, equal_nan=True)
+        assert np.array_equal(loc, t1 - c.m1_11 * expected, equal_nan=True)
+
 
 class TestSegmentSums:
     """`row_moments` over a scheme set sums each segment between the

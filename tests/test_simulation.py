@@ -401,6 +401,30 @@ class TestRunStudy:
                            r"or no convergence$"):
             run_study(cfg)
 
+    def test_scheme_failure_limit_names_the_missing_root(self, monkeypatch):
+        # Replicates 0 and 1 draw u = 0.5 but at their two extremes: the
+        # equal scheme's kept window is constant at y = theta, so its
+        # root is 0, while their MLE is fine.  Past the limit, the
+        # scheme's message names the missing root.
+        draw = simulation._uniforms
+
+        def two_flat_windows(seed, rep, start, stop, n, out):
+            u = draw(seed, rep, start, stop, n)
+            if start == 0:
+                u[:2] = 0.5
+                u[:2, 0], u[:2, -1] = 0.25, 0.75
+            return u
+
+        monkeypatch.setattr(simulation, "_uniforms", two_flat_windows)
+        cfg = _config(params=ParameterVector(theta=1.0, sigma=5.0),
+                      schemes=[validate_scheme(0.10, 0.10, 0.10, 0.10)],
+                      replicates=100, repetitions=1, seed=1)
+        with pytest.raises(EstimationError,
+                           match=r"\(0\.1,0\.1\)/\(0\.1,0\.1\) failed on "
+                           r"2\.0%.*; no admissible scale candidate: "
+                           r"update trimming proportions$"):
+            run_study(cfg)
+
     def test_overflowed_sigma_names_its_cause(self):
         # Every MLE row converges, but sigma = exp(location) overflows on
         # most of the MLE's failures: the message says so.
