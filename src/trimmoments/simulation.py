@@ -27,7 +27,8 @@ block their leading rows.  Everything that works per replicate and
 scheme runs once per repetition, on all its replicates: one
 `estimators.solve_rows` pass solves each scheme's scale from the kept
 moments, and one `FamilyLaw.reported` pass, with numpy's exp, maps an
-estimator's rows to estimates, whose ratios and RE follow.  A
+estimator's rows to its estimates, one (2, R) array with a contiguous
+row per reported parameter, whose ratios and RE follow (`_score`).  A
 replicate whose fit fails, whose estimates are not finite (an
 overflowed sigma = exp(location)), or whose MLE fails where the MLE
 row or a proximity rule needs it, counts in that estimator's failures
@@ -37,9 +38,11 @@ RE NaN.  Past MAX_FAILURE_RATE the study stops; its message names the
 overflow where most of that estimator's failures are inf sigmas,
 else the likelihood maximum (MLE) or the missing root (schemes).  Mean
 ratios and REs are computed per repetition and averaged, with standard
-deviations across repetitions alongside; a true parameter so small that
-the ratios estimate / truth overflow puts the study out of range.  The
-`StudyResult` is built once, from the finished rows.
+deviations across repetitions alongside, for every estimator at once
+in one pass over an (estimators, 3, repetitions) array (`_summarise`);
+a true parameter so small that the ratios estimate / truth overflow
+puts the study out of range.  The `StudyResult` is built once, from the
+finished rows.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ MLE_LABEL = "MLE"
 # repetition's arrays grow with its replicates and schemes: 16 bytes each
 # for every scheme's t1, t2 and for the MLE are kept, and the solve and
 # estimates of one estimator take more.  The tracemalloc peak at n = 20
-# is 388 bytes a replicate with 12 schemes and 964 with 48, so about
+# is 358 bytes a replicate with 12 schemes and 934 with 48, so about
 # 1 GB at MAX_SIZE replicates and 48 schemes; the number of --scheme
 # options is unbounded.
 BLOCK_ELEMENTS = 2 ** 17
@@ -136,21 +139,20 @@ def finite_re(family: Family, params: ParameterVector, estimates, n: int) -> flo
     det(S_MLE)^(1/2); the denominator is the determinant of the
     empirical cross-moment matrix of the estimation errors, to the same
     power, scaled by n so that the MLE itself scores about 1.  Both scale
-    each parameter by its MLE standard deviation, which keeps the squares
-    in range and leaves the ratio unchanged.
+    each parameter by its MLE standard deviation, which leaves the ratio
+    unchanged; a determinant that is not a positive finite float, as
+    where the scaled errors, their squares or the products of those
+    overflow, is singular.
     """
     est = np.asarray(estimates, dtype=float)
     if est.ndim != 2 or est.shape[0] < 2 or est.shape[1] != 2:
         raise ValueError("estimates must be an (m, 2) array with m >= 2")
     cov = s_mle(family, params)
     sd = np.sqrt(np.diag(cov))
-    z = (est - np.array(LAWS[family].estimates(params))) / sd
-    try:
-        with np.errstate(over="raise"):
-            det = det2(z.T @ z / z.shape[0])
-    except FloatingPointError:
-        det = 0.0  # squared errors past the float range: as singular
-    if det <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (est - np.array(LAWS[family].estimates(params))) / sd
+        det = det2(z.T @ z / z.shape[0])
+    if not 0.0 < det < math.inf:
         raise ValueError("empirical cross-moment matrix is singular")
     return math.sqrt(det2(cov / np.outer(sd, sd))) / (n * math.sqrt(det))
 
@@ -326,18 +328,61 @@ def _uniforms(seed: int, rep: int, start: int, stop: int, n: int,
     return u
 
 
-def _mean_sd(values):
-    """Mean and standard deviation of the repetitions that have a value
-    (not NaN), both NaN when none has.  They are computed on the values
-    divided by a power of two near the largest of them, and multiplied
-    back: the scaling is exact, so the results are the unscaled ones bit
-    for bit, except that the squared deviations cannot overflow."""
-    kept = values[~np.isnan(values)]
-    if kept.size == 0:
-        return math.nan, math.nan
-    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(kept))))[1] - 1)
-    z = kept / scale
-    return float(np.mean(z)) * scale, float(np.std(z)) * scale
+def _score(family: Family, params: ParameterVector, n: int, loc, scale):
+    """One estimator's replicates of a repetition, as the location and
+    scale rows of its fits: its failures, the failures whose estimates
+    hold inf (an overflowed sigma), its mean ratios estimate / truth and
+    its RE.  The ratios and RE are NaN where fewer than 2 replicates are
+    kept, the RE also where it is singular.
+
+    The estimates are one (2, R) array, a row per reported parameter,
+    and the kept columns are copied out by `np.compress`, so each
+    parameter's ratios are averaged along a contiguous row and
+    `finite_re` takes the column-contiguous transpose.
+    """
+    law = LAWS[family]
+    with np.errstate(over="ignore"):
+        est = np.array(law.reported(loc, scale, np.exp))
+    finite = np.isfinite(est)
+    kept = finite[0] & finite[1]
+    arr = np.compress(kept, est, axis=1)
+    failed = est.shape[1] - arr.shape[1]
+    overflowed = np.count_nonzero(np.isinf(est).any(axis=0)) if failed else 0
+    if arr.shape[1] < 2:
+        return failed, overflowed, (math.nan, math.nan), math.nan
+    truth = np.array(law.estimates(params))
+    try:
+        with np.errstate(over="raise"):
+            ratios = np.mean(arr / truth[:, None], axis=1)
+    except FloatingPointError:
+        raise ValueError("parameters out of range: the ratios "
+                         "estimate / truth overflow") from None
+    try:
+        re = finite_re(family, params, arr.T, n)
+    except ValueError:
+        re = math.nan  # singular
+    return failed, overflowed, ratios, re
+
+
+def _summarise(values):
+    """Mean and standard deviation along the last axis, the repetitions,
+    of the values that are not NaN; both NaN where none is.  Each row is
+    divided by a power of two near its largest magnitude, and the
+    results multiplied back: the scaling is exact, so they are the
+    unscaled ones bit for bit, except that the squared deviations cannot
+    overflow.  Where a row holds no NaN, its sums are numpy's pairwise
+    sums along a contiguous row, so the results are `np.mean` and
+    `np.std` of the row bit for bit."""
+    missing = np.isnan(values)
+    count = values.shape[-1] - np.count_nonzero(missing, axis=-1)
+    largest = np.fmax.reduce(np.abs(values), axis=-1)  # NaN-ignoring
+    scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)
+    z = np.where(missing, 0.0, values / scale[..., None])
+    with np.errstate(invalid="ignore"):  # 0 / 0 where a row is all NaN
+        mean = z.sum(axis=-1) / count
+        dev = np.where(missing, 0.0, z - mean[..., None])
+        sd = np.sqrt(np.sum(dev * dev, axis=-1) / count)
+    return mean * scale, sd * scale
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -346,12 +391,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     family, params, n = config.family, config.params, config.n
     schemes, replicates = config.schemes, config.replicates
     spec = SPECS[family]
-    truth = np.array(spec.law.estimates(params))
 
     labels = [MLE_LABEL] + [s.label() for s in schemes]
     nlab = len(labels)
-    ratio_reps = np.full((config.repetitions, nlab, 2), np.nan)
-    re_reps = np.full((config.repetitions, nlab), np.nan)
+    # Each estimator's two mean ratios and RE of every repetition, the
+    # repetitions contiguous for `_summarise`.
+    scores = np.full((nlab, 3, config.repetitions), np.nan)
     failures = np.zeros(nlab, dtype=int)
     # Failures whose estimates hold inf: the reported sigma overflowed.
     overflows = np.zeros(nlab, dtype=int)
@@ -383,28 +428,12 @@ def run_study(config: StudyConfig) -> StudyResult:
         fits = (fit[:2] for fit in solve_rows(t, constant, family, schemes,
                                               lambda: mle[1]))
         for idx, (loc, scale) in enumerate(itertools.chain([mle], fits)):
-            with np.errstate(over="ignore"):
-                est = np.transpose(spec.law.reported(loc, scale, np.exp))
-            kept = np.isfinite(est).all(axis=1)
-            arr = est[kept]
-            failures[idx] += replicates - arr.shape[0]
-            overflows[idx] += np.count_nonzero(
-                np.isinf(est[~kept]).any(axis=1))
-            if arr.shape[0] < 2:
-                continue
-            try:
-                with np.errstate(over="raise"):
-                    ratio_reps[rep, idx] = np.mean(arr / truth, axis=0)
-            except FloatingPointError:
-                raise ValueError("parameters out of range: the ratios "
-                                 "estimate / truth overflow") from None
-            try:
-                re_reps[rep, idx] = finite_re(family, params, arr, n)
-            except ValueError:
-                pass  # singular: this repetition's RE stays NaN
+            failed, overflowed, scores[idx, :2, rep], scores[idx, 2, rep] = \
+                _score(family, params, n, loc, scale)
+            failures[idx] += failed
+            overflows[idx] += overflowed
 
     total = replicates * config.repetitions
-    rows = []
     for idx, label in enumerate(labels):
         frate = failures[idx] / total
         if frate > MAX_FAILURE_RATE:
@@ -420,7 +449,7 @@ def run_study(config: StudyConfig) -> StudyResult:
                 f"replicates (limit {100.0 * MAX_FAILURE_RATE:.1f}%); "
                 + cause
             )
-        means, sds = zip(*(_mean_sd(v) for v in (
-            ratio_reps[:, idx, 0], ratio_reps[:, idx, 1], re_reps[:, idx])))
-        rows.append(SchemeSummary(label, *means, *sds, int(failures[idx])))
+    means, sds = _summarise(scores)
+    rows = [SchemeSummary(label, *mean, *sd, int(fails)) for label, mean, sd,
+            fails in zip(labels, means.tolist(), sds.tolist(), failures)]
     return StudyResult(config, rows)

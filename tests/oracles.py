@@ -12,7 +12,10 @@ correlation-scaled gap between two covariances.  For
 the Frechet MLE: the likelihood score of one sample, a bracketing Brent
 root search on it, and the batch Newton kernel written with a fresh
 array for every block-sized step.  For the batch fits: one scheme's
-fit with each moment the plain mean of its column slice.  For the
+fit with each moment the plain mean of its column slice.  For the Monte
+Carlo study: an estimator's scores of one repetition on (R, 2) rows of
+estimates, and the mean and standard deviation of one column of
+repetitions.  For the
 models: the quantile, pdf and cdf of each family.  For the constants:
 the window averages c_k and the paper's kappa_k, the sigma of the plus
 scale candidate, and the Gumbel segment moments to 30 digits and by the
@@ -56,6 +59,7 @@ from trimmoments.moments import (
     trim_counts,
     window_moments,
 )
+from trimmoments.simulation import finite_re
 
 # The package's K15 abscissae and weights, as arrays.
 _XK, _WK = np.array(quadrature._XK), np.array(quadrature._WK)
@@ -606,3 +610,45 @@ def fit_rows_by_slices(ys, squares, scheme: TrimmingScheme, c, mle_scale):
     scale, minus, pair = solve_scale(t1, t2, c, mle_scale)
     scale = np.where((ys[:, 0] == ys[:, -1]) | ~(scale > 0.0), np.nan, scale)
     return t1 - c.m1_11 * scale, scale, minus, pair, t1, t2
+
+
+def score_rows(family: Family, params: ParameterVector, n: int, loc, scale):
+    """`simulation._score` on (R, 2) rows of estimates, one replicate a
+    row: the transpose of the reported parameters, the boolean mask of
+    its finite rows, the mean ratios down axis 0 and `finite_re` of the
+    kept rows' C-order copy.  Returns (failures, overflows, ratios,
+    RE)."""
+    law = LAWS[family]
+    truth = np.array(law.estimates(params))
+    with np.errstate(over="ignore"):
+        est = np.transpose(law.reported(loc, scale, np.exp))
+    kept = np.isfinite(est).all(axis=1)
+    arr = est[kept]
+    failed = len(est) - arr.shape[0]
+    overflowed = np.count_nonzero(np.isinf(est[~kept]).any(axis=1))
+    if arr.shape[0] < 2:
+        return failed, overflowed, (math.nan, math.nan), math.nan
+    try:
+        with np.errstate(over="raise"):
+            ratios = np.mean(arr / truth, axis=0)
+    except FloatingPointError:
+        raise ValueError("parameters out of range: the ratios "
+                         "estimate / truth overflow") from None
+    try:
+        re = finite_re(family, params, arr, n)
+    except ValueError:
+        re = math.nan
+    return failed, overflowed, ratios, re
+
+
+def mean_sd(values):
+    """Mean and standard deviation of the repetitions in values that
+    have a value (not NaN), both NaN when none has: `np.mean` and
+    `np.std` of the kept values divided by a power of two near the
+    largest of them, multiplied back."""
+    kept = values[~np.isnan(values)]
+    if kept.size == 0:
+        return math.nan, math.nan
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(kept))))[1] - 1)
+    z = kept / scale
+    return float(np.mean(z)) * scale, float(np.std(z)) * scale

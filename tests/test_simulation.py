@@ -151,6 +151,23 @@ class TestFiniteRe:
             with pytest.raises(ValueError, match="singular"):
                 finite_re(Family.NORMAL, NORMAL, est, 100)
 
+    @pytest.mark.parametrize("family, params, est", [
+        # The cross moments are finite, but the products of the
+        # determinant overflow: inf (first) or inf - inf (second).
+        (Family.NORMAL, NORMAL,
+         [(1e150, 5.0), (-1e150, 5.0), (0.1, 1e150), (0.1, -1e150)]),
+        (Family.NORMAL, NORMAL,
+         [(1e150, 1e150), (-1e150, 2e150), (3e150, -1e150)]),
+        # A finite sigma whose error over its MLE SD overflows.
+        (Family.FRECHET, ParameterVector(sigma=0.01, beta=5.0),
+         [(5.0, 1e308), (5.0, 0.01), (6.0, 0.02)]),
+    ])
+    def test_overflowing_determinant_is_singular(self, family, params, est):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="singular"):
+                finite_re(family, params, est, 100)
+
     def test_mle_scores_about_one(self):
         from trimmoments.estimators import mle_normal
         from trimmoments.models import sample
@@ -160,6 +177,83 @@ class TestFiniteRe:
             est.append(mle_normal(x))
         assert finite_re(Family.NORMAL, NORMAL, est, 1000) == pytest.approx(
             0.994, abs=0.05)
+
+
+def _score_cases(family, params):
+    """(loc, scale) rows of 300 replicates about the truth: clean, with
+    NaN rows, with locations of 1000 (a Frechet sigma of inf), with one
+    or no kept row, and all alike (a singular RE)."""
+    rng = np.random.default_rng(17)
+    mu, s = SPECS[family].law.location_scale(params)
+    loc = mu + 0.3 * s * rng.standard_normal(300)
+    scale = s * (1.0 + 0.1 * rng.standard_normal(300))
+    nan_rows, big_rows = loc.copy(), loc.copy()
+    nan_rows[::7] = np.nan
+    big_rows[1::5] = 1000.0
+    nan_scale = scale.copy()
+    nan_scale[3::11] = np.nan
+    one, none = np.full(300, np.nan), np.full(300, np.nan)
+    one[4] = loc[4]
+    return [(loc, scale), (nan_rows, nan_scale), (big_rows, scale),
+            (one, scale), (none, scale),
+            (np.full(300, mu), np.full(300, s))]
+
+
+class TestScore:
+    @pytest.mark.parametrize("family, params", [
+        (Family.NORMAL, NORMAL), (Family.LOGNORMAL, NORMAL),
+        (Family.FRECHET, FRECHET)])
+    def test_scores_match_the_row_layout(self, family, params):
+        # The parent layout's arithmetic, one replicate a row: the same
+        # counts, and the same ratios and RE but for the order of the
+        # sums.  (oracles imports scipy and mpmath, which TestUniforms's
+        # oldest-numpy job does not install.)
+        from oracles import score_rows
+        for loc, scale in _score_cases(family, params):
+            got = simulation._score(family, params, 100, loc, scale)
+            want = score_rows(family, params, 100, loc, scale)
+            assert got[:2] == want[:2]
+            np.testing.assert_allclose(np.append(got[2], got[3]),
+                                       np.append(want[2], want[3]),
+                                       rtol=1e-13, atol=0.0)
+
+    def test_overflowing_sigma_is_counted(self):
+        loc, scale = _score_cases(Family.FRECHET, FRECHET)[2]
+        failed, overflowed, ratios, re = simulation._score(
+            Family.FRECHET, FRECHET, 100, loc, scale)
+        assert failed == overflowed == 60
+        assert np.isfinite(ratios).all() and np.isfinite(re)
+
+
+class TestSummarise:
+    @pytest.mark.parametrize("repetitions", [1, 3, 20, 300])
+    def test_matches_mean_sd_bit_for_bit(self, repetitions):
+        from oracles import mean_sd
+        rng = np.random.default_rng(repetitions)
+        reps = rng.lognormal(0.0, 3.0, (5, 3, repetitions))
+        means, sds = simulation._summarise(reps)
+        for idx in np.ndindex(reps.shape[:2]):
+            assert (means[idx], sds[idx]) == mean_sd(reps[idx])
+
+    def test_nan_is_left_out(self):
+        from oracles import mean_sd
+        reps = np.array([[[1.5, np.nan, 2.0, 0.25]],
+                         [[np.nan] * 4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means, sds = simulation._summarise(reps)
+        assert (means[0, 0], sds[0, 0]) == mean_sd(reps[0, 0])
+        assert np.isnan([means[1, 0], sds[1, 0]]).all()
+
+    def test_near_the_float_range(self):
+        from oracles import mean_sd
+        reps = np.array([[1e308, 1.7e308, -1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means, sds = simulation._summarise(reps)
+        assert np.isfinite([means, sds]).all()
+        assert (means[0], sds[0]) == mean_sd(reps[0])
+        assert means[0] == pytest.approx(4e307, rel=1e-15)
 
 
 class TestRunStudy:
